@@ -175,17 +175,6 @@ let backend_of = function
   | `Compiled -> Vc_core.Backend.compiled
   | `Engine -> invalid_arg "backend_of: the cost model is not a backend"
 
-(* The blocked interpreter has no domains mode over IR sources; catch the
-   combination up front instead of surfacing Backend's Invalid_argument. *)
-let reject_blocked_ir_domains engine domains source =
-  match (engine, source) with
-  | `Blocked, Vc_core.Backend.Ir _ when domains > 1 ->
-      Format.eprintf
-        "vcilk: --engine blocked has no --domains mode on DSL benchmarks; \
-         use --engine compiled@.";
-      exit 1
-  | _ -> ()
-
 let wall_rate tasks wall = float_of_int tasks /. Float.max wall 1e-9
 
 (* Uniform exit-code convention: 0 ok, 1 failure, 2 budget exceeded,
@@ -333,7 +322,6 @@ let run_cmd =
         | _ -> Vc_core.Policy.Hybrid { max_block = block; reexpand = true }
       in
       let source, roots = Vc_exp.Sweep.backend_source ctx entry in
-      reject_blocked_ir_domains engine domains source;
       match
         Vc_core.Supervisor.run_backend ~strategy:policy ?max_tasks
           ~faults:(Vc_core.Fault.of_env ()) ~budgets
@@ -810,7 +798,7 @@ let bench_cmd =
       in
       let best = ref None in
       for _ = 1 to 3 do
-        let r = Vc_core.Backend.timed_run ~opts backend source ~roots in
+        let r = Vc_core.Backend.run ~opts backend source ~roots in
         match !best with
         | Some (b : Vc_core.Backend.result)
           when b.Vc_core.Backend.wall_seconds <= r.Vc_core.Backend.wall_seconds
@@ -1203,7 +1191,6 @@ let chaos_cmd =
       let check_bench (entry : Vc_bench.Registry.entry) =
         let name = entry.Vc_bench.Registry.name in
         let source, roots = Vc_exp.Sweep.backend_source ctx entry in
-        reject_blocked_ir_domains engine domains source;
         let opts =
           { Vc_core.Backend.default_opts with
             strategy; domains = dom_opt }

@@ -44,7 +44,10 @@ let () =
       let reference = Vc_lang.Interp.run program args in
       (* 2. transformed code, interpreted *)
       let transformed = Vc_core.Transform.transform program in
-      let blocked = Vc_core.Blocked_interp.run transformed args in
+      let blocked =
+        Vc_core.Backend.run Vc_core.Backend.interp (Vc_core.Backend.Ir transformed)
+          ~roots:[ Array.of_list args ]
+      in
       (* 3. compiled spec on the measured engine *)
       let spec = Vc_core.Compile.spec_of_program program ~args in
       let engine =
@@ -54,7 +57,7 @@ let () =
       in
       List.iter
         (fun (reducer, expected) ->
-          let from_blocked = List.assoc reducer blocked.Vc_core.Blocked_interp.reducers in
+          let from_blocked = List.assoc reducer blocked.Vc_core.Backend.reducers in
           let from_engine = Vc_core.Report.reducer engine reducer in
           Format.printf "  %-8s sequential=%d transformed=%d engine=%d  %s@."
             reducer expected from_blocked from_engine
@@ -63,6 +66,6 @@ let () =
           if expected <> from_blocked || expected <> from_engine then exit 1)
         reference.Vc_lang.Interp.reducers;
       Format.printf "  (%d tasks; engine utilization %.1f%%)@.@."
-        blocked.Vc_core.Blocked_interp.tasks
+        blocked.Vc_core.Backend.tasks
         (100.0 *. engine.Vc_core.Report.utilization))
     files

@@ -33,12 +33,15 @@ let () =
   Format.printf "%a@.@." Vc_core.Blocked_ast.pp transformed;
 
   (* ... and execute the transformed code directly, to see it agrees *)
-  let blocked = Vc_core.Blocked_interp.run transformed [ 25 ] in
+  let blocked =
+    Vc_core.Backend.run Vc_core.Backend.interp (Vc_core.Backend.Ir transformed)
+      ~roots:[ [| 25 |] ]
+  in
   Format.printf "transformed code: result = %d, %d bfs->blocked switches, %d \
                  re-expansions@.@."
-    (List.assoc "result" blocked.Vc_core.Blocked_interp.reducers)
-    blocked.Vc_core.Blocked_interp.switches
-    blocked.Vc_core.Blocked_interp.reexpansions;
+    (List.assoc "result" blocked.Vc_core.Backend.reducers)
+    blocked.Vc_core.Backend.switches
+    blocked.Vc_core.Backend.reexpansions;
 
   (* 3b. ...and the compiler's view after loop distribution and
      if-conversion: a series of dense, directly vectorizable steps *)

@@ -8,20 +8,21 @@
 
    The scheduler is written once, generic over a [stepper] — the object
    that knows how to execute one whole level and how to re-execute one
-   frame's subtree on a scalar path.  Two steppers exist:
+   frame's subtree on a scalar path.  Three steppers exist:
 
    - the SoA compiled stepper ({!Codegen.Soa}): per-spawn-site specialized
      kernels over unboxed structure-of-arrays frames — the "compiled"
      backend for IR sources;
+   - the closure stepper ({!Blocked_interp}): per-thread closure dispatch
+     over list levels — the "blocked" backend for IR sources;
    - the native stepper: [Spec.t] callbacks over ThreadBlocks — both
      backends use it for native sources (a native spec is already
      compiled OCaml; there is nothing further to specialize).
 
-   The "blocked" backend interprets IR sources via {!Blocked_interp}
-   (per-thread closure dispatch over list levels), so compiled-vs-blocked
-   is a pure dispatch/layout comparison with bit-equal results: the
-   scheduler mirrors the interpreter's switch/re-expansion conditions
-   exactly, and the differential suite holds all six result fields equal.
+   Compiled-vs-blocked is therefore a pure dispatch/layout comparison with
+   bit-equal results: both run under the same scheduler, budgets, fault
+   sites and chunked-domains driver, and the differential suite holds all
+   six result fields equal.
 
    Structured after Bombyx's backend split (PAPERS.md): the IR stays
    fixed, a future C-stub/FPGA-style cost backend is a third [t] value,
@@ -48,7 +49,6 @@ type opts = {
   wall_deadline : float option;
   max_live_frames : int option;
   domains : int option;
-  chunks : int;
 }
 
 let default_opts =
@@ -61,7 +61,6 @@ let default_opts =
     wall_deadline = None;
     max_live_frames = None;
     domains = None;
-    chunks = 32;
   }
 
 type t = {
@@ -84,6 +83,18 @@ type 'lvl stepper = {
     on_task:(depth:int -> base:bool -> unit) -> depth:int -> int array -> unit;
   num_spawns : int;
 }
+
+let interp_stepper (inst : Blocked_interp.inst) : Blocked_interp.level stepper =
+  {
+    size = Blocked_interp.size;
+    new_level = (fun _ -> Blocked_interp.new_level ());
+    clear = Blocked_interp.clear;
+    of_frames = Blocked_interp.of_frames ~nparams:inst.Blocked_interp.nparams;
+    frames = Blocked_interp.frames;
+    step = inst.Blocked_interp.step;
+    scalar = inst.Blocked_interp.scalar;
+    num_spawns = inst.Blocked_interp.num_spawns;
+  }
 
 let soa_stepper (inst : Codegen.Soa.inst) : Codegen.Soa.buf stepper =
   {
@@ -194,8 +205,9 @@ let native_stepper (spec : Spec.t) ~(reducers : Vc_lang.Reducer.set) :
   }
 
 (* ------------------------------------------------------------------ *)
-(* The generic scheduler: Blocked_interp's exact switch / re-expansion /
-   budget semantics, over whole-level steps. *)
+(* The generic scheduler: Fig. 6's switch / re-expansion decisions plus
+   cooperative budgets and per-level fault quarantine, over whole-level
+   steps. *)
 
 type cstate = {
   mutable tasks : int;
@@ -405,8 +417,8 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
    Domain_sched's fixed-chunk determinism — the frontier depends only on
    [target], never on the domain count. *)
 
-let expand_frontier (type l) (st : l stepper) ~tel ~strategy:_ ~max_tasks
-    (s : cstate) roots ~target =
+let expand_frontier (type l) (st : l stepper) ~tel ~max_tasks (s : cstate) roots
+    ~target =
   let e = st.num_spawns in
   let src = ref (st.of_frames roots) in
   let depth = ref 0 in
@@ -450,16 +462,16 @@ let label_of = function
   | Native spec -> spec.Spec.name
 
 (* Build the stepper for a source against a concrete reducer set.
-   [compiled] selects the SoA kernels for IR; native specs always use the
-   native stepper (their callbacks are already compiled OCaml). *)
+   [compiled] selects the SoA kernels over the closure interpreter for IR;
+   native specs always use the native stepper (their callbacks are already
+   compiled OCaml). *)
 type any_stepper = Any : 'l stepper -> any_stepper
 
 let stepper_of ~compiled source ~reducers =
   match source with
   | Ir t ->
       if compiled then Any (soa_stepper (Codegen.Soa.instantiate t ~reducers))
-      else
-        invalid_arg "Backend.stepper_of: interp IR runs go through Blocked_interp"
+      else Any (interp_stepper (Blocked_interp.instantiate t ~reducers))
   | Native spec -> Any (native_stepper spec ~reducers)
 
 let finish ~reducers (s : cstate) ~wall_start =
@@ -494,9 +506,9 @@ let exec_single ~compiled opts source roots =
   finish ~reducers s ~wall_start
 
 (* Chunked run across real domains (domains = Some n): serial frontier
-   expansion to a fixed [opts.chunks]-chunk deal (independent of the
-   domain count), each chunk on its own stepper instance, reducer set and
-   fault slice, merged in chunk-index order — results are bit-equal
+   expansion, then {!Domain_sched.run_chunks}' fixed chunk deal and
+   stealing workers, each chunk on its own stepper instance, reducer set
+   and fault slice, merged in chunk-index order — results are bit-equal
    across domain counts. *)
 type chunk_out = {
   co_state : cstate;
@@ -521,112 +533,65 @@ let exec_domains ~compiled opts source roots ~domains =
       ~finally:(fun () ->
         Telemetry.emit tel (Telemetry.Span_close { frame = label }))
       (fun () ->
-        expand_frontier st0 ~tel ~strategy:opts.strategy
-          ~max_tasks:opts.max_tasks s0 roots ~target:opts.chunks)
+        expand_frontier st0 ~tel ~max_tasks:opts.max_tasks s0 roots
+          ~target:Domain_sched.default_chunks)
   in
-  let nchunks = opts.chunks in
-  let chunks = Array.make nchunks [] in
-  List.iteri
-    (fun i fr -> chunks.(i mod nchunks) <- fr :: chunks.(i mod nchunks))
-    frontier;
-  let chunks = Array.map List.rev chunks in
-  let nd = max 1 domains in
-  let outs : chunk_out option array = Array.make nchunks None in
-  let run_chunk ci =
-    let frames = chunks.(ci) in
-    if frames = [] then None
-    else begin
-      let cred = Vc_lang.Reducer.make_set decls in
-      let (Any st) = stepper_of ~compiled source ~reducers:cred in
-      let cs = new_cstate () in
-      (* private hub: chunk workers must not race on the caller's hub;
-         fault/fallback notes are re-emitted after the join *)
-      let ctel = Telemetry.create () in
-      let cfaults = Fault.split opts.faults ~salt:ci in
-      let error =
-        try
-          run_tree st ~tel:ctel ~faults:cfaults ~recover:opts.recover
-            ~strategy:opts.strategy ~max_tasks:opts.max_tasks ~wall_start
-            ~wall_deadline:opts.wall_deadline
-            ~max_live_frames:opts.max_live_frames ~label cs frames fdepth;
-          None
-        with
-        | Vc_error.Error e -> Some e
-        | exn -> Some (Vc_error.of_exn ~phase:Vc_error.Execute exn)
-      in
-      Some
-        { co_state = cs; co_reducers = Vc_lang.Reducer.values cred; co_error = error }
-    end
-  in
-  let worker d () =
-    let ci = ref d in
-    while !ci < nchunks do
-      outs.(!ci) <- run_chunk !ci;
-      ci := !ci + nd
-    done
-  in
-  if nd = 1 then worker 0 ()
-  else begin
-    let handles =
-      Array.init (nd - 1) (fun d -> Domain.spawn (worker (d + 1)))
+  let run_chunk ci frames =
+    let cred = Vc_lang.Reducer.make_set decls in
+    let (Any st) = stepper_of ~compiled source ~reducers:cred in
+    let cs = new_cstate () in
+    (* private hub: chunk workers must not race on the caller's hub;
+       fault/fallback notes are re-emitted after the join *)
+    let ctel = Telemetry.create () in
+    let cfaults = Fault.split opts.faults ~salt:ci in
+    let error =
+      try
+        run_tree st ~tel:ctel ~faults:cfaults ~recover:opts.recover
+          ~strategy:opts.strategy ~max_tasks:opts.max_tasks ~wall_start
+          ~wall_deadline:opts.wall_deadline
+          ~max_live_frames:opts.max_live_frames ~label cs frames fdepth;
+        None
+      with
+      | Vc_error.Error e -> Some e
+      | exn -> Some (Vc_error.of_exn ~phase:Vc_error.Execute exn)
     in
-    worker 0 ();
-    Array.iter Domain.join handles
-  end;
+    { co_state = cs; co_reducers = Vc_lang.Reducer.values cred; co_error = error }
+  in
+  let outs, _observed_steals =
+    Domain_sched.run_chunks ~domains ~chunks:Domain_sched.default_chunks frontier
+      run_chunk
+  in
   (* Deterministic merge in chunk-index order; the first chunk error (by
      index) wins, as in Domain_sched. *)
   let first_error = ref None in
-  Array.iteri
-    (fun _ out ->
-      match out with
-      | None -> ()
-      | Some o -> (
-          (match o.co_error with
-          | Some e when !first_error = None -> first_error := Some e
-          | _ -> ());
-          s0.tasks <- s0.tasks + o.co_state.tasks;
-          s0.base_tasks <- s0.base_tasks + o.co_state.base_tasks;
-          if o.co_state.max_depth > s0.max_depth then
-            s0.max_depth <- o.co_state.max_depth;
-          s0.switches <- s0.switches + o.co_state.switches;
-          s0.reexpansions <- s0.reexpansions + o.co_state.reexpansions;
-          List.iter
-            (fun (site, detail) ->
-              Telemetry.emit tel (Telemetry.Fault { site; detail }))
-            (List.rev o.co_state.fault_notes);
-          List.iter
-            (fun (depth, size) ->
-              Telemetry.emit tel (Telemetry.Fallback { depth; size }))
-            (List.rev o.co_state.fallback_notes);
-          List.iter
-            (fun (name, v) -> Vc_lang.Reducer.reduce reducers name v)
-            o.co_reducers))
+  Array.iter
+    (fun o ->
+      (match o.co_error with
+      | Some e when !first_error = None -> first_error := Some e
+      | _ -> ());
+      s0.tasks <- s0.tasks + o.co_state.tasks;
+      s0.base_tasks <- s0.base_tasks + o.co_state.base_tasks;
+      if o.co_state.max_depth > s0.max_depth then
+        s0.max_depth <- o.co_state.max_depth;
+      s0.switches <- s0.switches + o.co_state.switches;
+      s0.reexpansions <- s0.reexpansions + o.co_state.reexpansions;
+      List.iter
+        (fun (site, detail) -> Telemetry.emit tel (Telemetry.Fault { site; detail }))
+        (List.rev o.co_state.fault_notes);
+      List.iter
+        (fun (depth, size) -> Telemetry.emit tel (Telemetry.Fallback { depth; size }))
+        (List.rev o.co_state.fallback_notes);
+      List.iter
+        (fun (name, v) -> Vc_lang.Reducer.reduce reducers name v)
+        o.co_reducers)
     outs;
   (match !first_error with Some e -> raise (Vc_error.Error e) | None -> ());
   finish ~reducers s0 ~wall_start
 
 let exec_backend ~compiled opts source roots =
-  match (source, compiled, opts.domains) with
-  | Ir t, false, None ->
-      (* the reference interpreter *)
-      let r =
-        Blocked_interp.run ~strategy:opts.strategy ~max_tasks:opts.max_tasks
-          ?telemetry:opts.telemetry ?wall_deadline:opts.wall_deadline
-          ?max_live_frames:opts.max_live_frames ~roots t []
-      in
-      {
-        reducers = r.Blocked_interp.reducers;
-        tasks = r.Blocked_interp.tasks;
-        base_tasks = r.Blocked_interp.base_tasks;
-        max_depth = r.Blocked_interp.max_depth;
-        switches = r.Blocked_interp.switches;
-        reexpansions = r.Blocked_interp.reexpansions;
-        wall_seconds = 0.0;
-      }
-  | Ir _, false, Some _ ->
-      invalid_arg "Backend: the blocked interpreter has no domains mode"
-  | _, _, None -> exec_single ~compiled opts source roots
-  | _, _, Some domains -> exec_domains ~compiled opts source roots ~domains
+  match opts.domains with
+  | None -> exec_single ~compiled opts source roots
+  | Some domains -> exec_domains ~compiled opts source roots ~domains
 
 let interp =
   {
@@ -654,11 +619,3 @@ let run ?(opts = default_opts) backend source ~roots = backend.exec opts source 
 let roots_of = function
   | Ir _ -> invalid_arg "Backend.roots_of: IR sources carry no roots"
   | Native spec -> spec.Spec.roots
-
-(* Wall-clock timing of the interp-IR path rides here rather than in
-   Blocked_interp (whose result type is pinned by its own test surface). *)
-let timed_run ?(opts = default_opts) backend source ~roots =
-  let t0 = Unix.gettimeofday () in
-  let r = run ~opts backend source ~roots in
-  if r.wall_seconds = 0.0 then { r with wall_seconds = Unix.gettimeofday () -. t0 }
-  else r

@@ -5,9 +5,9 @@
     per-site blocked execution at [max_block], re-expansion of shrunken
     blocks) at raw OCaml speed, with no cost model.  Two instances:
 
-    - {!interp} ("blocked"): {!Blocked_interp} for IR sources (per-thread
-      closure dispatch over list levels), spec callbacks over ThreadBlocks
-      for native sources;
+    - {!interp} ("blocked"): the {!Blocked_interp} closure stepper for IR
+      sources (per-thread closure dispatch over list levels), spec
+      callbacks over ThreadBlocks for native sources;
     - {!compiled}: per-spawn-site specialized {!Codegen.Soa} step kernels
       over unboxed SoA frames for IR sources (native sources use the same
       callback path — a native spec is already compiled OCaml).
@@ -19,8 +19,11 @@
     throughput instead and exist so compiled-vs-interpreted is a pure
     dispatch/layout measurement.
 
-    The scheduler is shared and generic over a level-stepper, so a future
-    C-stub or FPGA-style backend is a third {!t} value, not a rewrite. *)
+    The scheduler is shared and generic over a level-stepper: budgets,
+    per-level fault quarantine, wall-clock timing and the chunked-domains
+    mode ({!Domain_sched.run_chunks}) are the same for every source and
+    backend, so a future C-stub or FPGA-style backend is a third {!t}
+    value, not a rewrite. *)
 
 type result = {
   reducers : (string * int) list;  (** declaration order *)
@@ -29,9 +32,7 @@ type result = {
   max_depth : int;
   switches : int;
   reexpansions : int;
-  wall_seconds : float;
-      (** wall-clock of the execution proper; [0.0] only on the interp-IR
-          path when not wrapped by {!timed_run} *)
+  wall_seconds : float;  (** wall-clock of the execution proper *)
 }
 
 type source = Ir of Blocked_ast.t | Native of Spec.t
@@ -48,15 +49,15 @@ type opts = {
   max_live_frames : int option;
   domains : int option;
       (** [None]: plain single-context run.  [Some n]: chunked run — the
-          frontier is expanded serially to [chunks] chunks and dealt
-          round-robin to [n] domains; results are independent of [n]. *)
-  chunks : int;  (** chunk count for the domains path (default 32) *)
+          frontier is expanded serially to {!Domain_sched.default_chunks}
+          frames, dealt round-robin into at most that many chunks, and run
+          on [min n chunks] stealing domains; results are independent of
+          [n]. *)
 }
 
 val default_opts : opts
 (** [Hybrid { max_block = 256; reexpand = true }], 20M tasks, no
-    telemetry, no faults, [recover = true], no budgets, [domains = None],
-    [chunks = 32]. *)
+    telemetry, no faults, [recover = true], no budgets, [domains = None]. *)
 
 type t = {
   name : string;  (** CLI name: ["blocked"] or ["compiled"] *)
@@ -73,11 +74,7 @@ val run : ?opts:opts -> t -> source -> roots:int array list -> result
 (** Execute from the given root frames (each one frame per program
     parameter / spec field).  Raises {!Vc_error.Error} on budget
     violations and on unrecovered faults, [Invalid_argument] on malformed
-    roots or an IR-interp run with [domains = Some _] (the blocked
-    interpreter has no domains mode). *)
-
-val timed_run : ?opts:opts -> t -> source -> roots:int array list -> result
-(** {!run}, with [wall_seconds] filled in on the interp-IR path too. *)
+    roots. *)
 
 val roots_of : source -> int array list
 (** The root frames a native spec carries.  Raises [Invalid_argument] for

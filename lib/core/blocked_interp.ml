@@ -1,91 +1,55 @@
 open Vc_lang
 
-exception Task_limit_exceeded of int
+(* A level is a list of frames kept in reverse push order, with its size
+   alongside so the scheduler never walks a level just to count it. *)
+type level = { mutable rev : int array list; mutable n : int }
 
-type result = {
-  reducers : (string * int) list;
-  tasks : int;
-  base_tasks : int;
-  max_depth : int;
-  switches : int;
-  reexpansions : int;
+let new_level () = { rev = []; n = 0 }
+let size l = l.n
+
+let clear l =
+  l.rev <- [];
+  l.n <- 0
+
+let frames l = List.rev l.rev
+
+let push l frame =
+  l.rev <- frame :: l.rev;
+  l.n <- l.n + 1
+
+let of_frames ~nparams fs =
+  let l = new_level () in
+  List.iter
+    (fun f ->
+      if Array.length f <> nparams then
+        invalid_arg
+          (Printf.sprintf "Blocked_interp.of_frames: root frame has %d fields, %d expected"
+             (Array.length f) nparams);
+      (* copy: threads alias their frame into the codegen rt *)
+      push l (Array.copy f))
+    fs;
+  l
+
+type inst = {
+  nparams : int;
+  num_spawns : int;
+  step : src:level -> blocked:bool -> next:level -> sites:level array -> int;
+  scalar :
+    on_task:(depth:int -> base:bool -> unit) -> depth:int -> int array -> unit;
 }
 
 exception Continue_thread
 
-let run ?(strategy = Policy.Hybrid { max_block = 256; reexpand = true })
-    ?(max_tasks = 20_000_000) ?telemetry ?wall_deadline ?max_live_frames ?roots
-    (t : Blocked_ast.t) args =
-  let tel = match telemetry with Some tel -> tel | None -> Telemetry.create () in
-  let wall_start = Unix.gettimeofday () in
-  (* Live-frame accounting mirrors the engine's rule: whoever enqueues a
-     level adds its size, the consumer subtracts its own input once its
-     children are enqueued.  Budgets are checked cooperatively at level
-     boundaries. *)
-  let live = ref 0 in
-  let budget_check () =
-    (match max_live_frames with
-    | Some limit when !live > limit ->
-        let limit_f = float_of_int limit and actual = float_of_int !live in
-        Telemetry.emit tel
-          (Telemetry.Deadline { resource = "live-frames"; limit = limit_f; actual });
-        Vc_error.budget ~phase:Vc_error.Execute Vc_error.Live_frames ~limit:limit_f
-          ~actual ()
-    | _ -> ());
-    match wall_deadline with
-    | Some limit ->
-        let actual = Unix.gettimeofday () -. wall_start in
-        if actual > limit then begin
-          Telemetry.emit tel
-            (Telemetry.Deadline { resource = "deadline-wall"; limit; actual });
-          Vc_error.budget ~phase:Vc_error.Execute Vc_error.Deadline_wall ~limit
-            ~actual ()
-        end
-    | None -> ()
-  in
+let instantiate (t : Blocked_ast.t) ~(reducers : Reducer.set) : inst =
   let program = t.Blocked_ast.source in
   let layout = Codegen.layout_of program in
   let nparams = Array.length (Codegen.params layout) in
-  let root_frames =
-    match roots with
-    | Some fs ->
-        if fs = [] then invalid_arg "Blocked_interp.run: empty roots";
-        List.map
-          (fun f ->
-            if Array.length f <> nparams then
-              invalid_arg
-                (Printf.sprintf "Blocked_interp.run: root frame has %d fields, %d expected"
-                   (Array.length f) nparams);
-            (* copy: the interpreter assumes exclusive ownership of every
-               enqueued frame (it aliases them into the codegen rt) *)
-            Array.copy f)
-          fs
-    | None ->
-        if List.length args <> nparams then
-          invalid_arg
-            (Printf.sprintf "Blocked_interp.run: %d arguments expected" nparams);
-        [ Array.of_list args ]
-  in
-  let reducer_set =
-    Reducer.make_set
-      (List.map (fun r -> (r.Ast.red_name, r.Ast.red_op)) program.Ast.reducers)
-  in
-  let e = t.Blocked_ast.num_spawns in
-  let max_block, reexpand =
-    match strategy with
-    | Policy.Bfs_only -> (max_int, false)
-    | Policy.Hybrid { max_block; reexpand } -> (max_block, reexpand)
-  in
-  (* Enqueue sinks write through these cells, set per level.  Sizes are
-     tracked alongside the lists so the scheduler never walks a level
-     just to count it (List.length is O(n) per decision otherwise). *)
-  let next : int array list ref = ref [] in
-  let next_n = ref 0 in
-  let nexts : int array list array = Array.make (max e 1) [] in
-  let nexts_n = Array.make (max e 1) 0 in
-  let reduce name v = Reducer.reduce reducer_set name v in
-  let compile_b (flavor : Blocked_ast.flavor) (bs : Blocked_ast.bstmt) :
-      Codegen.rt -> unit =
+  (* Enqueue sinks write through these cells; [step] and [scalar] point
+     them at their destination levels. *)
+  let sink_next = ref (new_level ()) in
+  let sink_sites = ref [||] in
+  let reduce name v = Reducer.reduce reducers name v in
+  let compile_b (bs : Blocked_ast.bstmt) : Codegen.rt -> unit =
     let rec go (bs : Blocked_ast.bstmt) : Codegen.rt -> unit =
       match bs with
       | Blocked_ast.BSkip -> fun _ -> ()
@@ -117,33 +81,22 @@ let run ?(strategy = Policy.Hybrid { max_block = 256; reexpand = true })
           fun rt -> reduce name (f rt)
       | Blocked_ast.NextAdd exprs ->
           let fs = Array.of_list (List.map (Codegen.compile_expr layout) exprs) in
-          fun rt ->
-            next := Array.map (fun f -> f rt) fs :: !next;
-            incr next_n
+          fun rt -> push !sink_next (Array.map (fun f -> f rt) fs)
       | Blocked_ast.NextsAdd (site, exprs) ->
           let fs = Array.of_list (List.map (Codegen.compile_expr layout) exprs) in
-          fun rt ->
-            nexts.(site) <- Array.map (fun f -> f rt) fs :: nexts.(site);
-            nexts_n.(site) <- nexts_n.(site) + 1
+          fun rt -> push !sink_sites.(site) (Array.map (fun f -> f rt) fs)
     in
-    ignore flavor;
     let f = go bs in
     fun rt -> try f rt with Continue_thread -> ()
   in
   let is_base = Codegen.compile_expr layout t.Blocked_ast.bfs_method.Blocked_ast.is_base in
-  let bfs_base = compile_b Blocked_ast.Bfs t.Blocked_ast.bfs_method.Blocked_ast.base in
-  let bfs_ind = compile_b Blocked_ast.Bfs t.Blocked_ast.bfs_method.Blocked_ast.inductive in
-  let blk_base = compile_b Blocked_ast.Blocked t.Blocked_ast.blocked_method.Blocked_ast.base in
-  let blk_ind = compile_b Blocked_ast.Blocked t.Blocked_ast.blocked_method.Blocked_ast.inductive in
+  let bfs_base = compile_b t.Blocked_ast.bfs_method.Blocked_ast.base in
+  let bfs_ind = compile_b t.Blocked_ast.bfs_method.Blocked_ast.inductive in
+  let blk_base = compile_b t.Blocked_ast.blocked_method.Blocked_ast.base in
+  let blk_ind = compile_b t.Blocked_ast.blocked_method.Blocked_ast.inductive in
   let rt = Codegen.make_rt layout in
-  let tasks = ref 0 in
-  let base_tasks = ref 0 in
-  let max_depth = ref 0 in
-  let switches = ref 0 in
-  let reexpansions = ref 0 in
+  let nbase = ref 0 in
   let run_thread ~fbase ~find frame =
-    incr tasks;
-    if !tasks > max_tasks then raise (Task_limit_exceeded max_tasks);
     (* Frames are enqueued once and consumed once, so the rt can alias the
        frame array directly instead of blitting it into a scratch copy —
        this removes the dominant per-thread churn (one blit per task).
@@ -152,94 +105,45 @@ let run ?(strategy = Policy.Hybrid { max_block = 256; reexpand = true })
     Codegen.set_frame rt frame;
     Codegen.reset_locals rt;
     if is_base rt <> 0 then begin
-      incr base_tasks;
+      incr nbase;
       fbase rt
     end
     else find rt
   in
-  let emit_level ~phase ~depth ~size ~base0 =
-    Telemetry.emit tel
-      (Telemetry.Level { phase; depth; size; base = !base_tasks - base0 })
+  let step ~src ~blocked ~next ~sites =
+    sink_next := next;
+    sink_sites := sites;
+    nbase := 0;
+    let fbase, find = if blocked then (blk_base, blk_ind) else (bfs_base, bfs_ind) in
+    let threads = frames src in
+    (* consumed: the scheduler's level pool must not keep them alive *)
+    clear src;
+    List.iter (run_thread ~fbase ~find) threads;
+    !nbase
   in
-  (* Attribution spans mirror the engine's: one per level, closed before
-     recursing so profile paths stay flat.  This hub's default clock is
-     the event sequence number, so attributed "cycles" are event counts
-     unless the caller wired a real clock. *)
-  let with_span frame f =
-    if Telemetry.enabled tel then begin
-      Telemetry.emit tel (Telemetry.Span_open { frame });
-      Fun.protect
-        ~finally:(fun () -> Telemetry.emit tel (Telemetry.Span_close { frame }))
-        f
-    end
-    else f ()
-  in
-  (* f_bfs of Fig. 7.  [tb_n] is [List.length tb], threaded through so the
-     scheduler's switch/reexpand decisions are O(1). *)
-  let rec bfs tb tb_n depth =
-    budget_check ();
-    if depth > !max_depth then max_depth := depth;
-    let level, level_n =
-      with_span "expand" @@ fun () ->
-      next := [];
-      next_n := 0;
-      let base0 = !base_tasks in
-      List.iter (run_thread ~fbase:bfs_base ~find:bfs_ind) tb;
-      emit_level ~phase:Trace.Bfs ~depth ~size:tb_n ~base0;
-      (List.rev !next, !next_n)
-    in
-    live := !live + level_n - tb_n;
-    if level <> [] then
-      if level_n < max_block then bfs level level_n (depth + 1)
-      else begin
-        incr switches;
-        Telemetry.emit tel (Telemetry.Switch { depth = depth + 1; size = level_n });
-        blocked level level_n (depth + 1)
-      end
-  (* f_blocked of Fig. 7. *)
-  and blocked tb tb_n depth =
-    budget_check ();
-    if depth > !max_depth then max_depth := depth;
-    let site_blocks, site_ns =
-      with_span "blocked" @@ fun () ->
-      Array.fill nexts 0 (Array.length nexts) [];
-      Array.fill nexts_n 0 (Array.length nexts_n) 0;
-      let base0 = !base_tasks in
-      List.iter (run_thread ~fbase:blk_base ~find:blk_ind) tb;
-      emit_level ~phase:Trace.Blocked ~depth ~size:tb_n ~base0;
-      (Array.map List.rev nexts, Array.copy nexts_n)
-    in
-    live := !live + Array.fold_left ( + ) 0 site_ns - tb_n;
-    (* [nexts] is reused by deeper recursion; copy out first. *)
-    Array.iteri
-      (fun i blk ->
-        let blk_n = site_ns.(i) in
-        if blk <> [] then
-          if blk_n >= max_block || not reexpand then blocked blk blk_n (depth + 1)
+  (* Scalar subtree execution (the fault-quarantine fallback): the bfs
+     flavor, depth-first over an explicit stack, one frame at a time. *)
+  let children = new_level () in
+  let scalar ~on_task ~depth frame =
+    sink_next := children;
+    let rec go = function
+      | [] -> ()
+      | (fr, d) :: rest ->
+          Codegen.set_frame rt fr;
+          Codegen.reset_locals rt;
+          if is_base rt <> 0 then begin
+            on_task ~depth:d ~base:true;
+            bfs_base rt;
+            go rest
+          end
           else begin
-            incr reexpansions;
-            Telemetry.emit tel
-              (Telemetry.Reexpand
-                 {
-                   depth = depth + 1;
-                   size = blk_n;
-                   shrink = float_of_int blk_n /. float_of_int (max 1 max_block);
-                 });
-            bfs blk blk_n (depth + 1)
-          end)
-      site_blocks
+            on_task ~depth:d ~base:false;
+            clear children;
+            bfs_ind rt;
+            (* [rev] holds the last child first: the first child ends on top *)
+            go (List.fold_left (fun st ch -> (ch, d + 1) :: st) rest children.rev)
+          end
+    in
+    go [ (frame, depth) ]
   in
-  let nroots = List.length root_frames in
-  live := nroots;
-  let root_frame = program.Ast.mth.Ast.name in
-  Telemetry.emit tel (Telemetry.Span_open { frame = root_frame });
-  bfs root_frames nroots 0;
-  Telemetry.emit tel (Telemetry.Span_close { frame = root_frame });
-  {
-    reducers = Reducer.values reducer_set;
-    tasks = !tasks;
-    base_tasks = !base_tasks;
-    max_depth = !max_depth;
-    switches = !switches;
-    reexpansions = !reexpansions;
-  }
+  { nparams; num_spawns = t.Blocked_ast.num_spawns; step; scalar }

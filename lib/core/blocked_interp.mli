@@ -1,48 +1,45 @@
-(** Direct interpreter for the {e transformed} program.
+(** Closure interpreter for the {e transformed} program: the level stepper
+    behind the "blocked" wall-clock backend.
 
-    Executes a {!Blocked_ast.t} — the output of the Fig. 7 rewrite — with
-    the Fig. 6 scheduling: the bfs flavor runs level by level and switches
-    to the blocked flavor at [max_block]; the blocked flavor keeps one
-    ThreadBlock per spawn site and hands shrunken blocks back to bfs when
-    re-expansion is on.
+    Each flavor body of a {!Blocked_ast.t} — the output of the Fig. 7
+    rewrite — compiles once into per-thread closures; a level is a list of
+    frames executed one thread at a time.  The Fig. 6 schedule (bfs levels,
+    the switch to per-site blocked execution at [max_block], re-expansion),
+    budgets and fault quarantine belong to {!Backend}, which drives this
+    stepper and {!Codegen.Soa}'s compiled one through the same scheduler.
 
     This interpreter is the semantic half of the reproduction: the test
     suite checks that for every program and strategy it produces exactly
-    the reducer values of the sequential {!Vc_lang.Interp}.  (Cost modeling
-    lives in {!Engine}, which runs compiled {!Spec.t}s instead.) *)
+    the reducer values of the sequential {!Vc_lang.Interp}. *)
 
-exception Task_limit_exceeded of int
+type level
+(** A list of frames plus its size. *)
 
-type result = {
-  reducers : (string * int) list;
-  tasks : int;
-  base_tasks : int;
-  max_depth : int;
-  switches : int;  (** bfs→blocked transitions taken *)
-  reexpansions : int;  (** blocked→bfs transitions taken *)
+val new_level : unit -> level
+val size : level -> int
+val clear : level -> unit
+
+val frames : level -> int array list
+(** In push order. *)
+
+val of_frames : nparams:int -> int array list -> level
+(** A level holding copies of the given root frames.  Raises
+    [Invalid_argument] if a frame does not have one slot per program
+    parameter. *)
+
+type inst = {
+  nparams : int;
+  num_spawns : int;
+  step : src:level -> blocked:bool -> next:level -> sites:level array -> int;
+      (** Run every thread of [src] in the bfs ([blocked = false], children
+          to [next]) or blocked (children to [sites.(site)]) flavor; returns
+          the number of base-case threads.  Consumes [src]: it is empty
+          afterwards. *)
+  scalar :
+    on_task:(depth:int -> base:bool -> unit) -> depth:int -> int array -> unit;
+      (** Run one frame's whole subtree depth-first in the bfs flavor,
+          calling [on_task] once per thread. *)
 }
 
-val run :
-  ?strategy:Policy.strategy ->
-  ?max_tasks:int ->
-  ?telemetry:Telemetry.t ->
-  ?wall_deadline:float ->
-  ?max_live_frames:int ->
-  ?roots:int array list ->
-  Blocked_ast.t ->
-  int list ->
-  result
-(** Default strategy: [Hybrid { max_block = 256; reexpand = true }].
-    Default [max_tasks]: 20M.  [telemetry] receives [Level], [Switch] and
-    [Reexpand] events (timestamps are sequence numbers — this interpreter
-    has no cost model).
-
-    [roots] overrides the initial thread block with multiple root frames
-    (copied; each must have one slot per program parameter) — benchmarks
-    like uts seed the computation with many host-computed roots.  When
-    given, [args] is ignored.
-
-    [wall_deadline] (seconds) and [max_live_frames] are cooperative
-    budgets checked at every level boundary; exceeding one raises a
-    [Budget_exceeded] {!Vc_error.Error}.  (There is no modeled-cycle
-    deadline here — this interpreter has no cost model.) *)
+val instantiate : Blocked_ast.t -> reducers:Vc_lang.Reducer.set -> inst
+(** Compile [t]'s flavors into closures that reduce into [reducers]. *)

@@ -61,6 +61,74 @@ let deal frames n =
   List.iteri (fun i f -> chunks.(i mod n) <- f :: chunks.(i mod n)) frames;
   Array.map List.rev chunks
 
+let run_chunks ~domains ~chunks frames run =
+  match frames with
+  | [] -> ([||], 0)
+  | _ ->
+    let chunk_roots = deal frames (min chunks (List.length frames)) in
+    let nchunks = Array.length chunk_roots in
+    let results = Array.make nchunks None in
+    let run_chunk idx = results.(idx) <- Some (run idx chunk_roots.(idx)) in
+    let observed_steals = Atomic.make 0 in
+    let workers = min domains nchunks in
+    if workers <= 1 then
+      for idx = 0 to nchunks - 1 do
+        run_chunk idx
+      done
+    else begin
+      (* Per-domain deques under one lock: each worker pops its own deque
+         bottom-first; an empty worker scans the other deques in a fixed
+         order and steals one chunk from a victim's top.  Chunks are dealt
+         round-robin in index order, mirroring the Ws_sim Round_robin
+         placement that models this schedule. *)
+      let queues = Array.make workers [] in
+      for idx = nchunks - 1 downto 0 do
+        queues.(idx mod workers) <- idx :: queues.(idx mod workers)
+      done;
+      let lock = Mutex.create () in
+      let pop_own w =
+        Mutex.protect lock (fun () ->
+            match queues.(w) with
+            | [] -> None
+            | idx :: rest ->
+                queues.(w) <- rest;
+                Some idx)
+      in
+      let steal w =
+        Mutex.protect lock (fun () ->
+            let rec scan k =
+              if k >= workers then None
+              else
+                let victim = (w + k) mod workers in
+                match List.rev queues.(victim) with
+                | [] -> scan (k + 1)
+                | idx :: rest_rev ->
+                    queues.(victim) <- List.rev rest_rev;
+                    Some idx
+            in
+            scan 1)
+      in
+      let rec worker_loop w =
+        match pop_own w with
+        | Some idx ->
+            run_chunk idx;
+            worker_loop w
+        | None -> (
+            match steal w with
+            | Some idx ->
+                Atomic.incr observed_steals;
+                run_chunk idx;
+                worker_loop w
+            | None -> ())
+      in
+      let spawned =
+        List.init (workers - 1) (fun i -> Domain.spawn (fun () -> worker_loop (i + 1)))
+      in
+      worker_loop 0;
+      List.iter Domain.join spawned
+    end;
+    (Array.map Option.get results, Atomic.get observed_steals)
+
 (* Count Fault / Fallback telemetry events into plain refs — the
    per-chunk equivalent of Supervisor's counting sink, summed by the
    scheduler in chunk order. *)
@@ -128,7 +196,6 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks)
         Engine.report_of ectx ~strategy:(sname ^ ":expand") ~wall_seconds:0.0
       in
       let nfrontier = List.length frontier_frames in
-      let nchunks = max 1 (min chunks nfrontier) in
       if nfrontier = 0 then
         (* the whole tree fit in the expansion phase *)
         let report =
@@ -155,102 +222,35 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks)
         }
       else begin
         (* ---- Phase 2: chunk execution on real domains ---- *)
-        let chunk_roots = deal frontier_frames nchunks in
-        let reports : Report.t option array = Array.make nchunks None in
-        let chunk_fallbacks = Array.make nchunks 0 in
-        let chunk_faults_seen = Array.make nchunks 0 in
-        let errors : exn option array = Array.make nchunks None in
-        let run_chunk idx =
+        let run_chunk idx roots =
           let ctel, cfaults, cfallbacks = counting_hub () in
           let cctx =
             make_engine_ctx ~telemetry:ctel ~faults:(Fault.split faults ~salt:idx) ()
           in
-          (match
-             Engine.execute_frames cctx ~roots:chunk_roots.(idx)
-               ~depth:frontier_depth
-           with
-          | () ->
-              reports.(idx) <-
-                Some (Engine.report_of cctx ~strategy:"chunk" ~wall_seconds:0.0)
-          | exception Engine.Oom _ ->
-              reports.(idx) <-
-                Some
+          let outcome =
+            match Engine.execute_frames cctx ~roots ~depth:frontier_depth with
+            | () -> Ok (Engine.report_of cctx ~strategy:"chunk" ~wall_seconds:0.0)
+            | exception Engine.Oom _ ->
+                Ok
                   (Report.oom_placeholder ~benchmark:spec.Spec.name
                      ~machine:machine.Vc_mem.Machine.name ~strategy:"chunk")
-          | exception exn -> errors.(idx) <- Some exn);
-          chunk_fallbacks.(idx) <- !cfallbacks;
-          chunk_faults_seen.(idx) <- !cfaults
+            | exception exn -> Error exn
+          in
+          (outcome, !cfallbacks, !cfaults)
         in
-        let observed_steals = Atomic.make 0 in
-        let workers = min domains nchunks in
-        if workers <= 1 then
-          for idx = 0 to nchunks - 1 do
-            run_chunk idx
-          done
-        else begin
-          (* Per-domain deques under one lock: each worker pops its own
-             deque bottom-first; an empty worker scans the other deques in
-             a fixed order and steals one chunk from a victim's top.
-             Chunks are dealt round-robin in index order, mirroring the
-             Ws_sim Round_robin placement that models this schedule. *)
-          let queues = Array.make workers [] in
-          Array.iteri
-            (fun idx _ -> queues.(idx mod workers) <- idx :: queues.(idx mod workers))
-            chunk_roots;
-          Array.iteri (fun w q -> queues.(w) <- List.rev q) queues;
-          let lock = Mutex.create () in
-          let pop_own w =
-            Mutex.protect lock (fun () ->
-                match queues.(w) with
-                | [] -> None
-                | idx :: rest ->
-                    queues.(w) <- rest;
-                    Some idx)
-          in
-          let steal w =
-            Mutex.protect lock (fun () ->
-                let rec scan k =
-                  if k >= workers then None
-                  else
-                    let victim = (w + k) mod workers in
-                    match List.rev queues.(victim) with
-                    | [] -> scan (k + 1)
-                    | idx :: rest_rev ->
-                        queues.(victim) <- List.rev rest_rev;
-                        Some idx
-                in
-                scan 1)
-          in
-          let rec worker_loop w =
-            match pop_own w with
-            | Some idx ->
-                run_chunk idx;
-                worker_loop w
-            | None -> (
-                match steal w with
-                | Some idx ->
-                    Atomic.incr observed_steals;
-                    run_chunk idx;
-                    worker_loop w
-                | None -> ())
-          in
-          let spawned =
-            List.init (workers - 1) (fun i -> Domain.spawn (fun () -> worker_loop (i + 1)))
-          in
-          worker_loop 0;
-          List.iter Domain.join spawned
-        end;
+        let outs, observed_steals =
+          run_chunks ~domains ~chunks frontier_frames run_chunk
+        in
+        let nchunks = Array.length outs in
         (* Deterministic error propagation: the lowest-index chunk error
            wins, whichever domain hit it. *)
-        Array.iteri
-          (fun idx err ->
-            match (err, Array.exists Option.is_some (Array.sub errors 0 idx)) with
-            | Some exn, false -> raise exn
-            | _ -> ())
-          errors;
         let chunk_reports =
-          Array.to_list (Array.map (fun r -> Option.get r) reports)
+          Array.to_list
+            (Array.map
+               (function Ok r, _, _ -> r | Error exn, _, _ -> raise exn)
+               outs)
         in
+        let sum f = Array.fold_left (fun acc o -> acc + f o) 0 outs in
         (* ---- Phase 3: deterministic schedule model + merge ---- *)
         let jobs =
           List.mapi (fun id (r : Report.t) -> { Ws_sim.id; cost = r.Report.cycles })
@@ -303,11 +303,9 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks)
           makespan_cycles = stats.Ws_sim.makespan;
           modeled_steals = stats.Ws_sim.steals;
           modeled_failed_steals = stats.Ws_sim.failed_steals;
-          observed_steals = Atomic.get observed_steals;
-          fallbacks =
-            !exp_fallbacks + Array.fold_left ( + ) 0 chunk_fallbacks;
-          faults_seen =
-            !exp_faults + Array.fold_left ( + ) 0 chunk_faults_seen;
+          observed_steals;
+          fallbacks = !exp_fallbacks + sum (fun (_, f, _) -> f);
+          faults_seen = !exp_faults + sum (fun (_, _, f) -> f);
         }
       end
 

@@ -47,6 +47,22 @@ val default_chunks : int
 (** 32 — enough slack for load balancing at the domain counts commodity
     hardware offers, few enough that chunk overhead stays negligible. *)
 
+val run_chunks :
+  domains:int ->
+  chunks:int ->
+  'f list ->
+  (int -> 'f list -> 'r) ->
+  'r array * int
+(** [run_chunks ~domains ~chunks frames run] deals [frames] round-robin
+    into [min chunks (List.length frames)] chunks (frontier order kept
+    inside each chunk) and calls [run idx chunk] once per chunk on
+    [min domains nchunks] workers: the calling domain plus spawned ones,
+    each popping its own deque and stealing from the others when empty.
+    Returns the results in chunk-index order — independent of the domain
+    count — and the number of real steals.  No frames, no chunks.  [run]
+    must not raise: capture errors in its result.  Both this scheduler and
+    {!Backend}'s domains mode drive their chunks through it. *)
+
 val run :
   ?compact:Vc_simd.Compact.engine ->
   ?max_tasks:int ->

@@ -64,19 +64,6 @@ let supervise ~phase f =
           phase;
           detail = "engine task limit";
         }
-  | exception Blocked_interp.Task_limit_exceeded n ->
-      Error
-        {
-          Vc_error.kind =
-            Vc_error.Budget_exceeded
-              {
-                resource = Vc_error.Task_budget;
-                limit = float_of_int n;
-                actual = float_of_int n;
-              };
-          phase;
-          detail = "interpreter task limit";
-        }
   | exception exn -> Error (Vc_error.of_exn ~phase exn)
 
 let run ?compact ?max_tasks ?cutoff ?warm ?trace ?telemetry
@@ -144,19 +131,10 @@ let run_backend ?strategy ?max_tasks ?telemetry ?(faults = Fault.none)
     | None -> opts
   in
   supervise ~phase:Vc_error.Execute (fun () ->
-      let result = Backend.timed_run ~opts backend source ~roots in
+      let result = Backend.run ~opts backend source ~roots in
       {
         result;
         b_fallbacks = !fallbacks;
         b_faults_seen = !faults_seen;
         b_deadline_events = !deadlines;
       })
-
-let run_blocked ?strategy ?max_tasks ?telemetry ?(budgets = no_budgets) t args =
-  let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
-  let sink, _faults, _fallbacks, _deadlines = counting_sink () in
-  Telemetry.attach tel sink;
-  supervise ~phase:Vc_error.Execute (fun () ->
-      Blocked_interp.run ?strategy ?max_tasks ~telemetry:tel
-        ?wall_deadline:budgets.wall_deadline
-        ?max_live_frames:budgets.max_live_frames t args)

@@ -1,9 +1,10 @@
 (** Supervised execution: budgets, fault containment, recovery accounting.
 
-    The supervisor wraps {!Engine.run} / {!Blocked_interp.run} so that a
-    run either completes — possibly degraded, with quarantined blocks
-    re-executed on the scalar path — or terminates promptly with a typed
-    {!Vc_error.t} instead of an arbitrary exception.  Budgets (modeled
+    The supervisor wraps {!Engine.run}, {!Domain_sched.run} and the
+    wall-clock {!Backend}s so that a run either completes — possibly
+    degraded, with quarantined blocks re-executed on the scalar path — or
+    terminates promptly with a typed {!Vc_error.t} instead of an arbitrary
+    exception.  Budgets (modeled
     cycles, wall-clock seconds, live frames) are enforced cooperatively by
     the executors at level boundaries; task limits surface as
     [Budget_exceeded] errors too, so the caller can apply the exit-code
@@ -103,20 +104,8 @@ val run_backend :
   Backend.source ->
   roots:int array list ->
   (backend_outcome, Vc_error.t) result
-(** Supervised {!Backend.timed_run}: wall-clock backends ({!Backend.interp},
-    {!Backend.compiled}) under the same typed-error and recovery contract
-    as {!run}.  Backends have no cost model, so [budgets.deadline] is
+(** Supervised {!Backend.run}: wall-clock backends ({!Backend.interp},
+    {!Backend.compiled}), on any source and with or without [domains],
+    under the same typed-error and recovery contract as {!run}.  Backends have no cost model, so [budgets.deadline] is
     ignored; with [recover:true] (default) injected level faults degrade
     to scalar re-execution with bit-equal reducers and task counts. *)
-
-val run_blocked :
-  ?strategy:Policy.strategy ->
-  ?max_tasks:int ->
-  ?telemetry:Telemetry.t ->
-  ?budgets:budgets ->
-  Blocked_ast.t ->
-  int list ->
-  (Blocked_interp.result, Vc_error.t) result
-(** Supervised {!Blocked_interp.run}.  The interpreter has no cost model,
-    so [budgets.deadline] is ignored; wall-clock and live-frame budgets
-    apply. *)

@@ -305,7 +305,7 @@ let backend_of_name engine =
   | Some b -> b
   | None -> invalid_arg ("Sweep.backend_run: unknown engine " ^ engine)
 
-let backend_run ?domains ctx (entry : Registry.entry) ~engine ~block =
+let backend_run ctx (entry : Registry.entry) ~engine ~block =
   let memo_key = (entry.Registry.name, engine, block) in
   match
     Mutex.protect ctx.lock (fun () -> Hashtbl.find_opt ctx.backend_runs memo_key)
@@ -321,10 +321,9 @@ let backend_run ?domains ctx (entry : Registry.entry) ~engine ~block =
           faults = ctx.faults;
           wall_deadline = ctx.budgets.Vc_core.Supervisor.wall_deadline;
           max_live_frames = ctx.budgets.Vc_core.Supervisor.max_live_frames;
-          domains;
         }
       in
-      let r = Vc_core.Backend.timed_run ~opts backend source ~roots in
+      let r = Vc_core.Backend.run ~opts backend source ~roots in
       Mutex.protect ctx.lock (fun () ->
           match Hashtbl.find_opt ctx.backend_runs memo_key with
           | Some r -> r

@@ -144,7 +144,6 @@ val backend_source :
     otherwise. *)
 
 val backend_run :
-  ?domains:int ->
   ctx ->
   Vc_bench.Registry.entry ->
   engine:string ->

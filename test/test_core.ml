@@ -189,30 +189,46 @@ let strategies =
     Policy.Hybrid { max_block = 1024; reexpand = true };
   ]
 
+(* The transformed program under the interp backend (the Blocked_interp
+   stepper driven by Backend's scheduler), from one root frame. *)
+let interp_run ?(opts = Backend.default_opts) t args =
+  Backend.run ~opts Backend.interp (Backend.Ir t) ~roots:[ Array.of_list args ]
+
 let test_blocked_interp_fib () =
   let t = Transform.transform fib_program in
   let expected = interp_reducers fib_program [ 15 ] in
   List.iter
     (fun strategy ->
-      let r = Blocked_interp.run ~strategy t [ 15 ] in
+      let r = interp_run ~opts:{ Backend.default_opts with strategy } t [ 15 ] in
       Alcotest.(check (list (pair string int)))
         (Printf.sprintf "reducers under %s" (Policy.name strategy))
-        expected r.Blocked_interp.reducers;
-      check_int "tasks" ((2 * 987) - 1) r.Blocked_interp.tasks)
+        expected r.Backend.reducers;
+      check_int "tasks" ((2 * 987) - 1) r.Backend.tasks)
     strategies
 
 let test_blocked_interp_switches () =
   let t = Transform.transform fib_program in
-  let r = Blocked_interp.run ~strategy:(Policy.Hybrid { max_block = 8; reexpand = true }) t [ 12 ] in
-  check_bool "switched to blocked" true (r.Blocked_interp.switches > 0);
-  check_bool "re-expanded" true (r.Blocked_interp.reexpansions > 0);
-  let r2 = Blocked_interp.run ~strategy:Policy.Bfs_only t [ 12 ] in
-  check_int "bfs never switches" 0 r2.Blocked_interp.switches
+  let r =
+    interp_run
+      ~opts:
+        { Backend.default_opts with strategy = Policy.Hybrid { max_block = 8; reexpand = true } }
+      t [ 12 ]
+  in
+  check_bool "switched to blocked" true (r.Backend.switches > 0);
+  check_bool "re-expanded" true (r.Backend.reexpansions > 0);
+  let r2 = interp_run ~opts:{ Backend.default_opts with strategy = Policy.Bfs_only } t [ 12 ] in
+  check_int "bfs never switches" 0 r2.Backend.switches
 
 let test_blocked_interp_task_limit () =
   let t = Transform.transform fib_program in
-  Alcotest.check_raises "limit" (Blocked_interp.Task_limit_exceeded 100) (fun () ->
-      ignore (Blocked_interp.run ~max_tasks:100 t [ 20 ]))
+  match interp_run ~opts:{ Backend.default_opts with max_tasks = 100 } t [ 20 ] with
+  | _ -> Alcotest.fail "task limit did not fire"
+  | exception Vc_error.Error e ->
+      (match e.Vc_error.kind with
+      | Vc_error.Budget_exceeded { resource = Vc_error.Task_budget; limit; _ } ->
+          Alcotest.(check (float 0.0)) "limit" 100.0 limit
+      | _ -> Alcotest.failf "not a task-budget error: %s" (Vc_error.to_string e));
+      check_int "exit code 2" 2 (Vc_error.exit_code e)
 
 let blocked_interp_equiv_random =
   QCheck.Test.make ~name:"transformed program = sequential semantics (random)"
@@ -221,7 +237,8 @@ let blocked_interp_equiv_random =
       let t = Transform.transform p in
       List.for_all
         (fun strategy ->
-          (Blocked_interp.run ~strategy t args).Blocked_interp.reducers = expected)
+          (interp_run ~opts:{ Backend.default_opts with strategy } t args).Backend.reducers
+          = expected)
         strategies)
 
 (* ------------------------------------------------------------------ *)
@@ -960,8 +977,8 @@ let test_profile_blocked_interp_spans () =
   let tel = Telemetry.create () in
   let prof = Profile.create () in
   Profile.attach prof tel;
-  let b = Blocked_interp.run ~telemetry:tel t [ 12 ] in
-  check_int "fib 12" 144 (List.assoc "result" b.Blocked_interp.reducers);
+  let b = interp_run ~opts:{ Backend.default_opts with telemetry = Some tel } t [ 12 ] in
+  check_int "fib 12" 144 (List.assoc "result" b.Backend.reducers);
   check_int "spans balance" 0 (Profile.unbalanced prof);
   let paths = profile_paths prof in
   check_bool "root method frame" true (List.mem [ "fib" ] paths);
@@ -1129,17 +1146,19 @@ let test_soa_fault_fallback () =
 
 let test_blocked_interp_budget () =
   let t = Transform.transform fib_program in
+  let source = Backend.Ir t in
   (match
-     Supervisor.run_blocked
+     Supervisor.run_backend
        ~budgets:(Supervisor.budgets ~max_live_frames:2 ())
-       t [ 12 ]
+       Backend.interp source ~roots:[ [| 12 |] ]
    with
   | Ok _ -> Alcotest.fail "live-frame budget did not fire"
   | Error e ->
       check_bool "budget error" true (Vc_error.is_budget e);
       check_int "exit code 2" 2 (Vc_error.exit_code e));
-  match Supervisor.run_blocked t [ 10 ] with
-  | Ok b -> check_int "fib 10" 55 (List.assoc "result" b.Blocked_interp.reducers)
+  match Supervisor.run_backend Backend.interp source ~roots:[ [| 10 |] ] with
+  | Ok o ->
+      check_int "fib 10" 55 (List.assoc "result" o.Supervisor.result.Backend.reducers)
   | Error e -> Alcotest.failf "unbudgeted run failed: %s" (Vc_error.to_string e)
 
 (* ------------------------------------------------------------------ *)

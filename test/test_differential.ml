@@ -5,7 +5,8 @@
    [Vc_lang.Interp.run]; the candidates are the sequential spec executor
    ([Seq_exec]), the measured engine ([Engine]) across block sizes {4, 8,
    16} x {no-reexpansion, re-expansion} plus pure breadth-first, and the
-   direct transformed-AST interpreter ([Blocked_interp]).  Reducer values
+   direct transformed-AST interpreter (the [Blocked_interp] stepper under
+   the interp backend).  Reducer values
    AND executed task counts must match exactly (OOM runs are skipped —
    they deliberately report nothing).
 
@@ -85,12 +86,19 @@ let check_agreement () =
       let t = Transform.transform p in
       List.iter
         (fun (strategy, sname) ->
-          match Blocked_interp.run ~strategy t args with
+          let opts = { Backend.default_opts with strategy } in
+          match
+            Backend.run ~opts Backend.interp (Backend.Ir t)
+              ~roots:[ Array.of_list args ]
+          with
           | b ->
               agree
                 (Printf.sprintf "blocked_interp[%s]" sname)
-                b.Blocked_interp.reducers b.Blocked_interp.tasks
-          | exception Blocked_interp.Task_limit_exceeded _ -> ())
+                b.Backend.reducers b.Backend.tasks
+          | exception
+              Vc_error.Error
+                { Vc_error.kind = Vc_error.Budget_exceeded { resource = Vc_error.Task_budget; _ }; _ }
+            -> ())
         strategies)
     cases;
   (* 1 seq + 7 engine strategies + 7 blocked_interp strategies per case,
