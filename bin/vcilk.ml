@@ -553,10 +553,10 @@ let trace_cmd =
     let entry = resolve_bench ~workloads bench in
     let ctx = Vc_exp.Sweep.create ~quick ~cache_dir:None () in
     let spec = Vc_exp.Sweep.spec_of ctx entry in
-    let trace = Vc_core.Trace.create () in
     let tel = Vc_core.Telemetry.create () in
-    let ring_sink = Vc_core.Telemetry.ring ~capacity:65536 in
-    Vc_core.Telemetry.attach tel ring_sink;
+    (* every level, unbounded: the table and the plot cover the whole run *)
+    let level_sink, levels = Vc_core.Telemetry.level_sink () in
+    Vc_core.Telemetry.attach tel level_sink;
     let chrome_path =
       match chrome with
       | Some "-" -> None
@@ -573,7 +573,7 @@ let trace_cmd =
     let chrome_out = open_sink Vc_core.Telemetry.chrome_sink chrome_path in
     let jsonl_out = open_sink Vc_core.Telemetry.jsonl_sink jsonl in
     let r =
-      Vc_core.Engine.run ~trace ~telemetry:tel ~spec ~machine
+      Vc_core.Engine.run ~telemetry:tel ~spec ~machine
         ~strategy:(Vc_core.Policy.Hybrid { max_block = block; reexpand = true })
         ()
     in
@@ -586,37 +586,26 @@ let trace_cmd =
             Format.eprintf "[trace] wrote %s@." path
         | None -> ())
       [ chrome_out; jsonl_out ];
+    let levels = levels () in
     Format.printf "%a@.%a@." Vc_core.Report.pp_summary r
-      (Vc_core.Trace.pp ~limit) trace;
+      (Vc_core.Telemetry.pp_levels ~limit) levels;
     (* Lane-occupancy timeline: every processed level as a point at its
        modeled start time, one series per scheduler phase. *)
     let width =
       Vc_simd.Isa.lanes machine.Vc_mem.Machine.isa
         (Vc_core.Schema.lane_kind spec.Vc_core.Spec.schema)
     in
-    let level_points =
-      Vc_core.Telemetry.levels (Vc_core.Telemetry.ring_events ring_sink)
-    in
     let series phase marker =
       {
-        Vc_exp.Ascii_plot.label = Vc_core.Trace.phase_name phase;
+        Vc_exp.Ascii_plot.label = Vc_core.Telemetry.phase_name phase;
         marker;
-        points =
-          List.filter_map
-            (fun (st : Vc_core.Telemetry.stamped) ->
-              match st.Vc_core.Telemetry.ev with
-              | Vc_core.Telemetry.Level { phase = p; size; _ } when p = phase ->
-                  Some
-                    ( st.Vc_core.Telemetry.ts /. 1e3,
-                      Vc_core.Telemetry.occupancy ~width ~size )
-              | _ -> None)
-            level_points;
+        points = Vc_core.Telemetry.occupancy_points ~width phase levels;
       }
     in
     Format.printf "@.lane occupancy over modeled time (width %d)@.@." width;
     Vc_exp.Ascii_plot.plot ~x_label:"kilocycles" ~y_label:"occupancy"
-      [ series Vc_core.Trace.Bfs '.'; series Vc_core.Trace.Blocked 'o';
-        series Vc_core.Trace.Cutoff 'x' ]
+      [ series Vc_core.Telemetry.Bfs '.'; series Vc_core.Telemetry.Blocked 'o';
+        series Vc_core.Telemetry.Cutoff 'x' ]
       Format.std_formatter;
     (* Summary telemetry now carried by the report itself. *)
     let hist = r.Vc_core.Report.occupancy_hist in

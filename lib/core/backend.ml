@@ -358,7 +358,7 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
         in
         s.base_tasks <- s.base_tasks + nbase;
         Telemetry.emit tel
-          (Telemetry.Level { phase = Trace.Bfs; depth; size = n; base = nbase });
+          (Telemetry.Level { phase = Telemetry.Bfs; depth; size = n; base = nbase });
         let ln = st.size next in
         s.live <- s.live + ln - n;
         if ln > 0 then
@@ -385,7 +385,7 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
         in
         s.base_tasks <- s.base_tasks + nbase;
         Telemetry.emit tel
-          (Telemetry.Level { phase = Trace.Blocked; depth; size = n; base = nbase });
+          (Telemetry.Level { phase = Telemetry.Blocked; depth; size = n; base = nbase });
         let total = Array.fold_left (fun acc l -> acc + st.size l) 0 sites in
         s.live <- s.live + total - n;
         Array.iter
@@ -439,7 +439,7 @@ let expand_frontier (type l) (st : l stepper) ~tel ~max_tasks (s : cstate) roots
       let nbase = st.step ~src:!src ~blocked:false ~next ~sites:[||] in
       s.base_tasks <- s.base_tasks + nbase;
       Telemetry.emit tel
-        (Telemetry.Level { phase = Trace.Bfs; depth = !depth; size = n; base = nbase });
+        (Telemetry.Level { phase = Telemetry.Bfs; depth = !depth; size = n; base = nbase });
       src := next;
       incr depth
     end

@@ -31,8 +31,6 @@ let default_chunks = 32
    slack to balance uneven subtrees. *)
 let frontier_target ~chunks = chunks * 4
 
-let default_steal_cost = 200.0
-
 type result = {
   report : Report.t;
   domains : int;
@@ -54,8 +52,8 @@ let strategy_name ~strategy ~domains =
 
 (* Deal frames round-robin into [n] chunks, preserving frontier order
    inside each chunk.  Adjacent frontier frames have correlated subtree
-   sizes, so spreading them evens the chunk costs (like {!Multicore}'s
-   dealing). *)
+   sizes, so spreading them evens the chunk costs, like random stealing
+   would. *)
 let deal frames n =
   let chunks = Array.make n [] in
   List.iteri (fun i f -> chunks.(i mod n) <- f :: chunks.(i mod n)) frames;
@@ -129,22 +127,7 @@ let run_chunks ~domains ~chunks frames run =
     end;
     (Array.map Option.get results, Atomic.get observed_steals)
 
-(* Count Fault / Fallback telemetry events into plain refs — the
-   per-chunk equivalent of Supervisor's counting sink, summed by the
-   scheduler in chunk order. *)
-let counting_hub () =
-  let faults = ref 0 and fallbacks = ref 0 in
-  let tel = Telemetry.create () in
-  Telemetry.attach tel
-    (Telemetry.callback_sink (fun { Telemetry.ev; _ } ->
-         match ev with
-         | Telemetry.Fault _ -> incr faults
-         | Telemetry.Fallback _ -> incr fallbacks
-         | _ -> ()));
-  (tel, faults, fallbacks)
-
-let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks)
-    ?(steal_cost = default_steal_cost) ?(seed = 1) ?telemetry
+let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks) ?telemetry
     ?(faults = Fault.none) ?recover ?deadline ?wall_deadline ?max_live_frames
     ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t)
     ~(strategy : Policy.strategy) ~domains () =
@@ -153,13 +136,8 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks)
   let wall_start = Unix.gettimeofday () in
   let sname = strategy_name ~strategy ~domains in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
-  let exp_faults = ref 0 and exp_fallbacks = ref 0 in
-  Telemetry.attach tel
-    (Telemetry.callback_sink (fun { Telemetry.ev; _ } ->
-         match ev with
-         | Telemetry.Fault _ -> incr exp_faults
-         | Telemetry.Fallback _ -> incr exp_fallbacks
-         | _ -> ()));
+  let exp_sink, exp_counts = Telemetry.counting_sink () in
+  Telemetry.attach tel exp_sink;
   let make_engine_ctx ?telemetry:chunk_tel ~faults () =
     Engine.make_ctx ?compact ?max_tasks ?cutoff ?telemetry:chunk_tel ~faults
       ?recover ?deadline ?wall_deadline ?max_live_frames ~spec ~machine
@@ -217,15 +195,16 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks)
           modeled_steals = 0;
           modeled_failed_steals = 0;
           observed_steals = 0;
-          fallbacks = !exp_fallbacks;
-          faults_seen = !exp_faults;
+          fallbacks = (exp_counts ()).Telemetry.fallbacks;
+          faults_seen = (exp_counts ()).Telemetry.faults;
         }
       else begin
         (* ---- Phase 2: chunk execution on real domains ---- *)
         let run_chunk idx roots =
-          let ctel, cfaults, cfallbacks = counting_hub () in
+          let sink, counts = Telemetry.counting_sink () in
           let cctx =
-            make_engine_ctx ~telemetry:ctel ~faults:(Fault.split faults ~salt:idx) ()
+            make_engine_ctx ~telemetry:(Telemetry.with_sinks [ sink ])
+              ~faults:(Fault.split faults ~salt:idx) ()
           in
           let outcome =
             match Engine.execute_frames cctx ~roots ~depth:frontier_depth with
@@ -236,7 +215,7 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks)
                      ~machine:machine.Vc_mem.Machine.name ~strategy:"chunk")
             | exception exn -> Error exn
           in
-          (outcome, !cfallbacks, !cfaults)
+          (outcome, counts ())
         in
         let outs, observed_steals =
           run_chunks ~domains ~chunks frontier_frames run_chunk
@@ -246,20 +225,18 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks)
            wins, whichever domain hit it. *)
         let chunk_reports =
           Array.to_list
-            (Array.map
-               (function Ok r, _, _ -> r | Error exn, _, _ -> raise exn)
-               outs)
+            (Array.map (function Ok r, _ -> r | Error exn, _ -> raise exn) outs)
         in
-        let sum f = Array.fold_left (fun acc o -> acc + f o) 0 outs in
+        (* expansion-phase plus per-chunk recovery counts *)
+        let sum f =
+          Array.fold_left (fun acc (_, c) -> acc + f c) (f (exp_counts ())) outs
+        in
         (* ---- Phase 3: deterministic schedule model + merge ---- *)
         let jobs =
           List.mapi (fun id (r : Report.t) -> { Ws_sim.id; cost = r.Report.cycles })
             chunk_reports
         in
-        let stats =
-          Ws_sim.simulate ~steal_cost ~seed ~placement:Ws_sim.Round_robin
-            ~workers:domains jobs
-        in
+        let stats = Ws_sim.simulate ~workers:domains jobs in
         List.iter
           (fun (thief, victim, chunk) ->
             Telemetry.emit tel (Telemetry.Steal { thief; victim; chunk }))
@@ -304,8 +281,8 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks)
           modeled_steals = stats.Ws_sim.steals;
           modeled_failed_steals = stats.Ws_sim.failed_steals;
           observed_steals;
-          fallbacks = !exp_fallbacks + sum (fun (_, f, _) -> f);
-          faults_seen = !exp_faults + sum (fun (_, _, f) -> f);
+          fallbacks = sum (fun c -> c.Telemetry.fallbacks);
+          faults_seen = sum (fun c -> c.Telemetry.faults);
         }
       end
 

@@ -10,10 +10,11 @@
     [4 × chunks] frames and is dealt round-robin, so every domain count
     sees the same chunks.  The modeled schedule — makespan, steal count,
     steal costs — comes from the deterministic {!Ws_sim} discrete-event
-    simulation over measured per-chunk cycle costs ([Round_robin]
-    placement, mirroring the real dealing).  Real domains only provide
-    wall-clock parallelism; [observed_steals] from the live deques is
-    reported for transparency and feeds nothing modeled.
+    simulation over measured per-chunk cycle costs (round-robin initial
+    deques, mirroring the real dealing; 200 cycles per steal attempt,
+    seed 1).  Real domains only provide wall-clock parallelism;
+    [observed_steals] from the live deques is reported for transparency
+    and feeds nothing modeled.
 
     Consequently the merged report is bit-identical across domain counts
     except [strategy] (carries ["+dN"]), [cycles] (expansion + modeled
@@ -68,8 +69,6 @@ val run :
   ?max_tasks:int ->
   ?cutoff:int ->
   ?chunks:int ->
-  ?steal_cost:float ->
-  ?seed:int ->
   ?telemetry:Telemetry.t ->
   ?faults:Fault.plan ->
   ?recover:bool ->
@@ -85,8 +84,7 @@ val run :
 (** Execute [spec] under [strategy] across [domains] OCaml domains (the
     calling domain is worker 0; [domains = 1] runs the chunks in order
     without spawning).  Engine knobs are per context, as {!Engine.run}.
-    [chunks] (default {!default_chunks}) fixes the chunk count;
-    [steal_cost] and [seed] parameterize the {!Ws_sim} schedule model.
+    [chunks] (default {!default_chunks}) fixes the chunk count.
     [telemetry] receives the expansion phase's events plus one
     [Telemetry.Steal] per modeled steal after the join.  Raises
     [Invalid_argument] if [domains] or [chunks] is not positive; budget

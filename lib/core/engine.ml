@@ -227,7 +227,7 @@ let scalar_executor ctx =
 let sequential_subtree ctx blk ~depth =
   with_span ctx frame_cutoff @@ fun () ->
   Telemetry.emit ctx.tel
-    (Telemetry.Level { phase = Trace.Cutoff; depth; size = Block.size blk; base = 0 });
+    (Telemetry.Level { phase = Telemetry.Cutoff; depth; size = Block.size blk; base = 0 });
   let go = scalar_executor ctx in
   for row = 0 to Block.size blk - 1 do
     go ~count:true (frame_of ctx blk row) depth
@@ -424,7 +424,7 @@ let bfs_step ctx blk ~depth ~reexp_from =
      under an "expand" span; whatever happens to the next level happens
      after it closes, so the span covers exactly one level's work. *)
   with_span ctx frame_expand @@ fun () ->
-  let rec_rows = process_level ctx blk ~depth ~phase:Trace.Bfs in
+  let rec_rows = process_level ctx blk ~depth ~phase:Telemetry.Bfs in
   if Array.length rec_rows = 0 then begin
     ctx.live <- ctx.live - Block.size blk;
     None
@@ -500,7 +500,7 @@ and blocked ctx blk ~depth =
        closes before any child block is descended into. *)
     let children =
       with_span ctx frame_blocked @@ fun () ->
-      let rec_rows = process_level ctx blk ~depth ~phase:Trace.Blocked in
+      let rec_rows = process_level ctx blk ~depth ~phase:Telemetry.Blocked in
       if Array.length rec_rows = 0 then begin
         ctx.live <- ctx.live - Block.size blk;
         [||]
@@ -703,16 +703,12 @@ let report_of ctx ~strategy ~wall_seconds =
   Measure.report ctx.m ~benchmark:ctx.spec.Spec.name ~strategy
     ~reducers:(Vc_lang.Reducer.values ctx.reducers) ~wall_seconds
 
-let run ?compact ?max_tasks ?cutoff ?(warm = false) ?trace ?telemetry
+let run ?compact ?max_tasks ?cutoff ?(warm = false) ?telemetry
     ?faults ?recover ?deadline ?wall_deadline ?max_live_frames
     ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t)
     ~(strategy : Policy.strategy) () =
-  let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
-  (match trace with
-  | Some tr -> Telemetry.attach tel (Telemetry.trace_sink tr)
-  | None -> ());
   let ctx =
-    make_ctx ?compact ?max_tasks ?cutoff ~telemetry:tel ?faults ?recover
+    make_ctx ?compact ?max_tasks ?cutoff ?telemetry ?faults ?recover
       ?deadline ?wall_deadline ?max_live_frames ~spec ~machine ~strategy ()
   in
   let strategy_name = Policy.name strategy ^ if warm then "+warm" else "" in

@@ -71,7 +71,6 @@ val run :
   ?max_tasks:int ->
   ?cutoff:int ->
   ?warm:bool ->
-  ?trace:Trace.t ->
   ?telemetry:Telemetry.t ->
   ?faults:Fault.plan ->
   ?recover:bool ->
@@ -94,13 +93,11 @@ val run :
     paper deliberately runs without a cut-off "to maximize vectorization
     opportunities" (§6.1); the ablation harness quantifies that choice.
 
-    [trace] records one {!Trace} event per processed block level
-    (implemented as a {!Telemetry.trace_sink} on the run's telemetry
-    hub).  [telemetry] attaches a full {!Telemetry} hub: the engine sets
-    its clock to modeled cycles and emits [Level], [Switch], [Reexpand],
-    [Compaction] and [Cache] events; the hub is flushed before the report
-    is returned.  With neither argument the instrumentation reduces to an
-    enabled-flag test per level.
+    [telemetry] attaches a {!Telemetry} hub: the engine sets its clock to
+    modeled cycles and emits [Level], [Switch], [Reexpand], [Compaction]
+    and [Cache] events; the hub is flushed before the report is returned.
+    Without it the instrumentation reduces to an enabled-flag test per
+    level.
 
     [warm:true] measures a {e warm-cache} run: the whole execution runs
     once to populate the caches (its costs are discarded), then runs again

@@ -35,17 +35,11 @@ type outcome = {
    one [Fault] event per surfaced fault and one [Fallback] per quarantine,
    so a counting sink observes supervision without widening [Report.t]
    (which would invalidate every persisted run cache). *)
-let counting_sink () =
-  let faults = ref 0 and fallbacks = ref 0 and deadlines = ref 0 in
-  let sink =
-    Telemetry.callback_sink (fun { Telemetry.ev; _ } ->
-        match ev with
-        | Telemetry.Fault _ -> incr faults
-        | Telemetry.Fallback _ -> incr fallbacks
-        | Telemetry.Deadline _ -> incr deadlines
-        | _ -> ())
-  in
-  (sink, faults, fallbacks, deadlines)
+let counted tel =
+  let tel = match tel with Some t -> t | None -> Telemetry.create () in
+  let sink, counts = Telemetry.counting_sink () in
+  Telemetry.attach tel sink;
+  (tel, counts)
 
 let supervise ~phase f =
   match f () with
@@ -66,36 +60,33 @@ let supervise ~phase f =
         }
   | exception exn -> Error (Vc_error.of_exn ~phase exn)
 
-let run ?compact ?max_tasks ?cutoff ?warm ?trace ?telemetry
-    ?(faults = Fault.none) ?(recover = true) ?(budgets = no_budgets) ~spec
-    ~machine ~strategy () =
-  let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
-  let sink, faults_seen, fallbacks, deadlines = counting_sink () in
-  Telemetry.attach tel sink;
+let run ?compact ?max_tasks ?cutoff ?warm ?telemetry ?(faults = Fault.none)
+    ?(recover = true) ?(budgets = no_budgets) ~spec ~machine ~strategy () =
+  let tel, counts = counted telemetry in
   supervise ~phase:Vc_error.Execute (fun () ->
       let report =
-        Engine.run ?compact ?max_tasks ?cutoff ?warm ?trace ~telemetry:tel
-          ~faults ~recover ?deadline:budgets.deadline
+        Engine.run ?compact ?max_tasks ?cutoff ?warm ~telemetry:tel ~faults
+          ~recover ?deadline:budgets.deadline
           ?wall_deadline:budgets.wall_deadline
           ?max_live_frames:budgets.max_live_frames ~spec ~machine ~strategy ()
       in
+      let c = counts () in
       {
         report;
-        fallbacks = !fallbacks;
-        faults_seen = !faults_seen;
-        deadline_events = !deadlines;
+        fallbacks = c.Telemetry.fallbacks;
+        faults_seen = c.Telemetry.faults;
+        deadline_events = c.Telemetry.deadlines;
       })
 
-let run_domains ?compact ?max_tasks ?cutoff ?chunks ?steal_cost ?seed
-    ?telemetry ?(faults = Fault.none) ?(recover = true) ?(budgets = no_budgets)
-    ~spec ~machine ~strategy ~domains () =
+let run_domains ?compact ?max_tasks ?cutoff ?chunks ?telemetry
+    ?(faults = Fault.none) ?(recover = true) ?(budgets = no_budgets) ~spec
+    ~machine ~strategy ~domains () =
   (* No counting sink here: [Domain_sched.result] already carries its own
      cross-context fault/fallback totals (per-chunk hubs are private to
      their domains, so a shared sink could not observe them anyway). *)
   supervise ~phase:Vc_error.Execute (fun () ->
-      Domain_sched.run ?compact ?max_tasks ?cutoff ?chunks ?steal_cost ?seed
-        ?telemetry ~faults ~recover ?deadline:budgets.deadline
-        ?wall_deadline:budgets.wall_deadline
+      Domain_sched.run ?compact ?max_tasks ?cutoff ?chunks ?telemetry ~faults
+        ~recover ?deadline:budgets.deadline ?wall_deadline:budgets.wall_deadline
         ?max_live_frames:budgets.max_live_frames ~spec ~machine ~strategy
         ~domains ())
 
@@ -108,9 +99,7 @@ type backend_outcome = {
 
 let run_backend ?strategy ?max_tasks ?telemetry ?(faults = Fault.none)
     ?(recover = true) ?(budgets = no_budgets) ?domains backend source ~roots =
-  let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
-  let sink, faults_seen, fallbacks, deadlines = counting_sink () in
-  Telemetry.attach tel sink;
+  let tel, counts = counted telemetry in
   let opts =
     {
       Backend.default_opts with
@@ -132,9 +121,10 @@ let run_backend ?strategy ?max_tasks ?telemetry ?(faults = Fault.none)
   in
   supervise ~phase:Vc_error.Execute (fun () ->
       let result = Backend.run ~opts backend source ~roots in
+      let c = counts () in
       {
         result;
-        b_fallbacks = !fallbacks;
-        b_faults_seen = !faults_seen;
-        b_deadline_events = !deadlines;
+        b_fallbacks = c.Telemetry.fallbacks;
+        b_faults_seen = c.Telemetry.faults;
+        b_deadline_events = c.Telemetry.deadlines;
       })

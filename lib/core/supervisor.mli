@@ -45,7 +45,6 @@ val run :
   ?max_tasks:int ->
   ?cutoff:int ->
   ?warm:bool ->
-  ?trace:Trace.t ->
   ?telemetry:Telemetry.t ->
   ?faults:Fault.plan ->
   ?recover:bool ->
@@ -67,8 +66,6 @@ val run_domains :
   ?max_tasks:int ->
   ?cutoff:int ->
   ?chunks:int ->
-  ?steal_cost:float ->
-  ?seed:int ->
   ?telemetry:Telemetry.t ->
   ?faults:Fault.plan ->
   ?recover:bool ->

@@ -1,5 +1,9 @@
+type phase = Bfs | Blocked | Cutoff
+
+let phase_name = function Bfs -> "bfs" | Blocked -> "blocked" | Cutoff -> "cutoff"
+
 type event =
-  | Level of { phase : Trace.phase; depth : int; size : int; base : int }
+  | Level of { phase : phase; depth : int; size : int; base : int }
   | Switch of { depth : int; size : int }
   | Reexpand of { depth : int; size : int; shrink : float }
   | Compaction of { engine : string; width : int; n : int; passes : int }
@@ -51,26 +55,29 @@ let ring_events = function
       List.init n (fun i -> r.buf.((r.filled - n + i) mod r.cap))
   | Null | Stream _ -> []
 
-let trace_sink trace =
-  Stream
-    {
-      write =
-        (fun { ev; _ } ->
-          match ev with
-          | Level { phase; depth; size; base } ->
-              Trace.record trace ~phase ~depth ~size ~base
-          | Switch _ | Reexpand _ | Compaction _ | Convert _ | Cache _ | Fault _
-          | Fallback _ | Retry _ | Deadline _ | Steal _ | Span_open _
-          | Span_close _ | Mark _ -> ());
-      stream_flush = (fun () -> ());
-      stream_clear = (fun () -> Trace.clear trace);
-      dead = false;
-    }
-
 let nop () = ()
 
 let callback_sink ?(on_flush = nop) ?(on_clear = nop) f =
   Stream { write = f; stream_flush = on_flush; stream_clear = on_clear; dead = false }
+
+type counts = { faults : int; fallbacks : int; deadlines : int }
+
+let counting_sink () =
+  let faults = ref 0 and fallbacks = ref 0 and deadlines = ref 0 in
+  ( callback_sink (fun { ev; _ } ->
+        match ev with
+        | Fault _ -> incr faults
+        | Fallback _ -> incr fallbacks
+        | Deadline _ -> incr deadlines
+        | _ -> ()),
+    fun () -> { faults = !faults; fallbacks = !fallbacks; deadlines = !deadlines } )
+
+let level_sink () =
+  let levels = ref [] in
+  ( callback_sink
+      ~on_clear:(fun () -> levels := [])
+      (fun st -> match st.ev with Level _ -> levels := st :: !levels | _ -> ()),
+    fun () -> List.rev !levels )
 
 (* ------------------------------------------------------------------ *)
 (* JSON rendering.  Self-contained (the JSON library of the experiment
@@ -96,7 +103,7 @@ let num f =
   if Float.is_finite f then Printf.sprintf "%.3f" f else "0.0"
 
 let event_name = function
-  | Level { phase; _ } -> "level:" ^ Trace.phase_name phase
+  | Level { phase; _ } -> "level:" ^ phase_name phase
   | Switch _ -> "switch:bfs->blocked"
   | Reexpand _ -> "reexpand"
   | Compaction { engine; _ } -> "compact:" ^ engine
@@ -322,3 +329,45 @@ let levels events =
   List.filter_map
     (fun st -> match st.ev with Level _ -> Some st | _ -> None)
     events
+
+let occupancy_points ~width phase levels =
+  List.filter_map
+    (fun st ->
+      match st.ev with
+      | Level { phase = p; size; _ } when p = phase ->
+          Some (st.ts /. 1e3, occupancy ~width ~size)
+      | _ -> None)
+    levels
+
+let log2i n =
+  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
+  go 0 n
+
+let pp_levels ?(limit = 40) fmt levels =
+  let levels =
+    List.filter_map
+      (fun st ->
+        match st.ev with
+        | Level { phase; depth; size; base } -> Some (phase, depth, size, base)
+        | _ -> None)
+      levels
+  in
+  Format.fprintf fmt "@[<v>%6s %-8s %6s %10s %8s  %s@," "#" "phase" "depth"
+    "threads" "base" "log2(size)";
+  List.iteri
+    (fun i (phase, depth, size, base) ->
+      if i < limit then
+        Format.fprintf fmt "%6d %-8s %6d %10d %8d  %s@," i (phase_name phase) depth
+          size base
+          (String.make (log2i (max size 1)) '#'))
+    levels;
+  let n = List.length levels in
+  if n > limit then Format.fprintf fmt "  ... %d more events@," (n - limit);
+  Format.fprintf fmt "summary:";
+  List.iter
+    (fun p ->
+      match List.length (List.filter (fun (q, _, _, _) -> q = p) levels) with
+      | 0 -> ()
+      | k -> Format.fprintf fmt " %s=%d" (phase_name p) k)
+    [ Bfs; Blocked; Cutoff ];
+  Format.fprintf fmt "@]@."

@@ -5,7 +5,8 @@
     invocations, SoA↔AoS conversions and per-level cache deltas — into a
     hub that fans them out to pluggable sinks: an in-memory ring buffer,
     a JSONL stream, a Chrome trace-event JSON file (loadable in
-    chrome://tracing / Perfetto), or the legacy {!Trace} log.
+    chrome://tracing / Perfetto), or a callback (counters, the unbounded
+    level timeline of {!level_sink}).
 
     A hub with no sinks attached is disabled: {!emit} is a single mutable
     field test, so instrumented code paths can call it unconditionally.
@@ -15,8 +16,15 @@
     cycles), so event times are deterministic simulated time, not wall
     clock. *)
 
+type phase =
+  | Bfs  (** breadth-first level (including re-expansion) *)
+  | Blocked  (** blocked depth-first level *)
+  | Cutoff  (** sequentialized subtree (task cut-off) *)
+
+val phase_name : phase -> string
+
 type event =
-  | Level of { phase : Trace.phase; depth : int; size : int; base : int }
+  | Level of { phase : phase; depth : int; size : int; base : int }
       (** One expanded tree level: [size] tasks entered, [base] of them
           were base cases. *)
   | Switch of { depth : int; size : int }
@@ -85,10 +93,6 @@ val chrome_sink : out_channel -> sink
     nestable begin/end ("B"/"E") pairs, cache deltas as counter ("C")
     samples, everything else as instants ("i"). *)
 
-val trace_sink : Trace.t -> sink
-(** Adapter feeding [Level] events into the legacy {!Trace} log
-    (other events are dropped); {!clear} clears the underlying trace. *)
-
 val callback_sink :
   ?on_flush:(unit -> unit) -> ?on_clear:(unit -> unit) -> (stamped -> unit) -> sink
 (** Invokes the callback on every event; [on_flush] / [on_clear] (both
@@ -96,6 +100,17 @@ val callback_sink :
     supervisor to count faults and fallbacks, and by [Profile] to build
     cycle attributions, without threading extra state through the
     engine. *)
+
+type counts = { faults : int; fallbacks : int; deadlines : int }
+
+val counting_sink : unit -> sink * (unit -> counts)
+(** A sink counting [Fault], [Fallback] and [Deadline] events, and a
+    reader of the totals so far (not reset by {!clear}).  The supervisor
+    and the domain scheduler observe recovery through it. *)
+
+val level_sink : unit -> sink * (unit -> stamped list)
+(** A sink keeping every [Level] event (unbounded; emptied by {!clear}),
+    and a reader returning them oldest first. *)
 
 (** {1 Hub} *)
 
@@ -157,3 +172,13 @@ val occupancy : width:int -> size:int -> float
 
 val levels : stamped list -> stamped list
 (** Just the [Level] events, in order. *)
+
+val occupancy_points : width:int -> phase -> stamped list -> (float * float) list
+(** The [phase] levels of a [Level] event list as (start time / 1000,
+    lane occupancy at [width]) points, in order: the lane-occupancy
+    timeline [vcilk trace] plots. *)
+
+val pp_levels : ?limit:int -> Format.formatter -> stamped list -> unit
+(** Timeline of a [Level] event list with one row per level (first
+    [limit], default 40, plus a per-phase summary): level index, phase,
+    depth, threads, base tasks and a log2-scaled size bar. *)

@@ -1,7 +1,5 @@
 type job = { id : int; cost : float }
 
-type placement = Worker0 | Round_robin
-
 type stats = {
   makespan : float;
   total_work : float;
@@ -21,7 +19,7 @@ let next_rand state =
   state := x;
   x
 
-let simulate ?(steal_cost = 200.0) ?(seed = 1) ?(placement = Worker0) ~workers jobs =
+let simulate ?(steal_cost = 200.0) ?(seed = 1) ~workers jobs =
   if workers < 1 then invalid_arg "Ws_sim.simulate: workers must be positive";
   let rng = ref (max 1 (seed land 0x3FFFFFFFFFFFFFFF)) in
   (* Deques: bottom = list head for the owner; thieves take from the top
@@ -29,15 +27,10 @@ let simulate ?(steal_cost = 200.0) ?(seed = 1) ?(placement = Worker0) ~workers j
      lists. *)
   let front = Array.make workers [] in
   let back = Array.make workers [] in
-  (match placement with
-  | Worker0 ->
-      (* worker 0 starts with everything (expansion feeds the pool) *)
-      front.(0) <- jobs
-  | Round_robin ->
-      (* jobs are dealt bottom-up in index order, matching the domain
-         scheduler's initial chunk assignment *)
-      List.iteri (fun i j -> front.(i mod workers) <- j :: front.(i mod workers)) jobs;
-      Array.iteri (fun w l -> front.(w) <- List.rev l) front);
+  (* jobs are dealt bottom-up in index order, matching the domain
+     scheduler's initial chunk assignment *)
+  List.iteri (fun i j -> front.(i mod workers) <- j :: front.(i mod workers)) jobs;
+  Array.iteri (fun w l -> front.(w) <- List.rev l) front;
   let clock = Array.make workers 0.0 in
   let busy = Array.make workers 0.0 in
   let jobs_run = Array.make workers 0 in

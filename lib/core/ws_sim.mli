@@ -1,23 +1,18 @@
 (** Discrete-event simulation of a work-stealing scheduler.
 
-    {!Multicore} models work stealing as LPT list scheduling — a good
-    upper bound on balance, but silent about stealing itself.  This module
-    simulates the runtime the paper's §2 describes (a Cilk-style
-    work-stealing pool) at job granularity: every worker owns a deque,
-    executes jobs from its bottom, and when empty picks a random victim,
-    steals one job from the top, and executes it immediately, paying
-    [steal_cost] cycles per attempt (successful or not).
+    Simulates the runtime the paper's §2 describes (a Cilk-style
+    work-stealing pool) at job granularity: jobs are dealt round-robin
+    across the workers' deques in index order (the hybrid domain
+    scheduler's initial chunk assignment, {!Domain_sched.run_chunks});
+    every worker executes jobs from its deque's bottom, and when empty
+    picks a random victim, steals one job from the top, and executes it
+    immediately, paying [steal_cost] cycles per attempt (successful or
+    not).
 
     Jobs are atomic with precomputed costs (the engine measures them);
     the simulation is deterministic given [seed]. *)
 
 type job = { id : int; cost : float }
-
-type placement =
-  | Worker0  (** all jobs start on worker 0's deque (expansion feeds the pool) *)
-  | Round_robin
-      (** jobs dealt across deques in index order, bottom-up — the hybrid
-          domain scheduler's initial chunk assignment *)
 
 type stats = {
   makespan : float;  (** completion time of the last job *)
@@ -32,12 +27,9 @@ type stats = {
           telemetry *)
 }
 
-val simulate :
-  ?steal_cost:float -> ?seed:int -> ?placement:placement -> workers:int ->
-  job list -> stats
-(** [placement] defaults to {!Worker0} (the paper's single-core expansion
-    phase feeds the pool).  [steal_cost] defaults to 200 cycles — a
-    cache-line ping-pong plus deque CAS.  Raises [Invalid_argument] when
+val simulate : ?steal_cost:float -> ?seed:int -> workers:int -> job list -> stats
+(** [steal_cost] defaults to 200 cycles — a cache-line ping-pong plus
+    deque CAS — and [seed] to 1.  Raises [Invalid_argument] when
     [workers < 1].  An empty job list yields a zero makespan. *)
 
 val utilization : stats -> float

@@ -83,13 +83,22 @@ let multicore ctx fmt =
       let seq = Sweep.seq ctx entry machine in
       List.iter
         (fun workers ->
-          let r = Vc_core.Multicore.run ~spec ~machine ~workers () in
-          Format.fprintf fmt "%-12s %8d %8d %10.2f %10.2f %9.1f%%@," name workers
-            r.Vc_core.Multicore.jobs
-            (Vc_core.Multicore.speedup ~baseline:seq r)
-            r.Vc_core.Multicore.balance
-            (100.0 *. r.Vc_core.Multicore.expansion_cycles
-            /. r.Vc_core.Multicore.cycles))
+          let d =
+            Vc_core.Domain_sched.run ~spec ~machine
+              ~strategy:(Vc_core.Policy.Hybrid { max_block = 4096; reexpand = true })
+              ~domains:workers ()
+          in
+          let r = d.Vc_core.Domain_sched.report in
+          let work = d.Vc_core.Domain_sched.work_cycles in
+          if r.Vc_core.Report.oom then
+            Format.fprintf fmt "%-12s %8d %8s@," name workers "OOM"
+          else
+            Format.fprintf fmt "%-12s %8d %8d %10.2f %10.2f %9.1f%%@," name workers
+              d.Vc_core.Domain_sched.chunks
+              (Vc_core.Domain_sched.speedup ~baseline:seq d)
+              (if work <= 0.0 then 1.0
+               else d.Vc_core.Domain_sched.makespan_cycles /. (work /. float_of_int workers))
+              (100.0 *. d.Vc_core.Domain_sched.expansion_cycles /. r.Vc_core.Report.cycles))
         [ 1; 2; 4; 8; 16 ])
     [ "fib"; "nqueens"; "graphcol" ];
   Format.fprintf fmt "@]@."

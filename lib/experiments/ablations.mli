@@ -20,7 +20,7 @@ val aos_soa_overhead : Sweep.ctx -> Format.formatter -> unit
 
 val multicore : Sweep.ctx -> Format.formatter -> unit
 (** The §8 future-work hybrid: work-stealing multicore on top of the
-    SIMD engine ({!Vc_core.Multicore}), swept over worker counts. *)
+    SIMD engine ({!Vc_core.Domain_sched}), swept over worker counts. *)
 
 val width_scaling : Sweep.ctx -> Format.formatter -> unit
 (** The §8 hardware-scaling claim: on a future ISA with char-level

@@ -396,26 +396,32 @@ let test_strawman () =
 
 let test_engine_trace () =
   let spec = Vc_bench.Nqueens.spec { Vc_bench.Nqueens.n = 7 } in
-  let trace = Trace.create () in
+  let sink, levels = Telemetry.level_sink () in
   let r =
-    Engine.run ~trace ~spec ~machine:e5
+    Engine.run ~telemetry:(Telemetry.with_sinks [ sink ]) ~spec ~machine:e5
       ~strategy:(Policy.Hybrid { max_block = 32; reexpand = true })
       ()
   in
-  let evs = Trace.events trace in
-  check_bool "events recorded" true (Array.length evs > 0);
+  let evs =
+    List.map
+      (fun (st : Telemetry.stamped) ->
+        match st.Telemetry.ev with
+        | Telemetry.Level { phase; depth; size; base } -> (phase, depth, size, base)
+        | _ -> Alcotest.fail "level sink kept a non-Level event")
+      (levels ())
+  in
+  check_bool "events recorded" true (evs <> []);
   check_bool "starts with the root bfs level" true
-    (evs.(0).Trace.phase = Trace.Bfs && evs.(0).Trace.depth = 0 && evs.(0).Trace.size = 1);
+    (match evs with (Telemetry.Bfs, 0, 1, _) :: _ -> true | _ -> false);
   (* every engine task appears in exactly one traced level *)
   check_int "sizes sum to tasks" r.Report.tasks
-    (Array.fold_left (fun acc e -> acc + e.Trace.size) 0 evs);
+    (List.fold_left (fun acc (_, _, size, _) -> acc + size) 0 evs);
   check_int "bases sum to base tasks" r.Report.base_tasks
-    (Array.fold_left (fun acc e -> acc + e.Trace.base) 0 evs);
+    (List.fold_left (fun acc (_, _, _, base) -> acc + base) 0 evs);
   (* re-expansion means both phases appear *)
-  let phases = Trace.phase_counts trace in
-  check_bool "both phases present" true
-    (List.mem_assoc Trace.Bfs phases && List.mem_assoc Trace.Blocked phases);
-  let printed = Format.asprintf "%a" (Trace.pp ~limit:5) trace in
+  let has p = List.exists (fun (q, _, _, _) -> q = p) evs in
+  check_bool "both phases present" true (has Telemetry.Bfs && has Telemetry.Blocked);
+  let printed = Format.asprintf "%a" (Telemetry.pp_levels ~limit:5) (levels ()) in
   check_bool "pp summarizes" true (String.length printed > 0)
 
 let test_engine_warm_cache () =
@@ -444,18 +450,24 @@ let test_engine_cutoff () =
   check_bool "cut-off costs cycles" true (cut.Report.cycles > vec.Report.cycles)
 
 (* ------------------------------------------------------------------ *)
-(* Multicore hybrid (paper Sec. 8 future work)                         *)
+(* Hybrid multicore x SIMD scheduler (paper Sec. 8 future work)       *)
+
+let hybrid = Policy.Hybrid { max_block = 4096; reexpand = true }
 
 let test_multicore_exact_results () =
   List.iter
     (fun spec ->
       let seq = Seq_exec.run ~spec ~machine:e5 () in
       List.iter
-        (fun workers ->
-          let r = Multicore.run ~max_block:64 ~spec ~machine:e5 ~workers () in
+        (fun domains ->
+          let d =
+            Domain_sched.run ~spec ~machine:e5
+              ~strategy:(Policy.Hybrid { max_block = 64; reexpand = true })
+              ~domains ()
+          in
           Alcotest.(check (list (pair string int)))
-            (Printf.sprintf "%s reducers @ %d workers" spec.Spec.name workers)
-            seq.Report.reducers r.Multicore.reducers)
+            (Printf.sprintf "%s reducers @ %d domains" spec.Spec.name domains)
+            seq.Report.reducers d.Domain_sched.report.Report.reducers)
         [ 1; 3; 8 ])
     [
       Vc_bench.Fib.spec { Vc_bench.Fib.n = 15 };
@@ -466,16 +478,16 @@ let test_multicore_exact_results () =
 let test_multicore_scales () =
   let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 18 } in
   let seq = Seq_exec.run ~spec ~machine:e5 () in
-  let speedup workers =
-    Multicore.speedup ~baseline:seq (Multicore.run ~spec ~machine:e5 ~workers ())
-  in
-  let s1 = speedup 1 and s4 = speedup 4 in
-  check_bool "more workers help" true (s4 > s1 *. 1.5);
-  let r = Multicore.run ~spec ~machine:e5 ~workers:4 () in
-  check_bool "balance sane" true (r.Multicore.balance >= 0.99);
-  check_bool "serial fraction positive" true (r.Multicore.expansion_cycles > 0.0);
-  check_int "all jobs placed" r.Multicore.jobs
-    (min (4 * 4) r.Multicore.frontier)
+  let run domains = Domain_sched.run ~spec ~machine:e5 ~strategy:hybrid ~domains () in
+  let s1 = Domain_sched.speedup ~baseline:seq (run 1)
+  and s4 = Domain_sched.speedup ~baseline:seq (run 4) in
+  check_bool "more domains help" true (s4 > s1 *. 1.5);
+  let d = run 4 in
+  check_bool "balance sane" true
+    (d.Domain_sched.makespan_cycles /. (d.Domain_sched.work_cycles /. 4.0) >= 0.99);
+  check_bool "serial fraction positive" true (d.Domain_sched.expansion_cycles > 0.0);
+  check_int "all chunks placed" d.Domain_sched.chunks
+    (min Domain_sched.default_chunks d.Domain_sched.frontier)
 
 let test_ws_sim_single_worker () =
   let jobs = List.init 5 (fun id -> { Ws_sim.id; cost = float_of_int (id + 1) }) in
@@ -485,7 +497,11 @@ let test_ws_sim_single_worker () =
   check_int "all jobs on worker 0" 5 s.Ws_sim.jobs_run.(0)
 
 let test_ws_sim_balances () =
-  let jobs = List.init 64 (fun id -> { Ws_sim.id; cost = 1000.0 }) in
+  (* round-robin dealing puts every heavy job on worker 0's deque: the
+     others run dry and must steal to balance *)
+  let jobs =
+    List.init 64 (fun id -> { Ws_sim.id; cost = (if id mod 4 = 0 then 4000.0 else 500.0) })
+  in
   let s = Ws_sim.simulate ~steal_cost:10.0 ~seed:7 ~workers:4 jobs in
   check_bool "steals happened" true (s.Ws_sim.steals > 0);
   check_bool "parallel speedup" true (s.Ws_sim.makespan < 0.5 *. s.Ws_sim.total_work);
@@ -522,36 +538,32 @@ let ws_sim_bounds =
 let test_multicore_work_stealing_schedule () =
   let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 16 } in
   let seq = Seq_exec.run ~spec ~machine:e5 () in
-  let r =
-    Multicore.run
-      ~schedule:(Multicore.Work_stealing { steal_cost = 200.0; seed = 11 })
-      ~spec ~machine:e5 ~workers:4 ()
-  in
+  let d = Domain_sched.run ~spec ~machine:e5 ~strategy:hybrid ~domains:4 () in
   Alcotest.(check (list (pair string int))) "exact results" seq.Report.reducers
-    r.Multicore.reducers;
-  check_bool "steals counted" true (r.Multicore.steals > 0);
-  check_bool "still parallel" true
-    (Multicore.speedup ~baseline:seq r > 1.0)
+    d.Domain_sched.report.Report.reducers;
+  check_bool "steals counted" true (d.Domain_sched.modeled_steals > 0);
+  check_bool "still parallel" true (Domain_sched.speedup ~baseline:seq d > 1.0)
 
 let test_multicore_errors () =
   let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 10 } in
-  Alcotest.check_raises "workers >= 1"
-    (Invalid_argument "Multicore.run: workers must be positive") (fun () ->
-      ignore (Multicore.run ~spec ~machine:e5 ~workers:0 ()))
+  Alcotest.check_raises "domains >= 1"
+    (Invalid_argument "Domain_sched.run: domains must be positive") (fun () ->
+      ignore (Domain_sched.run ~spec ~machine:e5 ~strategy:hybrid ~domains:0 ()))
 
-let test_multicore_oom_budget () =
-  (* a per-job engine OOM surfaces as a typed [Memory] budget error (exit
-     code 2) so pools contain it as a per-run failure, not as a bare
-     [Failure] that kills the whole sweep *)
-  let tiny = { e5 with Vc_mem.Machine.name = "tiny"; max_live_threads = 512 } in
+let test_multicore_oom_report () =
+  (* running out of modeled memory is a result, not an exception: the
+     report is flagged [oom] (figure 17 and A5 print an OOM cell) *)
   let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 18 } in
-  match Multicore.run ~spec ~machine:tiny ~workers:2 () with
-  | _ -> Alcotest.fail "tiny machine should run out of modeled memory"
-  | exception Vc_error.Error e ->
-      (match e.Vc_error.kind with
-      | Vc_error.Budget_exceeded { resource = Vc_error.Memory; _ } -> ()
-      | _ -> Alcotest.failf "wrong error kind: %s" (Vc_error.to_string e));
-      check_int "exit code 2" 2 (Vc_error.exit_code e)
+  let seq = Seq_exec.run ~spec ~machine:e5 () in
+  (* 64 live threads run out in the expansion phase, 256 in the chunks *)
+  List.iter
+    (fun max_live_threads ->
+      let tiny = { e5 with Vc_mem.Machine.name = "tiny"; max_live_threads } in
+      let d = Domain_sched.run ~spec ~machine:tiny ~strategy:hybrid ~domains:2 () in
+      check_bool (Printf.sprintf "oom report @ %d" max_live_threads) true
+        d.Domain_sched.report.Report.oom;
+      Alcotest.(check (float 0.0)) "speedup 0" 0.0 (Domain_sched.speedup ~baseline:seq d))
+    [ 64; 256 ]
 
 let test_strawman_task_budget () =
   (* exceeding the task limit is a typed [Task_budget] error carrying the
@@ -593,7 +605,7 @@ let mark m = Telemetry.Mark m
 
 let sample_events =
   [
-    Telemetry.Level { phase = Trace.Bfs; depth = 0; size = 1; base = 0 };
+    Telemetry.Level { phase = Telemetry.Bfs; depth = 0; size = 1; base = 0 };
     Telemetry.Switch { depth = 3; size = 9 };
     Telemetry.Reexpand { depth = 4; size = 2; shrink = 0.5 };
     Telemetry.Compaction { engine = "shuffle"; width = 8; n = 13; passes = 2 };
@@ -715,17 +727,70 @@ let test_telemetry_chrome_sink () =
   | Ok _ -> Alcotest.fail "chrome trace is not a JSON array"
   | Error m -> Alcotest.failf "chrome trace unparseable: %s" m
 
-let test_telemetry_trace_sink () =
-  let tr = Trace.create () in
-  let tel = Telemetry.with_sinks [ Telemetry.trace_sink tr ] in
+let test_telemetry_level_sink () =
+  let sink, levels = Telemetry.level_sink () in
+  let tel = Telemetry.with_sinks [ sink ] in
   List.iter (Telemetry.emit tel) sample_events;
-  check_int "only Level events land in the trace" 1 (Array.length (Trace.events tr));
-  let e = (Trace.events tr).(0) in
-  check_bool "payload preserved" true
-    (e.Trace.phase = Trace.Bfs && e.Trace.depth = 0 && e.Trace.size = 1
-   && e.Trace.base = 0);
+  (match levels () with
+  | [ { Telemetry.ev = Telemetry.Level { phase; depth; size; base }; _ } ] ->
+      check_bool "payload preserved" true
+        (phase = Telemetry.Bfs && depth = 0 && size = 1 && base = 0)
+  | evs -> Alcotest.failf "expected the one Level event, got %d" (List.length evs));
   Telemetry.clear tel;
-  check_int "clear clears the adapted trace" 0 (Array.length (Trace.events tr))
+  check_int "clear empties the level list" 0 (List.length (levels ()))
+
+let test_telemetry_counting_sink () =
+  let sink, counts = Telemetry.counting_sink () in
+  let tel = Telemetry.with_sinks [ sink ] in
+  let recovery =
+    [
+      Telemetry.Fault { site = "compaction"; detail = "injected" };
+      Telemetry.Fallback { depth = 2; size = 8 };
+      Telemetry.Deadline { resource = "cycles"; limit = 1.0; actual = 2.0 };
+    ]
+  in
+  List.iter (Telemetry.emit tel) (sample_events @ recovery @ recovery);
+  let c = counts () in
+  check_int "faults" 2 c.Telemetry.faults;
+  check_int "fallbacks" 2 c.Telemetry.fallbacks;
+  check_int "deadlines" 2 c.Telemetry.deadlines;
+  Telemetry.clear tel;
+  check_int "totals survive clear" 2 (counts ()).Telemetry.faults
+
+(* [vcilk trace] regression: full-scale fib emits far more events than
+   the 65,536-event ring the timeline once read, which cut the plot to
+   the run's last quarter.  The level list must hold every level, and the
+   plot must start at the first one. *)
+let test_trace_timeline_spans_run () =
+  let spec = (Vc_bench.Registry.find "fib").Vc_bench.Registry.spec () in
+  let sink, levels = Telemetry.level_sink () in
+  let events = ref 0 in
+  let tel =
+    Telemetry.with_sinks [ sink; Telemetry.callback_sink (fun _ -> incr events) ]
+  in
+  let r =
+    Engine.run ~telemetry:tel ~spec ~machine:e5
+      ~strategy:(Policy.Hybrid { max_block = 256; reexpand = true })
+      ()
+  in
+  let levels = levels () in
+  check_bool "more events than the old ring held" true (!events > 65536);
+  check_int "every level collected"
+    (Array.fold_left ( + ) 0 r.Report.occupancy_hist)
+    (List.length levels);
+  let width = Vc_simd.Isa.lanes e5.Vc_mem.Machine.isa (Schema.lane_kind spec.Spec.schema) in
+  let first_x =
+    List.fold_left
+      (fun acc phase ->
+        List.fold_left (fun acc (x, _) -> min acc x) acc
+          (Telemetry.occupancy_points ~width phase levels))
+      infinity
+      [ Telemetry.Bfs; Telemetry.Blocked; Telemetry.Cutoff ]
+  in
+  Alcotest.(check (float 0.0)) "first plotted point is the first level"
+    ((List.hd levels).Telemetry.ts /. 1e3) first_x;
+  check_bool "plot starts in the run's first 1%" true
+    (first_x *. 1e3 < 0.01 *. r.Report.cycles)
 
 let test_telemetry_occupancy () =
   Alcotest.(check (float 1e-12)) "full width" 1.0
@@ -1355,8 +1420,8 @@ let () =
           Alcotest.test_case "exact results" `Quick test_multicore_exact_results;
           Alcotest.test_case "scaling" `Quick test_multicore_scales;
           Alcotest.test_case "errors" `Quick test_multicore_errors;
-          Alcotest.test_case "job OOM is a typed memory budget" `Quick
-            test_multicore_oom_budget;
+          Alcotest.test_case "job OOM yields an oom report" `Quick
+            test_multicore_oom_report;
           Alcotest.test_case "ws-sim single worker" `Quick test_ws_sim_single_worker;
           Alcotest.test_case "ws-sim balances" `Quick test_ws_sim_balances;
           Alcotest.test_case "ws-sim deterministic" `Quick test_ws_sim_deterministic;
@@ -1376,8 +1441,13 @@ let () =
             test_telemetry_json;
           Alcotest.test_case "chrome sink finalizes one array" `Quick
             test_telemetry_chrome_sink;
-          Alcotest.test_case "trace sink adapter" `Quick test_telemetry_trace_sink;
+          Alcotest.test_case "level sink keeps every level" `Quick
+            test_telemetry_level_sink;
+          Alcotest.test_case "counting sink tallies recovery events" `Quick
+            test_telemetry_counting_sink;
           Alcotest.test_case "occupancy" `Quick test_telemetry_occupancy;
+          Alcotest.test_case "trace timeline spans the whole run" `Quick
+            test_trace_timeline_spans_run;
           Alcotest.test_case "engine event stream matches report" `Quick
             test_engine_telemetry;
           Alcotest.test_case "dead sink is dropped with a typed error" `Quick

@@ -78,26 +78,36 @@ let trace_conserves_tasks =
   QCheck.Test.make ~name:"trace events partition the executed tasks" ~count:80
     Qgen.arbitrary_program_and_args (fun (p, args) ->
       let spec = Compile.spec_of_program p ~args in
-      let trace = Trace.create () in
+      let sink, levels = Telemetry.level_sink () in
       let r =
-        Engine.run ~trace ~spec ~machine:e5
+        Engine.run ~telemetry:(Telemetry.with_sinks [ sink ]) ~spec ~machine:e5
           ~strategy:(Policy.Hybrid { max_block = 8; reexpand = true })
           ()
       in
-      let evs = Trace.events trace in
-      Array.fold_left (fun acc e -> acc + e.Trace.size) 0 evs = r.Report.tasks
-      && Array.fold_left (fun acc e -> acc + e.Trace.base) 0 evs
-         = r.Report.base_tasks)
+      let sum f =
+        List.fold_left
+          (fun acc (st : Telemetry.stamped) ->
+            match st.Telemetry.ev with
+            | Telemetry.Level { size; base; _ } -> acc + f size base
+            | _ -> acc)
+          0 (levels ())
+      in
+      sum (fun size _ -> size) = r.Report.tasks
+      && sum (fun _ base -> base) = r.Report.base_tasks)
 
 let multicore_agrees =
   QCheck.Test.make ~name:"multicore hybrid = interpreter on random programs"
     ~count:60
     QCheck.(pair Qgen.arbitrary_program_and_args (int_range 1 6))
-    (fun ((p, args), workers) ->
+    (fun ((p, args), domains) ->
       let expected = (Vc_lang.Interp.run ~max_tasks:100_000 p args).Vc_lang.Interp.reducers in
       let spec = Compile.spec_of_program p ~args in
-      let r = Multicore.run ~max_block:16 ~spec ~machine:e5 ~workers () in
-      r.Multicore.reducers = expected)
+      let d =
+        Domain_sched.run ~chunks:4 ~spec ~machine:e5
+          ~strategy:(Policy.Hybrid { max_block = 16; reexpand = true })
+          ~domains ()
+      in
+      d.Domain_sched.report.Report.reducers = expected)
 
 let optimized_specs_agree =
   QCheck.Test.make
