@@ -308,6 +308,23 @@ let run_cmd =
     end;
     let ctx = ctx_of quick jobs no_cache in
     let budgets = { Vc_core.Supervisor.deadline; wall_deadline; max_live_frames } in
+    let faults = Vc_core.Fault.of_env () in
+    let policy =
+      match strategy with
+      | `Bfs -> Vc_core.Policy.Bfs_only
+      | `Noreexp -> Vc_core.Policy.Hybrid { max_block = block; reexpand = false }
+      | _ -> Vc_core.Policy.Hybrid { max_block = block; reexpand = true }
+    in
+    (* every executor runs supervised, so the recovery line prints once *)
+    let supervised exec =
+      match Vc_core.Supervisor.run exec with
+      | Error e -> die e
+      | Ok o ->
+          if o.Vc_core.Supervisor.faults_seen > 0 then
+            Format.eprintf "[supervisor] %d faults contained, %d scalar fallbacks@."
+              o.Vc_core.Supervisor.faults_seen o.Vc_core.Supervisor.fallbacks;
+          o.Vc_core.Supervisor.value
+    in
     if engine <> `Engine then begin
       (* Wall-clock backend path: no machine model, no modeled cycles. *)
       if deadline <> None then
@@ -315,87 +332,65 @@ let run_cmd =
           "vcilk: note: --deadline is modeled cycles; --engine %s ignores it \
            (use --wall-deadline)@."
           (engine_name engine);
-      let policy =
-        match strategy with
-        | `Bfs -> Vc_core.Policy.Bfs_only
-        | `Noreexp -> Vc_core.Policy.Hybrid { max_block = block; reexpand = false }
-        | _ -> Vc_core.Policy.Hybrid { max_block = block; reexpand = true }
-      in
       let source, roots = Vc_exp.Sweep.backend_source ctx entry in
-      match
-        Vc_core.Supervisor.run_backend ~strategy:policy ?max_tasks
-          ~faults:(Vc_core.Fault.of_env ()) ~budgets
-          ?domains:(if domains = 1 then None else Some domains)
-          (backend_of engine) source ~roots
-      with
-      | Error e -> die e
-      | Ok o ->
-          let r = o.Vc_core.Supervisor.result in
-          if o.Vc_core.Supervisor.b_faults_seen > 0 then
-            Format.eprintf "[supervisor] %d faults contained, %d scalar fallbacks@."
-              o.Vc_core.Supervisor.b_faults_seen o.Vc_core.Supervisor.b_fallbacks;
-          List.iter
-            (fun (n, v) -> Format.printf "%s = %d@." n v)
-            r.Vc_core.Backend.reducers;
-          Format.printf
-            "%d tasks (%d base), max depth %d, %d switches, %d re-expansions@."
-            r.Vc_core.Backend.tasks r.Vc_core.Backend.base_tasks
-            r.Vc_core.Backend.max_depth r.Vc_core.Backend.switches
-            r.Vc_core.Backend.reexpansions;
-          Format.printf "engine %s: wall %.6f s, %.3f M tasks/s@."
-            (engine_name engine) r.Vc_core.Backend.wall_seconds
-            (wall_rate r.Vc_core.Backend.tasks r.Vc_core.Backend.wall_seconds
-            /. 1e6);
-          exit 0
+      let d = Vc_core.Backend.default_opts in
+      let r =
+        supervised (fun telemetry ->
+            let opts =
+              {
+                d with
+                strategy = policy;
+                max_tasks = Option.value max_tasks ~default:d.max_tasks;
+                telemetry = Some telemetry;
+                faults;
+                budgets;
+                domains = (if domains = 1 then None else Some domains);
+              }
+            in
+            Vc_core.Backend.run ~opts (backend_of engine) source ~roots)
+      in
+      List.iter
+        (fun (n, v) -> Format.printf "%s = %d@." n v)
+        r.Vc_core.Backend.reducers;
+      Format.printf
+        "%d tasks (%d base), max depth %d, %d switches, %d re-expansions@."
+        r.Vc_core.Backend.tasks r.Vc_core.Backend.base_tasks
+        r.Vc_core.Backend.max_depth r.Vc_core.Backend.switches
+        r.Vc_core.Backend.reexpansions;
+      Format.printf "engine %s: wall %.6f s, %.3f M tasks/s@."
+        (engine_name engine) r.Vc_core.Backend.wall_seconds
+        (wall_rate r.Vc_core.Backend.tasks r.Vc_core.Backend.wall_seconds
+        /. 1e6);
+      exit 0
     end;
     let spec = Vc_exp.Sweep.spec_of ctx entry in
-    let supervised strategy =
-      if domains = 1 then
-        match
-          Vc_core.Supervisor.run ?max_tasks ~faults:(Vc_core.Fault.of_env ())
-            ~budgets ~spec ~machine ~strategy ()
-        with
-        | Ok o ->
-            if o.Vc_core.Supervisor.faults_seen > 0 then
-              Format.eprintf "[supervisor] %d faults contained, %d scalar fallbacks@."
-                o.Vc_core.Supervisor.faults_seen o.Vc_core.Supervisor.fallbacks;
-            o.Vc_core.Supervisor.report
-        | Error e -> die e
-      else
-        match
-          Vc_core.Supervisor.run_domains ?max_tasks
-            ~faults:(Vc_core.Fault.of_env ()) ~budgets ~spec ~machine ~strategy
-            ~domains ()
-        with
-        | Ok d ->
-            Format.eprintf
-              "[domains] %d domains, %d chunks (frontier %d at depth %d)@."
-              d.Vc_core.Domain_sched.domains d.Vc_core.Domain_sched.chunks
-              d.Vc_core.Domain_sched.frontier d.Vc_core.Domain_sched.frontier_depth;
-            Format.eprintf
-              "[domains] expansion %.3e + makespan %.3e of %.3e work cycles; \
-               %d modeled steals (%d failed), %d observed@."
-              d.Vc_core.Domain_sched.expansion_cycles
-              d.Vc_core.Domain_sched.makespan_cycles
-              d.Vc_core.Domain_sched.work_cycles
-              d.Vc_core.Domain_sched.modeled_steals
-              d.Vc_core.Domain_sched.modeled_failed_steals
-              d.Vc_core.Domain_sched.observed_steals;
-            if d.Vc_core.Domain_sched.faults_seen > 0 then
-              Format.eprintf "[supervisor] %d faults contained, %d scalar fallbacks@."
-                d.Vc_core.Domain_sched.faults_seen d.Vc_core.Domain_sched.fallbacks;
-            d.Vc_core.Domain_sched.report
-        | Error e -> die e
-    in
     let report =
+      supervised @@ fun telemetry ->
       match strategy with
-      | `Seq -> Vc_core.Seq_exec.run ~spec ~machine ()
+      | `Seq -> Vc_core.Seq_exec.run ?max_tasks ~spec ~machine ()
       | `Strawman -> Vc_core.Strawman.run ?max_tasks ~spec ~machine ()
-      | `Bfs -> supervised Vc_core.Policy.Bfs_only
-      | `Noreexp ->
-          supervised (Vc_core.Policy.Hybrid { max_block = block; reexpand = false })
-      | `Reexp ->
-          supervised (Vc_core.Policy.Hybrid { max_block = block; reexpand = true })
+      | `Bfs | `Noreexp | `Reexp when domains = 1 ->
+          Vc_core.Engine.run ?max_tasks ~telemetry ~faults ~budgets ~spec ~machine
+            ~strategy:policy ()
+      | `Bfs | `Noreexp | `Reexp ->
+          let d =
+            Vc_core.Domain_sched.run ?max_tasks ~telemetry ~faults ~budgets ~spec
+              ~machine ~strategy:policy ~domains ()
+          in
+          Format.eprintf
+            "[domains] %d domains, %d chunks (frontier %d at depth %d)@."
+            d.Vc_core.Domain_sched.domains d.Vc_core.Domain_sched.chunks
+            d.Vc_core.Domain_sched.frontier d.Vc_core.Domain_sched.frontier_depth;
+          Format.eprintf
+            "[domains] expansion %.3e + makespan %.3e of %.3e work cycles; \
+             %d modeled steals (%d failed), %d observed@."
+            d.Vc_core.Domain_sched.expansion_cycles
+            d.Vc_core.Domain_sched.makespan_cycles
+            d.Vc_core.Domain_sched.work_cycles
+            d.Vc_core.Domain_sched.modeled_steals
+            d.Vc_core.Domain_sched.modeled_failed_steals
+            d.Vc_core.Domain_sched.observed_steals;
+          d.Vc_core.Domain_sched.report
     in
     Format.printf "%a@." Vc_core.Report.pp_summary report;
     if strategy <> `Seq && not report.Vc_core.Report.oom then
@@ -1147,7 +1142,7 @@ let chaos_cmd =
   in
   let run quick jobs workloads seed sites rate block machine domains engine =
     or_die @@ fun () ->
-    (* --workloads entries join both chaos campaigns like built-ins *)
+    (* --workloads entries join the chaos campaign like built-ins *)
     let all_entries =
       Vc_bench.Registry.all
       @ List.map
@@ -1169,109 +1164,56 @@ let chaos_cmd =
       block domains
       (if domains = 1 then "" else "s")
       (if Vc_exp.Sweep.quick ctx then "quick" else "full");
-    if engine <> `Engine then begin
-      (* Backend campaign: a fault-armed wall-clock run (levels quarantined
-         at the alloc site, re-run on the scalar path) must reproduce the
-         fault-free backend's reducers and task counts exactly. *)
-      let backend = backend_of engine in
-      let dom_opt = if domains = 1 then None else Some domains in
-      let entries = Array.of_list all_entries in
-      let results = Array.make (Array.length entries) None in
-      let check_bench (entry : Vc_bench.Registry.entry) =
-        let name = entry.Vc_bench.Registry.name in
+    (* Campaign: for every benchmark, a supervised run under the fault
+       plan must reproduce the fault-free single-context run's reducers
+       and task counts exactly — scalar fallback (engine block quarantine,
+       backend level quarantine) is a correctness-preserving degradation.
+       With --domains > 1 the same must hold across the chunked runs
+       (fault plans are split per chunk). *)
+    let project ~faults ~domains entry telemetry =
+      if engine = `Engine then
+        let spec = Vc_exp.Sweep.spec_of ctx entry in
+        let r =
+          if domains = 1 then
+            Vc_core.Engine.run ~telemetry ~faults ~spec ~machine ~strategy ()
+          else
+            (Vc_core.Domain_sched.run ~telemetry ~faults ~spec ~machine ~strategy
+               ~domains ())
+              .Vc_core.Domain_sched.report
+        in
+        Vc_core.Report.(r.reducers, r.tasks, r.base_tasks)
+      else
         let source, roots = Vc_exp.Sweep.backend_source ctx entry in
         let opts =
-          { Vc_core.Backend.default_opts with
-            strategy; domains = dom_opt }
+          {
+            Vc_core.Backend.default_opts with
+            strategy;
+            telemetry = Some telemetry;
+            faults;
+            domains = (if domains = 1 then None else Some domains);
+          }
         in
-        let reference = Vc_core.Backend.run ~opts backend source ~roots in
-        let plan = Vc_core.Fault.make ~rate ~seed ~sites () in
-        match
-          Vc_core.Supervisor.run_backend ~strategy ~faults:plan ?domains:dom_opt
-            backend source ~roots
-        with
-        | Error e -> (name, false, Vc_core.Vc_error.to_string e, 0, 0)
-        | Ok o ->
-            let r = o.Vc_core.Supervisor.result in
-            let ok =
-              r.Vc_core.Backend.reducers = reference.Vc_core.Backend.reducers
-              && r.Vc_core.Backend.tasks = reference.Vc_core.Backend.tasks
-              && r.Vc_core.Backend.base_tasks
-                 = reference.Vc_core.Backend.base_tasks
-            in
-            let detail =
-              Printf.sprintf "%d faults, %d fallbacks"
-                o.Vc_core.Supervisor.b_faults_seen
-                o.Vc_core.Supervisor.b_fallbacks
-            in
-            (name, ok, detail, o.Vc_core.Supervisor.b_faults_seen,
-             o.Vc_core.Supervisor.b_fallbacks)
-      in
-      Vc_exp.Pool.run ~jobs:(Vc_exp.Sweep.jobs ctx)
-        (Array.to_list
-           (Array.mapi (fun i e () -> results.(i) <- Some (check_bench e)) entries));
-      let failures = ref 0 in
-      let total_faults = ref 0 in
-      Array.iter
-        (function
-          | None -> ()
-          | Some (name, ok, detail, faults, _) ->
-              total_faults := !total_faults + faults;
-              if not ok then incr failures;
-              Format.printf "  %-10s %-4s %s@." name
-                (if ok then "ok" else "FAIL")
-                detail)
-        results;
-      Format.printf "chaos: %d checks, %d failed, %d faults injected@."
-        (Array.length entries) !failures !total_faults;
-      exit
-      (if !failures = 0 then Vc_core.Vc_error.exit_ok
-       else Vc_core.Vc_error.exit_failure)
-    end;
-    (* Engine campaign: for every benchmark, a supervised run under the
-       fault plan must reproduce the fault-free reducers and task counts
-       exactly — scalar fallback is a correctness-preserving degradation.
-       With --domains > 1 the same property must hold across the hybrid
-       domain scheduler (fault plans are split per chunk). *)
+        let r = Vc_core.Backend.run ~opts (backend_of engine) source ~roots in
+        Vc_core.Backend.(r.reducers, r.tasks, r.base_tasks)
+    in
     let entries = Array.of_list all_entries in
     let results = Array.make (Array.length entries) None in
     let check_bench (entry : Vc_bench.Registry.entry) =
       let name = entry.Vc_bench.Registry.name in
-      let spec = Vc_exp.Sweep.spec_of ctx entry in
-      let reference = Vc_core.Engine.run ~spec ~machine ~strategy () in
-      let plan = Vc_core.Fault.make ~rate ~seed ~sites () in
-      let faulted =
-        if domains = 1 then
-          match Vc_core.Supervisor.run ~faults:plan ~spec ~machine ~strategy () with
-          | Error e -> Error e
-          | Ok o ->
-              Ok
-                ( o.Vc_core.Supervisor.report,
-                  o.Vc_core.Supervisor.faults_seen,
-                  o.Vc_core.Supervisor.fallbacks )
-        else
-          match
-            Vc_core.Supervisor.run_domains ~faults:plan ~spec ~machine ~strategy
-              ~domains ()
-          with
-          | Error e -> Error e
-          | Ok d ->
-              Ok
-                ( d.Vc_core.Domain_sched.report,
-                  d.Vc_core.Domain_sched.faults_seen,
-                  d.Vc_core.Domain_sched.fallbacks )
+      let reference =
+        project ~faults:Vc_core.Fault.none ~domains:1 entry
+          (Vc_core.Telemetry.create ())
       in
-      match faulted with
-      | Error e -> (name, false, Vc_core.Vc_error.to_string e, 0, 0)
-      | Ok (r, faults_seen, fallbacks) ->
-          let ok =
-            r.Vc_core.Report.oom = reference.Vc_core.Report.oom
-            && r.Vc_core.Report.reducers = reference.Vc_core.Report.reducers
-            && r.Vc_core.Report.tasks = reference.Vc_core.Report.tasks
-            && r.Vc_core.Report.base_tasks = reference.Vc_core.Report.base_tasks
-          in
-          let detail = Printf.sprintf "%d faults, %d fallbacks" faults_seen fallbacks in
-          (name, ok, detail, faults_seen, fallbacks)
+      let plan = Vc_core.Fault.make ~rate ~seed ~sites () in
+      match Vc_core.Supervisor.run (project ~faults:plan ~domains entry) with
+      | Error e -> (name, false, Vc_core.Vc_error.to_string e, 0)
+      | Ok o ->
+          let faults_seen = o.Vc_core.Supervisor.faults_seen in
+          ( name,
+            o.Vc_core.Supervisor.value = reference,
+            Printf.sprintf "%d faults, %d fallbacks" faults_seen
+              o.Vc_core.Supervisor.fallbacks,
+            faults_seen )
     in
     Vc_exp.Pool.run ~jobs:(Vc_exp.Sweep.jobs ctx)
       (Array.to_list
@@ -1281,7 +1223,7 @@ let chaos_cmd =
     Array.iter
       (function
         | None -> ()
-        | Some (name, ok, detail, faults, _) ->
+        | Some (name, ok, detail, faults) ->
             total_faults := !total_faults + faults;
             if not ok then incr failures;
             Format.printf "  %-10s %-4s %s@." name (if ok then "ok" else "FAIL") detail)

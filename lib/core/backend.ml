@@ -46,8 +46,7 @@ type opts = {
   telemetry : Telemetry.t option;
   faults : Fault.plan;
   recover : bool;
-  wall_deadline : float option;
-  max_live_frames : int option;
+  budgets : Supervisor.budgets;
   domains : int option;
 }
 
@@ -58,8 +57,7 @@ let default_opts =
     telemetry = None;
     faults = Fault.none;
     recover = true;
-    wall_deadline = None;
-    max_live_frames = None;
+    budgets = Supervisor.no_budgets;
     domains = None;
   }
 
@@ -216,10 +214,6 @@ type cstate = {
   mutable switches : int;
   mutable reexpansions : int;
   mutable live : int;
-  (* fault/fallback notes, collected so domain-chunk runs (whose hubs are
-     private) can re-emit them on the caller's hub after the join *)
-  mutable fault_notes : (string * string) list;
-  mutable fallback_notes : (int * int) list;
 }
 
 let new_cstate () =
@@ -230,13 +224,11 @@ let new_cstate () =
     switches = 0;
     reexpansions = 0;
     live = 0;
-    fault_notes = [];
-    fallback_notes = [];
   }
 
 let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
-    ~max_tasks ~wall_start ~wall_deadline ~max_live_frames ~label
-    (s : cstate) roots depth0 =
+    ~max_tasks ~wall_start ~(budgets : Supervisor.budgets) ~label (s : cstate)
+    roots depth0 =
   let max_block, reexpand =
     match (strategy : Policy.strategy) with
     | Policy.Bfs_only -> (max_int, false)
@@ -244,7 +236,7 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
   in
   let e = st.num_spawns in
   let budget_check () =
-    (match max_live_frames with
+    (match budgets.max_live_frames with
     | Some limit when s.live > limit ->
         let limit_f = float_of_int limit and actual = float_of_int s.live in
         Telemetry.emit tel
@@ -252,7 +244,7 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
         Vc_error.budget ~phase:Vc_error.Execute Vc_error.Live_frames ~limit:limit_f
           ~actual ()
     | _ -> ());
-    match wall_deadline with
+    match budgets.wall_deadline with
     | Some limit ->
         let actual = Unix.gettimeofday () -. wall_start in
         if actual > limit then begin
@@ -326,8 +318,6 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
     in
     Telemetry.emit tel (Telemetry.Fault { site; detail = err.Vc_error.detail });
     Telemetry.emit tel (Telemetry.Fallback { depth; size = n });
-    s.fault_notes <- (site, err.Vc_error.detail) :: s.fault_notes;
-    s.fallback_notes <- (depth, n) :: s.fallback_notes;
     s.live <- s.live - n;
     with_span "fallback" @@ fun () ->
     List.iter
@@ -501,8 +491,7 @@ let exec_single ~compiled opts source roots =
     (fun () ->
       run_tree st ~tel ~faults:opts.faults ~recover:opts.recover
         ~strategy:opts.strategy ~max_tasks:opts.max_tasks ~wall_start
-        ~wall_deadline:opts.wall_deadline ~max_live_frames:opts.max_live_frames
-        ~label s roots 0);
+        ~budgets:opts.budgets ~label s roots 0);
   finish ~reducers s ~wall_start
 
 (* Chunked run across real domains (domains = Some n): serial frontier
@@ -514,6 +503,7 @@ type chunk_out = {
   co_state : cstate;
   co_reducers : (string * int) list;
   co_error : Vc_error.t option;
+  co_replay : unit -> unit;
 }
 
 let exec_domains ~compiled opts source roots ~domains =
@@ -540,22 +530,24 @@ let exec_domains ~compiled opts source roots ~domains =
     let cred = Vc_lang.Reducer.make_set decls in
     let (Any st) = stepper_of ~compiled source ~reducers:cred in
     let cs = new_cstate () in
-    (* private hub: chunk workers must not race on the caller's hub;
-       fault/fallback notes are re-emitted after the join *)
-    let ctel = Telemetry.create () in
+    let ctel, replay = Telemetry.chunk_hub tel in
     let cfaults = Fault.split opts.faults ~salt:ci in
     let error =
       try
         run_tree st ~tel:ctel ~faults:cfaults ~recover:opts.recover
           ~strategy:opts.strategy ~max_tasks:opts.max_tasks ~wall_start
-          ~wall_deadline:opts.wall_deadline
-          ~max_live_frames:opts.max_live_frames ~label cs frames fdepth;
+          ~budgets:opts.budgets ~label cs frames fdepth;
         None
       with
       | Vc_error.Error e -> Some e
       | exn -> Some (Vc_error.of_exn ~phase:Vc_error.Execute exn)
     in
-    { co_state = cs; co_reducers = Vc_lang.Reducer.values cred; co_error = error }
+    {
+      co_state = cs;
+      co_reducers = Vc_lang.Reducer.values cred;
+      co_error = error;
+      co_replay = replay;
+    }
   in
   let outs, _observed_steals =
     Domain_sched.run_chunks ~domains ~chunks:Domain_sched.default_chunks frontier
@@ -575,12 +567,7 @@ let exec_domains ~compiled opts source roots ~domains =
         s0.max_depth <- o.co_state.max_depth;
       s0.switches <- s0.switches + o.co_state.switches;
       s0.reexpansions <- s0.reexpansions + o.co_state.reexpansions;
-      List.iter
-        (fun (site, detail) -> Telemetry.emit tel (Telemetry.Fault { site; detail }))
-        (List.rev o.co_state.fault_notes);
-      List.iter
-        (fun (depth, size) -> Telemetry.emit tel (Telemetry.Fallback { depth; size }))
-        (List.rev o.co_state.fallback_notes);
+      o.co_replay ();
       List.iter
         (fun (name, v) -> Vc_lang.Reducer.reduce reducers name v)
         o.co_reducers)

@@ -45,14 +45,17 @@ type opts = {
   recover : bool;
       (** re-run faulted levels on the scalar path (bit-equal reducers and
           task counts; switch/re-expansion counters legitimately differ) *)
-  wall_deadline : float option;  (** seconds, checked at level boundaries *)
-  max_live_frames : int option;
+  budgets : Supervisor.budgets;
+      (** [wall_deadline] and [max_live_frames], checked at level
+          boundaries; [deadline] (modeled cycles) does not apply *)
   domains : int option;
       (** [None]: plain single-context run.  [Some n]: chunked run — the
           frontier is expanded serially to {!Domain_sched.default_chunks}
           frames, dealt round-robin into at most that many chunks, and run
-          on [min n chunks] stealing domains; results are independent of
-          [n]. *)
+          on [min n chunks] stealing domains (at most the host's
+          recommended domain count); results are independent of [n].
+          Chunk [Fault]/[Fallback] events are replayed onto [telemetry]
+          after the join. *)
 }
 
 val default_opts : opts

@@ -43,8 +43,6 @@ type result = {
   modeled_steals : int;
   modeled_failed_steals : int;
   observed_steals : int;
-  fallbacks : int;
-  faults_seen : int;
 }
 
 let strategy_name ~strategy ~domains =
@@ -68,7 +66,12 @@ let run_chunks ~domains ~chunks frames run =
     let results = Array.make nchunks None in
     let run_chunk idx = results.(idx) <- Some (run idx chunk_roots.(idx)) in
     let observed_steals = Atomic.make 0 in
-    let workers = min domains nchunks in
+    (* Real workers never outnumber the host's cores: oversubscribed
+       domains only add context switches.  Chunks and the modeled
+       schedule still use [domains]. *)
+    let workers =
+      min domains (min nchunks (Domain.recommended_domain_count ()))
+    in
     if workers <= 1 then
       for idx = 0 to nchunks - 1 do
         run_chunk idx
@@ -128,20 +131,16 @@ let run_chunks ~domains ~chunks frames run =
     (Array.map Option.get results, Atomic.get observed_steals)
 
 let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks) ?telemetry
-    ?(faults = Fault.none) ?recover ?deadline ?wall_deadline ?max_live_frames
-    ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t)
-    ~(strategy : Policy.strategy) ~domains () =
+    ?(faults = Fault.none) ?recover ?budgets ~(spec : Spec.t)
+    ~(machine : Vc_mem.Machine.t) ~(strategy : Policy.strategy) ~domains () =
   if domains < 1 then invalid_arg "Domain_sched.run: domains must be positive";
   if chunks < 1 then invalid_arg "Domain_sched.run: chunks must be positive";
   let wall_start = Unix.gettimeofday () in
   let sname = strategy_name ~strategy ~domains in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
-  let exp_sink, exp_counts = Telemetry.counting_sink () in
-  Telemetry.attach tel exp_sink;
-  let make_engine_ctx ?telemetry:chunk_tel ~faults () =
-    Engine.make_ctx ?compact ?max_tasks ?cutoff ?telemetry:chunk_tel ~faults
-      ?recover ?deadline ?wall_deadline ?max_live_frames ~spec ~machine
-      ~strategy ()
+  let make_engine_ctx ~telemetry ~faults () =
+    Engine.make_ctx ?compact ?max_tasks ?cutoff ~telemetry ~faults ?recover
+      ?budgets ~spec ~machine ~strategy ()
   in
   (* ---- Phase 1: serial measured frontier expansion ---- *)
   let ectx = make_engine_ctx ~telemetry:tel ~faults () in
@@ -160,8 +159,6 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks) ?telemetry
       modeled_steals = 0;
       modeled_failed_steals = 0;
       observed_steals = 0;
-      fallbacks = 0;
-      faults_seen = 0;
     }
   in
   match
@@ -195,15 +192,13 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks) ?telemetry
           modeled_steals = 0;
           modeled_failed_steals = 0;
           observed_steals = 0;
-          fallbacks = (exp_counts ()).Telemetry.fallbacks;
-          faults_seen = (exp_counts ()).Telemetry.faults;
         }
       else begin
         (* ---- Phase 2: chunk execution on real domains ---- *)
         let run_chunk idx roots =
-          let sink, counts = Telemetry.counting_sink () in
+          let ctel, replay = Telemetry.chunk_hub tel in
           let cctx =
-            make_engine_ctx ~telemetry:(Telemetry.with_sinks [ sink ])
+            make_engine_ctx ~telemetry:ctel
               ~faults:(Fault.split faults ~salt:idx) ()
           in
           let outcome =
@@ -215,21 +210,19 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks) ?telemetry
                      ~machine:machine.Vc_mem.Machine.name ~strategy:"chunk")
             | exception exn -> Error exn
           in
-          (outcome, counts ())
+          (outcome, replay)
         in
         let outs, observed_steals =
           run_chunks ~domains ~chunks frontier_frames run_chunk
         in
         let nchunks = Array.length outs in
-        (* Deterministic error propagation: the lowest-index chunk error
-           wins, whichever domain hit it. *)
+        (* Chunk recovery events reach the caller's hub in chunk-index
+           order; then the lowest-index chunk error wins, whichever
+           domain hit it. *)
+        Array.iter (fun (_, replay) -> replay ()) outs;
         let chunk_reports =
           Array.to_list
             (Array.map (function Ok r, _ -> r | Error exn, _ -> raise exn) outs)
-        in
-        (* expansion-phase plus per-chunk recovery counts *)
-        let sum f =
-          Array.fold_left (fun acc (_, c) -> acc + f c) (f (exp_counts ())) outs
         in
         (* ---- Phase 3: deterministic schedule model + merge ---- *)
         let jobs =
@@ -281,8 +274,6 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks) ?telemetry
           modeled_steals = stats.Ws_sim.steals;
           modeled_failed_steals = stats.Ws_sim.failed_steals;
           observed_steals;
-          fallbacks = sum (fun c -> c.Telemetry.fallbacks);
-          faults_seen = sum (fun c -> c.Telemetry.faults);
         }
       end
 

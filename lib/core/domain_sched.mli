@@ -21,7 +21,7 @@
     makespan), the derived [cpi], [space_peak] (up to [domains] chunks
     live at once) and [wall_seconds].
 
-    Budgets ([deadline], [max_live_frames], [max_tasks]) apply per
+    Budgets ([budgets], [max_tasks]) apply per
     context: the expansion phase and each chunk check them independently.
     Fault plans are {!Fault.split} per chunk index, so injected fault
     patterns are schedule-independent too.  Errors are propagated
@@ -40,8 +40,6 @@ type result = {
   modeled_steals : int;
   modeled_failed_steals : int;
   observed_steals : int;  (** real-deque steals (informational only) *)
-  fallbacks : int;  (** scalar-path quarantines across all contexts *)
-  faults_seen : int;  (** faults surfaced across all contexts *)
 }
 
 val default_chunks : int
@@ -57,7 +55,8 @@ val run_chunks :
 (** [run_chunks ~domains ~chunks frames run] deals [frames] round-robin
     into [min chunks (List.length frames)] chunks (frontier order kept
     inside each chunk) and calls [run idx chunk] once per chunk on
-    [min domains nchunks] workers: the calling domain plus spawned ones,
+    [min domains nchunks] workers, capped at
+    [Domain.recommended_domain_count ()]: the calling domain plus spawned ones,
     each popping its own deque and stealing from the others when empty.
     Returns the results in chunk-index order — independent of the domain
     count — and the number of real steals.  No frames, no chunks.  [run]
@@ -72,9 +71,7 @@ val run :
   ?telemetry:Telemetry.t ->
   ?faults:Fault.plan ->
   ?recover:bool ->
-  ?deadline:float ->
-  ?wall_deadline:float ->
-  ?max_live_frames:int ->
+  ?budgets:Supervisor.budgets ->
   spec:Spec.t ->
   machine:Vc_mem.Machine.t ->
   strategy:Policy.strategy ->
@@ -85,10 +82,12 @@ val run :
     calling domain is worker 0; [domains = 1] runs the chunks in order
     without spawning).  Engine knobs are per context, as {!Engine.run}.
     [chunks] (default {!default_chunks}) fixes the chunk count.
-    [telemetry] receives the expansion phase's events plus one
-    [Telemetry.Steal] per modeled steal after the join.  Raises
+    [telemetry] receives the expansion phase's events, then after the
+    join every chunk's [Fault] and [Fallback] events (chunk-index order,
+    {!Telemetry.chunk_hub}) and one [Telemetry.Steal] per modeled steal,
+    so {!Supervisor.run} counts recovery across all contexts.  Raises
     [Invalid_argument] if [domains] or [chunks] is not positive; budget
-    {!Vc_error.Error}s and {!Engine.Task_limit} propagate (OOM yields an
+    {!Vc_error.Error}s (task limits included) propagate (OOM yields an
     [oom] report like {!Engine.run}). *)
 
 val speedup : baseline:Report.t -> result -> float

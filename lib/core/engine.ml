@@ -1,7 +1,5 @@
 exception Oom of { live : int; limit : int }
 
-exception Task_limit of int
-
 let log_src = Logs.Src.create "vc.engine" ~doc:"Blocked execution engine"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
@@ -24,9 +22,7 @@ type ctx = {
   site_frames : string array;  (** preformatted "spawn:siteN" span names *)
   faults : Fault.plan;
   recover : bool;  (** quarantine faulted blocks and re-run them scalar *)
-  deadline : float option;  (** modeled-cycle budget, checked per level *)
-  wall_deadline : float option;  (** wall-clock budget in seconds *)
-  frame_budget : int option;  (** user live-frame budget (typed error) *)
+  budgets : Supervisor.budgets;  (** checked per level (typed errors) *)
   wall_start : float;
   mutable live : int;  (** current live threads, for space accounting *)
   mutable executed : int;
@@ -48,7 +44,7 @@ let modeled_cycles ctx =
    tearing down the run mid-operation.  Budget violations are typed (exit
    code 2) and deliberately never handled by fault recovery. *)
 let budget_check ctx =
-  (match ctx.frame_budget with
+  (match ctx.budgets.max_live_frames with
   | Some limit when ctx.live > limit ->
       let limit_f = float_of_int limit and actual = float_of_int ctx.live in
       Telemetry.emit ctx.tel
@@ -56,7 +52,7 @@ let budget_check ctx =
       Vc_error.budget ~phase:Vc_error.Execute Vc_error.Live_frames ~limit:limit_f
         ~actual ()
   | _ -> ());
-  (match ctx.deadline with
+  (match ctx.budgets.deadline with
   | Some limit ->
       let actual = modeled_cycles ctx in
       if actual > limit then begin
@@ -66,7 +62,7 @@ let budget_check ctx =
           ~actual ()
       end
   | None -> ());
-  match ctx.wall_deadline with
+  match ctx.budgets.wall_deadline with
   | Some limit ->
       let actual = Unix.gettimeofday () -. ctx.wall_start in
       if actual > limit then begin
@@ -167,7 +163,10 @@ let charge_block_append ctx blk ~from ~count =
 
 let count_tasks ctx n =
   ctx.executed <- ctx.executed + n;
-  if ctx.executed > ctx.max_tasks then raise (Task_limit ctx.max_tasks)
+  if ctx.executed > ctx.max_tasks then
+    Vc_error.budget ~phase:Vc_error.Execute Vc_error.Task_budget
+      ~detail:"engine task limit" ~limit:(float_of_int ctx.max_tasks)
+      ~actual:(float_of_int ctx.executed) ()
 
 let frame_of ctx b row = Array.init ctx.nfields (fun f -> Block.get b ~field:f ~row)
 
@@ -642,8 +641,8 @@ let expand_frontier ctx ~roots ~target =
       go root ~depth:0
 
 let make_ctx ?compact ?(max_tasks = 200_000_000) ?(cutoff = 0) ?telemetry
-    ?(faults = Fault.none) ?(recover = true) ?deadline ?wall_deadline
-    ?max_live_frames ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t)
+    ?(faults = Fault.none) ?(recover = true) ?(budgets = Supervisor.no_budgets)
+    ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t)
     ~(strategy : Policy.strategy) () =
   let m = Measure.create machine in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
@@ -689,9 +688,7 @@ let make_ctx ?compact ?(max_tasks = 200_000_000) ?(cutoff = 0) ?telemetry
       Array.init spec.Spec.num_spawns (fun i -> "spawn:site" ^ string_of_int i);
     faults;
     recover;
-    deadline;
-    wall_deadline;
-    frame_budget = max_live_frames;
+    budgets;
     wall_start;
     live = 0;
     executed = 0;
@@ -704,12 +701,11 @@ let report_of ctx ~strategy ~wall_seconds =
     ~reducers:(Vc_lang.Reducer.values ctx.reducers) ~wall_seconds
 
 let run ?compact ?max_tasks ?cutoff ?(warm = false) ?telemetry
-    ?faults ?recover ?deadline ?wall_deadline ?max_live_frames
-    ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t)
+    ?faults ?recover ?budgets ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t)
     ~(strategy : Policy.strategy) () =
   let ctx =
-    make_ctx ?compact ?max_tasks ?cutoff ?telemetry ?faults ?recover
-      ?deadline ?wall_deadline ?max_live_frames ~spec ~machine ~strategy ()
+    make_ctx ?compact ?max_tasks ?cutoff ?telemetry ?faults ?recover ?budgets
+      ~spec ~machine ~strategy ()
   in
   let strategy_name = Policy.name strategy ^ if warm then "+warm" else "" in
   Log.debug (fun m ->

@@ -12,10 +12,6 @@ exception Oom of { live : int; limit : int }
     live-thread limit; {!run} converts it to an OOM report (Table 2's OOM
     entries). *)
 
-exception Task_limit of int
-(** Raised when a run exceeds its [max_tasks] guard; {!Supervisor.run}
-    converts it to a typed [Task_budget] error. *)
-
 type ctx
 (** A per-worker execution context: all block, frame, telemetry,
     reducer and budget state for one engine instance.  Contexts share
@@ -32,9 +28,7 @@ val make_ctx :
   ?telemetry:Telemetry.t ->
   ?faults:Fault.plan ->
   ?recover:bool ->
-  ?deadline:float ->
-  ?wall_deadline:float ->
-  ?max_live_frames:int ->
+  ?budgets:Supervisor.budgets ->
   spec:Spec.t ->
   machine:Vc_mem.Machine.t ->
   strategy:Policy.strategy ->
@@ -47,8 +41,8 @@ val execute_frames : ctx -> roots:int array list -> depth:int -> unit
 (** Execute [roots] as sibling frames at tree depth [depth] to
     completion under the context's strategy (breadth-first expansion,
     blocked switch, re-expansion, task cut-off — exactly {!run}'s
-    scheduling).  Raises {!Oom}, {!Task_limit} or a typed budget
-    {!Vc_error.Error} like {!run}'s internals; with [recover:true]
+    scheduling).  Raises {!Oom} or a typed budget {!Vc_error.Error}
+    like {!run}'s internals; with [recover:true]
     vectorized-path faults degrade to the scalar path as usual. *)
 
 val expand_frontier : ctx -> roots:int array list -> target:int -> int array list * int
@@ -74,9 +68,7 @@ val run :
   ?telemetry:Telemetry.t ->
   ?faults:Fault.plan ->
   ?recover:bool ->
-  ?deadline:float ->
-  ?wall_deadline:float ->
-  ?max_live_frames:int ->
+  ?budgets:Supervisor.budgets ->
   spec:Spec.t ->
   machine:Vc_mem.Machine.t ->
   strategy:Policy.strategy ->
@@ -84,8 +76,9 @@ val run :
   Report.t
 (** Execute [spec] under [strategy].  [compact] defaults to
     [Compact.default_for] the machine's ISA (Fig. 16 ablates this).
-    [max_tasks] (default 200M) guards runaway specs.  On OOM the returned
-    report has [oom = true].
+    [max_tasks] (default 200M) guards runaway specs: exceeding it raises
+    a typed [Task_budget] {!Vc_error.Error}.  On OOM the returned report
+    has [oom = true].
 
     [cutoff] enables the {e task cut-off} conventional task-parallel
     runtimes use: blocks of at most [cutoff] threads execute their subtrees
@@ -118,9 +111,10 @@ val run :
     quarantine).  With [recover:false] the typed {!Vc_error.Error}
     propagates to the caller.
 
-    [deadline] (modeled cycles), [wall_deadline] (seconds) and
-    [max_live_frames] are cooperative budgets checked at every level
-    boundary; exceeding one raises a [Budget_exceeded] {!Vc_error.Error}
-    (exit-code convention 2).  [max_live_frames] is a user budget distinct
-    from the machine's live-thread limit, which still produces an OOM
-    report. *)
+    [budgets] (default {!Supervisor.no_budgets}) holds cooperative
+    budgets — [deadline] (modeled cycles), [wall_deadline] (seconds) and
+    [max_live_frames] — checked at every level boundary; exceeding one
+    raises a [Budget_exceeded] {!Vc_error.Error} (exit-code convention
+    2).  [max_live_frames] is a user budget distinct from the machine's
+    live-thread limit, which still produces an OOM report.
+    {!Supervisor.run} turns these errors into a result. *)

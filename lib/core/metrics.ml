@@ -124,70 +124,11 @@ let occupancy_sample t ~n ~width =
 
 let occupancy_hist t = Array.copy t.occupancy
 
-(* Bounded sliding-window sample reservoir with quantile reads — the
-   serve daemon's latency statistics (p50/p99 wall).  Keeps the most
-   recent [capacity] samples in a ring; quantiles sort a snapshot copy,
-   so reads are O(capacity log capacity) and never block writers long. *)
-module Reservoir = struct
-  type r = {
-    lock : Mutex.t;
-    ring : float array;
-    mutable next : int;  (* ring write cursor *)
-    mutable filled : int;  (* live samples, <= capacity *)
-    mutable total : int;  (* samples ever added *)
-    mutable max_seen : float;
-  }
-
-  type t = r
-
-  let create ~capacity =
-    if capacity < 1 then invalid_arg "Metrics.Reservoir.create: capacity < 1";
-    {
-      lock = Mutex.create ();
-      ring = Array.make capacity 0.0;
-      next = 0;
-      filled = 0;
-      total = 0;
-      max_seen = neg_infinity;
-    }
-
-  let add t x =
-    Mutex.protect t.lock (fun () ->
-        let cap = Array.length t.ring in
-        t.ring.(t.next) <- x;
-        t.next <- (t.next + 1) mod cap;
-        if t.filled < cap then t.filled <- t.filled + 1;
-        t.total <- t.total + 1;
-        if x > t.max_seen then t.max_seen <- x)
-
-  let count t = Mutex.protect t.lock (fun () -> t.total)
-
-  let sorted t =
-    Mutex.protect t.lock (fun () -> Array.sub t.ring 0 t.filled)
-    |> fun a ->
-    Array.sort compare a;
-    a
-
-  (* Nearest-rank quantile over the retained window; 0 when empty. *)
-  let quantile t q =
-    let a = sorted t in
-    let n = Array.length a in
-    if n = 0 then 0.0
-    else
-      let q = Float.max 0.0 (Float.min 1.0 q) in
-      let rank = int_of_float (ceil (q *. float_of_int n)) in
-      a.(max 0 (min (n - 1) (rank - 1)))
-
-  let max_value t =
-    Mutex.protect t.lock (fun () -> if t.filled = 0 then 0.0 else t.max_seen)
-end
-
 (* Fixed-layout log-scaled latency histogram, sharded per domain so
-   worker-domain adds never contend on one lock.  Unlike the reservoir it
-   keeps exact lifetime counts: quantiles over hours of traffic cost one
-   O(shards * buckets) merge, and two histograms with the same layout merge
-   by bucket-wise addition (loadgen connection threads, multi-process
-   roll-ups). *)
+   worker-domain adds never contend on one lock.  It keeps exact counts:
+   quantiles over hours of traffic cost one O(shards * buckets) merge,
+   and two histograms with the same layout merge by bucket-wise addition
+   (loadgen connection threads, multi-process roll-ups). *)
 module Histogram = struct
   type shard = {
     lock : Mutex.t;

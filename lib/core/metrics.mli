@@ -62,43 +62,15 @@ val occupancy_hist : t -> int array
     occupancy fell in [[i/10, (i+1)/10)] (occupancy 1.0 lands in the last
     bucket). *)
 
-(** Bounded sliding-window sample reservoir with quantile reads.
-
-    Backs the serve daemon's latency statistics (p50/p99 request wall
-    time): writers {!Reservoir.add} from worker domains (mutex-guarded),
-    readers take a snapshot and sort it, so a [/stats] request never
-    blocks the hot path for long.  The window is the most recent
-    [capacity] samples — a long-running daemon reports {e current}
-    latency, not lifetime latency. *)
-module Reservoir : sig
-  type t
-
-  val create : capacity:int -> t
-  (** Raises [Invalid_argument] when [capacity < 1]. *)
-
-  val add : t -> float -> unit
-  (** Record one sample (domain-safe). *)
-
-  val count : t -> int
-  (** Samples ever added (not just retained). *)
-
-  val quantile : t -> float -> float
-  (** Nearest-rank quantile over the retained window, [q] clamped to
-      [0,1]; [0.0] when no samples have been added. *)
-
-  val max_value : t -> float
-  (** Largest sample ever added; [0.0] when empty. *)
-end
-
 (** Fixed-layout, log-scaled latency histogram with per-domain shards.
 
-    The serve daemon's lifetime latency store (the {!Reservoir} keeps the
-    complementary windowed view): [buckets] geometrically spaced upper
-    bounds from [lo] to [hi] plus one overflow bucket, exact counts, and a
-    shard per writer domain merged at read time so worker adds never share
-    a lock.  Two histograms with the same layout {!Histogram.merge} by
-    bucket-wise addition, which is what lets loadgen connection threads
-    and multi-process roll-ups combine without losing tail resolution. *)
+    The one latency store of the serve daemon and loadgen: [buckets]
+    geometrically spaced upper bounds from [lo] to [hi] plus one overflow
+    bucket, exact counts, and a shard per writer domain merged at read
+    time so worker adds never share a lock.  Two histograms with the same
+    layout {!Histogram.merge} by bucket-wise addition, which is what lets
+    loadgen connection threads and multi-process roll-ups combine without
+    losing tail resolution. *)
 module Histogram : sig
   type t
 

@@ -1,5 +1,3 @@
-exception Task_limit_exceeded of int
-
 (* Growable parallel stacks of frames and depths.  Frames live in a Block
    so the spec's accessors apply; the block's rows are the stack slots. *)
 
@@ -45,7 +43,10 @@ let run ?(max_tasks = 200_000_000) ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t
   let tasks = ref 0 in
   while Block.size !stack > 0 do
     incr tasks;
-    if !tasks > max_tasks then raise (Task_limit_exceeded max_tasks);
+    if !tasks > max_tasks then
+      Vc_error.budget ~detail:"Seq_exec: task limit exceeded"
+        ~phase:Vc_error.Execute Vc_error.Task_budget
+        ~limit:(float_of_int max_tasks) ~actual:(float_of_int !tasks) ();
     let top = Block.size !stack - 1 in
     let depth = !depths.(top) in
     (* pop: one scalar load per field + pointer bookkeeping *)

@@ -7,12 +7,12 @@
     cycles are measured under exactly the same model as the vectorized
     runs. *)
 
-exception Task_limit_exceeded of int
-
 val run :
   ?max_tasks:int ->
   spec:Spec.t ->
   machine:Vc_mem.Machine.t ->
   unit ->
   Report.t
-(** [max_tasks] (default 200M) guards runaway specs. *)
+(** [max_tasks] (default 200M) guards runaway specs: exceeding it raises
+    a typed [Task_budget] {!Vc_error.Error} carrying the limit and the
+    count reached (exit code 2), as {!Strawman.run} does. *)

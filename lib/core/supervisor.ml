@@ -24,107 +24,24 @@ let clamp_budgets ~ceiling b =
     max_live_frames = min_opt ceiling.max_live_frames b.max_live_frames;
   }
 
-type outcome = {
-  report : Report.t;
-  fallbacks : int;
-  faults_seen : int;
-  deadline_events : int;
-}
+type 'a outcome = { value : 'a; fallbacks : int; faults_seen : int }
 
-(* Recovery accounting rides the telemetry bus: the engine already emits
-   one [Fault] event per surfaced fault and one [Fallback] per quarantine,
-   so a counting sink observes supervision without widening [Report.t]
-   (which would invalidate every persisted run cache). *)
-let counted tel =
-  let tel = match tel with Some t -> t | None -> Telemetry.create () in
+(* Recovery accounting rides the telemetry bus: executors emit one [Fault]
+   event per surfaced fault and one [Fallback] per quarantine, so a
+   counting sink observes supervision without widening [Report.t] (which
+   would invalidate every persisted run cache). *)
+let run ?telemetry f =
+  let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   let sink, counts = Telemetry.counting_sink () in
   Telemetry.attach tel sink;
-  (tel, counts)
-
-let supervise ~phase f =
-  match f () with
-  | v -> Ok v
-  | exception Vc_error.Error e -> Error e
-  | exception Engine.Task_limit n ->
-      Error
+  match f tel with
+  | value ->
+      let c = counts () in
+      Ok
         {
-          Vc_error.kind =
-            Vc_error.Budget_exceeded
-              {
-                resource = Vc_error.Task_budget;
-                limit = float_of_int n;
-                actual = float_of_int n;
-              };
-          phase;
-          detail = "engine task limit";
+          value;
+          fallbacks = c.Telemetry.fallbacks;
+          faults_seen = c.Telemetry.faults;
         }
-  | exception exn -> Error (Vc_error.of_exn ~phase exn)
-
-let run ?compact ?max_tasks ?cutoff ?warm ?telemetry ?(faults = Fault.none)
-    ?(recover = true) ?(budgets = no_budgets) ~spec ~machine ~strategy () =
-  let tel, counts = counted telemetry in
-  supervise ~phase:Vc_error.Execute (fun () ->
-      let report =
-        Engine.run ?compact ?max_tasks ?cutoff ?warm ~telemetry:tel ~faults
-          ~recover ?deadline:budgets.deadline
-          ?wall_deadline:budgets.wall_deadline
-          ?max_live_frames:budgets.max_live_frames ~spec ~machine ~strategy ()
-      in
-      let c = counts () in
-      {
-        report;
-        fallbacks = c.Telemetry.fallbacks;
-        faults_seen = c.Telemetry.faults;
-        deadline_events = c.Telemetry.deadlines;
-      })
-
-let run_domains ?compact ?max_tasks ?cutoff ?chunks ?telemetry
-    ?(faults = Fault.none) ?(recover = true) ?(budgets = no_budgets) ~spec
-    ~machine ~strategy ~domains () =
-  (* No counting sink here: [Domain_sched.result] already carries its own
-     cross-context fault/fallback totals (per-chunk hubs are private to
-     their domains, so a shared sink could not observe them anyway). *)
-  supervise ~phase:Vc_error.Execute (fun () ->
-      Domain_sched.run ?compact ?max_tasks ?cutoff ?chunks ?telemetry ~faults
-        ~recover ?deadline:budgets.deadline ?wall_deadline:budgets.wall_deadline
-        ?max_live_frames:budgets.max_live_frames ~spec ~machine ~strategy
-        ~domains ())
-
-type backend_outcome = {
-  result : Backend.result;
-  b_fallbacks : int;
-  b_faults_seen : int;
-  b_deadline_events : int;
-}
-
-let run_backend ?strategy ?max_tasks ?telemetry ?(faults = Fault.none)
-    ?(recover = true) ?(budgets = no_budgets) ?domains backend source ~roots =
-  let tel, counts = counted telemetry in
-  let opts =
-    {
-      Backend.default_opts with
-      telemetry = Some tel;
-      faults;
-      recover;
-      wall_deadline = budgets.wall_deadline;
-      max_live_frames = budgets.max_live_frames;
-      domains;
-    }
-  in
-  let opts =
-    match strategy with Some s -> { opts with Backend.strategy = s } | None -> opts
-  in
-  let opts =
-    match max_tasks with
-    | Some n -> { opts with Backend.max_tasks = n }
-    | None -> opts
-  in
-  supervise ~phase:Vc_error.Execute (fun () ->
-      let result = Backend.run ~opts backend source ~roots in
-      let c = counts () in
-      {
-        result;
-        b_fallbacks = c.Telemetry.fallbacks;
-        b_faults_seen = c.Telemetry.faults;
-        b_deadline_events = c.Telemetry.deadlines;
-      })
+  | exception Vc_error.Error e -> Error e
+  | exception exn -> Error (Vc_error.of_exn ~phase:Vc_error.Execute exn)

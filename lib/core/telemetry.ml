@@ -297,6 +297,21 @@ let emit ?ts ?(dur = 0.0) t ev =
     List.iter (push_sink st) t.sinks
   end
 
+(* Chunk workers run on other domains and must not share the caller's
+   single-domain hub: each gets a private hub that records its recovery
+   events, replayed onto the caller's hub after the join so a caller-side
+   counting sink sees every chunk's faults and fallbacks. *)
+let chunk_hub caller =
+  if not caller.enabled then (create (), nop)
+  else begin
+    let log = ref [] in
+    let record st =
+      match st.ev with Fault _ | Fallback _ -> log := st.ev :: !log | _ -> ()
+    in
+    ( with_sinks [ callback_sink record ],
+      fun () -> List.iter (emit caller) (List.rev !log) )
+  end
+
 let clear t =
   t.seq <- 0;
   List.iter

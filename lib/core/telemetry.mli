@@ -105,8 +105,8 @@ type counts = { faults : int; fallbacks : int; deadlines : int }
 
 val counting_sink : unit -> sink * (unit -> counts)
 (** A sink counting [Fault], [Fallback] and [Deadline] events, and a
-    reader of the totals so far (not reset by {!clear}).  The supervisor
-    and the domain scheduler observe recovery through it. *)
+    reader of the totals so far (not reset by {!clear}).  {!Supervisor.run}
+    observes recovery through it. *)
 
 val level_sink : unit -> sink * (unit -> stamped list)
 (** A sink keeping every [Level] event (unbounded; emptied by {!clear}),
@@ -137,6 +137,14 @@ val emit : ?ts:float -> ?dur:float -> t -> event -> unit
 (** Stamp and fan an event out to all sinks.  No-op when disabled.
     [ts] overrides the clock (used for events spanning an interval:
     pass the interval start as [ts] and its length as [dur]). *)
+
+val chunk_hub : t -> t * (unit -> unit)
+(** [chunk_hub caller] is a private hub for one chunk of a chunked run
+    (chunk workers run on other domains, so they must not share
+    [caller]) and a replay function that re-emits the chunk's [Fault]
+    and [Fallback] events onto [caller], in order.  Call replay after
+    the join, in chunk-index order.  When [caller] is disabled the chunk
+    hub is too and replay does nothing. *)
 
 val clear : t -> unit
 (** Reset the sequence counter and all sinks (ring emptied, buffered

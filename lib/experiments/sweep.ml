@@ -65,16 +65,6 @@ let key_string ctx key =
 
 let persist ctx = Option.iter (Run_cache.persist ~faults:ctx.faults) ctx.disk
 
-(* The supervised-engine knobs every engine point shares.  Fault-armed
-   runs recover to correct reducer values but with degraded (partly
-   scalar) cost numbers, so they must never be persisted — a later
-   fault-free process would read them as genuine measurements. *)
-let engine_args ctx =
-  ( ctx.faults,
-    ctx.budgets.Vc_core.Supervisor.deadline,
-    ctx.budgets.Vc_core.Supervisor.wall_deadline,
-    ctx.budgets.Vc_core.Supervisor.max_live_frames )
-
 let runs ctx =
   Mutex.protect ctx.lock (fun () ->
       Hashtbl.fold (fun k r acc -> (k, r) :: acc) ctx.runs [])
@@ -170,6 +160,8 @@ let cached ctx key f =
           Hashtbl.add ctx.runs key r;
           if fresh then begin
             ctx.simulated <- ctx.simulated + 1;
+            (* fault-armed runs recover exact reducers but degraded
+               (partly scalar) cost numbers: never persist them *)
             if not (Vc_core.Fault.armed ctx.faults) then
               Option.iter (fun d -> Run_cache.add d (key_string ctx key) r) ctx.disk
           end
@@ -201,8 +193,7 @@ let bfs_only ctx entry (machine : Vc_mem.Machine.t) =
     }
   in
   cached ctx key (fun () ->
-      let faults, deadline, wall_deadline, max_live_frames = engine_args ctx in
-      Vc_core.Engine.run ~faults ?deadline ?wall_deadline ?max_live_frames
+      Vc_core.Engine.run ~faults:ctx.faults ~budgets:ctx.budgets
         ~spec:(spec_of ctx entry) ~machine ~strategy:Vc_core.Policy.Bfs_only ())
 
 let hybrid ctx entry (machine : Vc_mem.Machine.t) ~reexpand ~block =
@@ -217,8 +208,7 @@ let hybrid ctx entry (machine : Vc_mem.Machine.t) ~reexpand ~block =
     }
   in
   cached ctx key (fun () ->
-      let faults, deadline, wall_deadline, max_live_frames = engine_args ctx in
-      Vc_core.Engine.run ~faults ?deadline ?wall_deadline ?max_live_frames
+      Vc_core.Engine.run ~faults:ctx.faults ~budgets:ctx.budgets
         ~spec:(spec_of ctx entry) ~machine
         ~strategy:(Vc_core.Policy.Hybrid { max_block = block; reexpand })
         ())
@@ -240,10 +230,9 @@ let hybrid_domains ctx entry (machine : Vc_mem.Machine.t) ~block ~domains =
     }
   in
   cached ctx key (fun () ->
-      let faults, deadline, wall_deadline, max_live_frames = engine_args ctx in
       let result =
-        Vc_core.Domain_sched.run ~faults ?deadline ?wall_deadline
-          ?max_live_frames ~spec:(spec_of ctx entry) ~machine
+        Vc_core.Domain_sched.run ~faults:ctx.faults ~budgets:ctx.budgets
+          ~spec:(spec_of ctx entry) ~machine
           ~strategy:(Vc_core.Policy.Hybrid { max_block = block; reexpand = true })
           ~domains ()
       in
@@ -261,8 +250,7 @@ let with_compaction ctx entry (machine : Vc_mem.Machine.t) ~compact ~block =
     }
   in
   cached ctx key (fun () ->
-      let faults, deadline, wall_deadline, max_live_frames = engine_args ctx in
-      Vc_core.Engine.run ~compact ~faults ?deadline ?wall_deadline ?max_live_frames
+      Vc_core.Engine.run ~compact ~faults:ctx.faults ~budgets:ctx.budgets
         ~spec:(spec_of ctx entry) ~machine
         ~strategy:(Vc_core.Policy.Hybrid { max_block = block; reexpand = true })
         ())
@@ -319,8 +307,7 @@ let backend_run ctx (entry : Registry.entry) ~engine ~block =
           Vc_core.Backend.default_opts with
           strategy = Vc_core.Policy.Hybrid { max_block = block; reexpand = true };
           faults = ctx.faults;
-          wall_deadline = ctx.budgets.Vc_core.Supervisor.wall_deadline;
-          max_live_frames = ctx.budgets.Vc_core.Supervisor.max_live_frames;
+          budgets = ctx.budgets;
         }
       in
       let r = Vc_core.Backend.run ~opts backend source ~roots in

@@ -124,8 +124,8 @@ let replay ~quick (l : Vc_bench.Registry.loaded) =
                   ~strategy:(Policy.Hybrid { max_block = 8; reexpand = true })
                   ()
               with
-              | exception Engine.Task_limit n ->
-                  fail "engine exceeded %d tasks" n
+              | exception Vc_error.Error e ->
+                  fail "engine: %s" (Vc_error.to_string e)
               | r when r.Report.oom -> fail "engine reported OOM"
               | r -> (
                   if r.Report.reducers <> reducers || r.Report.tasks <> tasks

@@ -125,7 +125,7 @@ let check ?plant ?(domains = [ 1; 4 ]) ?(fault_seeds = [ 1 ])
         (* cost-model engine over the strategy grid *)
         let engine strategy =
           match Engine.run ~max_tasks:budget ~spec ~machine:e5 ~strategy () with
-          | exception Engine.Task_limit _ -> None
+          | exception Vc_error.Error e when Vc_error.is_budget e -> None
           | r -> if r.Report.oom then None else Some r
         in
         List.iter
@@ -197,7 +197,6 @@ let check ?plant ?(domains = [ 1; 4 ]) ?(fault_seeds = [ 1 ])
                     ~domains:d ()
                 with
                 | exception Vc_error.Error _ -> ()
-                | exception Engine.Task_limit _ -> ()
                 | res ->
                     let r = res.Domain_sched.report in
                     if
@@ -222,8 +221,9 @@ let check ?plant ?(domains = [ 1; 4 ]) ?(fault_seeds = [ 1 ])
                     ~sites:[ Fault.Compact; Fault.Alloc ] ()
                 in
                 match
-                  Supervisor.run ~max_tasks:budget ~faults:plan ~spec
-                    ~machine:e5 ~strategy:hybrid ()
+                  Supervisor.run (fun telemetry ->
+                      Engine.run ~max_tasks:budget ~telemetry ~faults:plan ~spec
+                        ~machine:e5 ~strategy:hybrid ())
                 with
                 | Error e when Vc_error.is_budget e -> ()
                 | Error e ->
@@ -231,7 +231,7 @@ let check ?plant ?(domains = [ 1; 4 ]) ?(fault_seeds = [ 1 ])
                       (Printf.sprintf "fault-engine[seed %d]" seed)
                       "did not recover: %s" (Vc_error.to_string e)
                 | Ok o ->
-                    let r = o.Supervisor.report in
+                    let r = o.Supervisor.value in
                     if
                       r.Report.reducers <> reference.Report.reducers
                       || r.Report.tasks <> reference.Report.tasks
@@ -254,8 +254,17 @@ let check ?plant ?(domains = [ 1; 4 ]) ?(fault_seeds = [ 1 ])
                   Fault.make ~rate:0.25 ~seed ~sites:[ Fault.Alloc ] ()
                 in
                 match
-                  Supervisor.run_backend ~strategy:hybrid ~max_tasks:budget
-                    ~faults:plan Backend.compiled planted_ir ~roots
+                  Supervisor.run (fun telemetry ->
+                      let opts =
+                        {
+                          Backend.default_opts with
+                          strategy = hybrid;
+                          max_tasks = budget;
+                          faults = plan;
+                          telemetry = Some telemetry;
+                        }
+                      in
+                      Backend.run ~opts Backend.compiled planted_ir ~roots)
                 with
                 | Error e when Vc_error.is_budget e -> ()
                 | Error e ->
@@ -263,7 +272,7 @@ let check ?plant ?(domains = [ 1; 4 ]) ?(fault_seeds = [ 1 ])
                       (Printf.sprintf "fault-compiled[seed %d]" seed)
                       "did not recover: %s" (Vc_error.to_string e)
                 | Ok o ->
-                    let r = o.Supervisor.result in
+                    let r = o.Supervisor.value in
                     if
                       r.Backend.reducers <> reference.Backend.reducers
                       || r.Backend.tasks <> reference.Backend.tasks

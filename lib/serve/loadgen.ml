@@ -1,6 +1,5 @@
 module E = Vc_core.Vc_error
 module J = Vc_exp.Jsonx
-module Reservoir = Vc_core.Metrics.Reservoir
 module Histogram = Vc_core.Metrics.Histogram
 module Registry = Vc_bench.Registry
 module Sweep = Vc_exp.Sweep
@@ -129,14 +128,12 @@ type agg = {
   mutable a_rejected : int;
   mutable a_lost : int;
   mutable a_divergences : (string * string) list;
-  latencies : Reservoir.t;
-  hist : Histogram.t;  (* exact lifetime counts behind --latency-json *)
+  hist : Histogram.t;  (* exact counts: every percentile and --latency-json *)
 }
 
 let with_agg agg f = Mutex.protect agg.lock (fun () -> f agg)
 
 let check_reply agg (rep : Protocol.reply) (expected : reference) dt_ms =
-  Reservoir.add agg.latencies dt_ms;
   Histogram.add agg.hist dt_ms;
   match rep.r_status with
   | Protocol.Ok_ ->
@@ -299,13 +296,13 @@ let summarize agg ~stats_line =
     rejected = agg.a_rejected;
     lost = agg.a_lost;
     divergences = List.rev agg.a_divergences;
-    p50_ms = Reservoir.quantile agg.latencies 0.5;
-    p99_ms = Reservoir.quantile agg.latencies 0.99;
+    p50_ms = Histogram.quantile agg.hist 0.5;
+    p99_ms = Histogram.quantile agg.hist 0.99;
     p999_ms = Histogram.quantile agg.hist 0.999;
     mean_ms =
       (if count = 0 then 0.0
        else Histogram.sum agg.hist /. float_of_int count);
-    max_ms = Reservoir.max_value agg.latencies;
+    max_ms = Histogram.max_value agg.hist;
     latency = agg.hist;
     stats_line;
   }
@@ -401,7 +398,6 @@ let run ~connect ~rps ~duration ~mix ?(engine = "engine")
           a_rejected = 0;
           a_lost = 0;
           a_divergences = [];
-          latencies = Reservoir.create ~capacity:8192;
           hist = Histogram.create ();
         }
       in

@@ -29,9 +29,11 @@ type summary = {
   divergences : (string * string) list;
       (** (request id, detail) for every [ok] reply that was not
           bit-equal to the batch reference *)
-  p50_ms : float;  (** client-observed round-trip latency *)
+  p50_ms : float;
+      (** client-observed round-trip latency; every percentile, the mean
+          and the max come from [latency] (exact counts) *)
   p99_ms : float;
-  p999_ms : float;  (** from the client-side histogram (exact counts) *)
+  p999_ms : float;
   mean_ms : float;
   max_ms : float;
   latency : Vc_core.Metrics.Histogram.t;

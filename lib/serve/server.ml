@@ -25,7 +25,6 @@ type config = {
   ceiling : Supervisor.budgets;
   faults : Fault.plan;
   telemetry : out_channel option;
-  stats_window : int;
 }
 
 let default_config =
@@ -44,7 +43,6 @@ let default_config =
     ceiling = Supervisor.no_budgets;
     faults = Fault.none;
     telemetry = None;
-    stats_window = 1024;
   }
 
 (* One per accepted socket.  [c_wlock] serializes response writes (pool
@@ -181,6 +179,18 @@ let execute t (req : Protocol.request) entry ~salt ~telemetry =
   in
   let budgets = Supervisor.clamp_budgets ~ceiling:t.cfg.ceiling req_budgets in
   let faults = Fault.split t.cfg.faults ~salt in
+  (* budgeted requests run supervised; the recovery fields ride along *)
+  let supervised fields run =
+    match Supervisor.run ~telemetry run with
+    | Ok o ->
+        Fields
+          (fields o.Supervisor.value
+          @ [
+              ("fallbacks", J.Int o.Supervisor.fallbacks);
+              ("faults_seen", J.Int o.Supervisor.faults_seen);
+            ])
+    | Error e -> Failed e
+  in
   try
     match req.engine with
     | "engine" -> (
@@ -204,18 +214,9 @@ let execute t (req : Protocol.request) entry ~salt ~telemetry =
           Fields (report_fields report)
         else
           let spec = Sweep.spec_of t.ctx entry in
-          match
-            Supervisor.run ?max_tasks:req.max_tasks ~telemetry ~faults
-              ~budgets ~spec ~machine ~strategy:(strategy_of req) ()
-          with
-          | Ok o ->
-              Fields
-                (report_fields o.report
-                @ [
-                    ("fallbacks", J.Int o.fallbacks);
-                    ("faults_seen", J.Int o.faults_seen);
-                  ])
-          | Error e -> Failed e)
+          supervised report_fields (fun telemetry ->
+              Vc_core.Engine.run ?max_tasks:req.max_tasks ~telemetry ~faults
+                ~budgets ~spec ~machine ~strategy:(strategy_of req) ()))
     | engine -> (
         if plain then
           Fields
@@ -229,19 +230,19 @@ let execute t (req : Protocol.request) entry ~salt ~telemetry =
                   engine
           in
           let source, roots = Sweep.backend_source t.ctx entry in
-          match
-            Supervisor.run_backend ~strategy:(strategy_of req)
-              ?max_tasks:req.max_tasks ~telemetry ~faults ~budgets backend
-              source ~roots
-          with
-          | Ok o ->
-              Fields
-                (backend_fields o.result
-                @ [
-                    ("fallbacks", J.Int o.b_fallbacks);
-                    ("faults_seen", J.Int o.b_faults_seen);
-                  ])
-          | Error e -> Failed e)
+          let d = Vc_core.Backend.default_opts in
+          supervised backend_fields (fun telemetry ->
+              let opts =
+                {
+                  d with
+                  strategy = strategy_of req;
+                  max_tasks = Option.value req.max_tasks ~default:d.max_tasks;
+                  telemetry = Some telemetry;
+                  faults;
+                  budgets;
+                }
+              in
+              Vc_core.Backend.run ~opts backend source ~roots))
   with
   | E.Error e -> Failed e
   | exn -> Crashed (Printexc.to_string exn)
@@ -624,7 +625,7 @@ let start cfg =
             ctx;
             entries = load_entries cfg;
             pool = Pool.start_pool ~workers:cfg.workers ();
-            st = Stats.create ~window:cfg.stats_window ();
+            st = Stats.create ();
             queue = Atomic.make 0;
             trace_ctr = Atomic.make 0;
             drain_flag = Atomic.make false;

@@ -46,7 +46,6 @@ type config = {
   telemetry : out_channel option;
       (** shared JSONL stream; every line is tagged with the request's
           trace id.  Flushed on drain; the caller owns closing it. *)
-  stats_window : int;  (** latency-reservoir window for [/stats] *)
 }
 
 val default_config : config

@@ -1,9 +1,8 @@
 module J = Vc_exp.Jsonx
-module Reservoir = Vc_core.Metrics.Reservoir
 module Histogram = Vc_core.Metrics.Histogram
 
-(* Seconds of completed-request counts behind the windowed throughput
-   figure; two spare slots beyond the reported window absorb the current
+(* Seconds of completions behind the windowed throughput and latency
+   figures; two spare slots beyond the reported window absorb the current
    (partial) second and wheel wrap-around. *)
 let rate_window = 10
 let rate_slots = rate_window + 2
@@ -19,22 +18,24 @@ type t = {
   completed_ok : int Atomic.t;
   completed_err : int Atomic.t;
   in_flight : int Atomic.t;
-  wall_ms : Reservoir.t;  (* windowed view: most recent [window] requests *)
   wall_hist : Histogram.t;  (* lifetime store: exact counts, tail quantiles *)
   queue_hist : Histogram.t;
   exec_hist : Histogram.t;
   serialize_hist : Histogram.t;
-  (* Second wheel: slot [sec mod rate_slots] counts completions stamped
-     in unix second [sec]; a stale tag means the slot wrapped and is
-     reset before use.  One mutex — touched once per completion. *)
+  (* Second wheel: slot [sec mod rate_slots] holds the wall-time
+     histogram of completions stamped in unix second [sec]; a stale tag
+     means the slot wrapped and gets a fresh histogram before use.  One
+     mutex — touched once per completion. *)
   rate_lock : Mutex.t;
   rate_sec : int array;
-  rate_count : int array;
+  rate_hist : Histogram.t array;
   breakdown_lock : Mutex.t;
   breakdown : (string * string * string, int ref) Hashtbl.t;
 }
 
-let create ?(window = 1024) () =
+let slot_hist () = Histogram.create ~shards:1 ()
+
+let create () =
   {
     started = Unix.gettimeofday ();
     connections = Atomic.make 0;
@@ -46,14 +47,13 @@ let create ?(window = 1024) () =
     completed_ok = Atomic.make 0;
     completed_err = Atomic.make 0;
     in_flight = Atomic.make 0;
-    wall_ms = Reservoir.create ~capacity:window;
     wall_hist = Histogram.create ();
     queue_hist = Histogram.create ();
     exec_hist = Histogram.create ();
     serialize_hist = Histogram.create ();
     rate_lock = Mutex.create ();
     rate_sec = Array.make rate_slots (-1);
-    rate_count = Array.make rate_slots 0;
+    rate_hist = Array.init rate_slots (fun _ -> slot_hist ());
     breakdown_lock = Mutex.create ();
     breakdown = Hashtbl.create 16;
   }
@@ -82,15 +82,26 @@ let breakdown t =
   in
   List.sort compare rows
 
-let tick_rate t =
+let tick_rate t wall_ms =
   let sec = int_of_float (Unix.gettimeofday ()) in
   let slot = sec mod rate_slots in
   Mutex.protect t.rate_lock (fun () ->
       if t.rate_sec.(slot) <> sec then begin
         t.rate_sec.(slot) <- sec;
-        t.rate_count.(slot) <- 0
+        t.rate_hist.(slot) <- slot_hist ()
       end;
-      t.rate_count.(slot) <- t.rate_count.(slot) + 1)
+      Histogram.add t.rate_hist.(slot) wall_ms)
+
+(* The wheel slots still tagged with the seconds [sec - back] for [back]
+   in [first..last]. *)
+let wheel t ~sec ~first ~last =
+  Mutex.protect t.rate_lock (fun () ->
+      List.filter_map
+        (fun back ->
+          let s = sec - back in
+          let slot = s mod rate_slots in
+          if t.rate_sec.(slot) = s then Some t.rate_hist.(slot) else None)
+        (List.init (last - first + 1) (( + ) first)))
 
 (* Completions per second over the last [rate_window] full seconds (the
    current, partial second is excluded so a mid-second read does not
@@ -103,24 +114,30 @@ let rate t =
     let elapsed = int_of_float (now -. t.started) in
     max 1 (min rate_window elapsed)
   in
-  let total = ref 0 in
-  Mutex.protect t.rate_lock (fun () ->
-      for back = 1 to span do
-        let s = sec - back in
-        let slot = s mod rate_slots in
-        if t.rate_sec.(slot) = s then total := !total + t.rate_count.(slot)
-      done);
-  float_of_int !total /. float_of_int span
+  let total =
+    List.fold_left
+      (fun acc h -> acc + Histogram.count h)
+      0
+      (wheel t ~sec ~first:1 ~last:span)
+  in
+  float_of_int total /. float_of_int span
+
+(* Wall-time histogram of the last [rate_window] full seconds plus the
+   current one: the [/stats] windowed percentiles read {e current}
+   latency, not lifetime latency. *)
+let window_hist t =
+  let sec = int_of_float (Unix.gettimeofday ()) in
+  List.fold_left Histogram.merge (slot_hist ())
+    (wheel t ~sec ~first:0 ~last:rate_window)
 
 let job_finished t ~bench ~engine ~status ~ok ~wall_ms ~queue_wait_ms ~exec_ms
     ~serialize_ms =
   Atomic.decr t.in_flight;
-  Reservoir.add t.wall_ms wall_ms;
   Histogram.add t.wall_hist wall_ms;
   Histogram.add t.queue_hist queue_wait_ms;
   Histogram.add t.exec_hist exec_ms;
   Histogram.add t.serialize_hist serialize_ms;
-  tick_rate t;
+  tick_rate t wall_ms;
   bump t ~bench ~engine ~status;
   if ok then Atomic.incr t.completed_ok else Atomic.incr t.completed_err
 
@@ -135,6 +152,7 @@ let uptime_s t = Unix.gettimeofday () -. t.started
 type field = I of int | F of float
 
 let snapshot t ~queue_depth =
+  let window = window_hist t in
   [
     ("uptime_s", F (uptime_s t));
     ("queue_depth", I queue_depth);
@@ -148,10 +166,10 @@ let snapshot t ~queue_depth =
     ("rps_10s", F (rate t));
     ("connections", I (Atomic.get t.connections));
     ("connections_total", I (Atomic.get t.conns_total));
-    ("p50_wall_ms", F (Reservoir.quantile t.wall_ms 0.5));
-    ("p99_wall_ms", F (Reservoir.quantile t.wall_ms 0.99));
+    ("p50_wall_ms", F (Histogram.quantile window 0.5));
+    ("p99_wall_ms", F (Histogram.quantile window 0.99));
     ("p999_wall_ms", F (Histogram.quantile t.wall_hist 0.999));
-    ("max_wall_ms", F (Reservoir.max_value t.wall_ms));
+    ("max_wall_ms", F (Histogram.max_value window));
   ]
 
 let to_line t ~queue_depth =

@@ -1,21 +1,22 @@
 (** Serve-daemon operational counters and the [/stats] line protocol.
 
     One instance per daemon, shared by every connection thread and pool
-    worker.  Two latency stores with different jobs: a windowed
-    {!Vc_core.Metrics.Reservoir} (the [/stats] p50/p99 — {e current}
-    latency over the most recent requests) and lifetime
-    {!Vc_core.Metrics.Histogram}s for wall time and each request phase
+    worker.  One latency store, {!Vc_core.Metrics.Histogram}, in two
+    views: lifetime histograms for wall time and each request phase
     (exact counts and tail quantiles over the daemon's whole life — the
-    [/metrics] exposition and the [BENCH_serve.json] artifact).  Rendered
+    [/metrics] exposition, [p999_wall_ms] and the [BENCH_serve.json]
+    artifact), and one wall-time histogram per second of a 12-slot wheel
+    (the [/stats] [rps_10s] and windowed [p50]/[p99]/[max_wall_ms] —
+    {e current} latency over the last 10 full seconds plus the current
+    one).  Rendered
     two ways: a one-line [key=value] text form (greppable from [nc] and
     CI logs) and a JSON object (the [op:"stats"] response body). *)
 
 type t
 
-val create : ?window:int -> unit -> t
-(** [window] (default 1024) bounds the latency reservoir: the windowed
-    quantiles reflect the most recent [window] completed requests.  The
-    histograms are unbounded (fixed bucket layout). *)
+val create : unit -> t
+(** Fresh counters; the histograms have the default fixed bucket
+    layout. *)
 
 (** {1 Recording} *)
 

@@ -104,6 +104,12 @@ let check_compiled_vs_interp () =
         strategies)
     dsl_names
 
+(* A supervised backend run: [opts] on the supervisor's counting hub. *)
+let supervised ?(opts = Backend.default_opts) backend source ~roots =
+  Supervisor.run (fun telemetry ->
+      Backend.run ~opts:{ opts with telemetry = Some telemetry } backend source
+        ~roots)
+
 (* Fault-armed supervised runs must recover to the fault-free results on
    both backends; the fired-fallback assertions keep it non-vacuous — in
    particular the interp backend on the IR source fib, whose levels run on
@@ -122,20 +128,19 @@ let check_fault_recovery () =
               let plan =
                 Fault.make ~rate:0.25 ~seed ~sites:[ Fault.Alloc ] ()
               in
-              match
-                Supervisor.run_backend ~faults:plan backend source ~roots
-              with
+              let opts = { Backend.default_opts with faults = plan } in
+              match supervised ~opts backend source ~roots with
               | Error e ->
                   Alcotest.failf "%s on %s seed %d did not recover (%s)"
                     backend.Backend.name name seed (Vc_error.to_string e)
               | Ok o ->
-                  fallbacks := !fallbacks + o.Supervisor.b_fallbacks;
+                  fallbacks := !fallbacks + o.Supervisor.fallbacks;
                   (match (source, backend.Backend.name) with
                   | Backend.Ir _, "blocked" when name = "fib" ->
                       interp_ir_fallbacks :=
-                        !interp_ir_fallbacks + o.Supervisor.b_fallbacks
+                        !interp_ir_fallbacks + o.Supervisor.fallbacks
                   | _ -> ());
-                  let r = o.Supervisor.result in
+                  let r = o.Supervisor.value in
                   if
                     r.Backend.reducers <> reference.Backend.reducers
                     || r.Backend.tasks <> reference.Backend.tasks
@@ -170,7 +175,7 @@ let check_domains () =
               (fun domains ->
                 let opts = { Backend.default_opts with domains = Some domains } in
                 (domains, Backend.run ~opts backend source ~roots))
-              [ 1; 2; 4 ]
+              [ 1; 2; 4; 64 ]
           in
           (* chunking may legitimately change switch/re-expansion counters
              (smaller frontiers); the execution results may not *)
@@ -206,7 +211,9 @@ let check_budgets () =
   List.iter
     (fun backend ->
       (match
-         Supervisor.run_backend ~max_tasks:100 backend source ~roots
+         supervised
+           ~opts:{ Backend.default_opts with max_tasks = 100 }
+           backend source ~roots
        with
       | Error e -> (
           match e.Vc_error.kind with
@@ -215,9 +222,10 @@ let check_budgets () =
               Alcotest.failf "%s task budget raised %s" backend.Backend.name
                 (Vc_error.to_string e))
       | Ok _ -> Alcotest.failf "%s ignored the task budget" backend.Backend.name);
+      let budgets = Supervisor.budgets ~max_live_frames:4 () in
       match
-        Supervisor.run_backend
-          ~budgets:(Supervisor.budgets ~max_live_frames:4 ())
+        supervised
+          ~opts:{ Backend.default_opts with budgets }
           backend source ~roots
       with
       | Error e -> (

@@ -376,8 +376,16 @@ let test_engine_reexpansion_raises_utilization () =
 
 let test_seq_exec_task_limit () =
   let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 20 } in
-  Alcotest.check_raises "limit" (Seq_exec.Task_limit_exceeded 50) (fun () ->
-      ignore (Seq_exec.run ~max_tasks:50 ~spec ~machine:e5 ()))
+  match Seq_exec.run ~max_tasks:50 ~spec ~machine:e5 () with
+  | _ -> Alcotest.fail "task budget should trip"
+  | exception Vc_error.Error e -> (
+      check_int "exit code 2" 2 (Vc_error.exit_code e);
+      match e.Vc_error.kind with
+      | Vc_error.Budget_exceeded { resource = Vc_error.Task_budget; limit; actual }
+        ->
+          check_bool "limit recorded" true (limit = 50.0);
+          check_bool "count passed the limit" true (actual > limit)
+      | _ -> Alcotest.failf "wrong error kind: %s" (Vc_error.to_string e))
 
 let test_strawman () =
   let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 14 } in
@@ -1134,27 +1142,31 @@ let test_report_speedup () =
 
 let hybrid8 = Policy.Hybrid { max_block = 8; reexpand = true }
 
+let supervised_engine ?faults ?recover ?budgets spec =
+  Supervisor.run (fun telemetry ->
+      Engine.run ~telemetry ?faults ?recover ?budgets ~spec ~machine:e5
+        ~strategy:hybrid8 ())
+
 let test_supervisor_recovers () =
   let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 12 } in
   let reference = Engine.run ~spec ~machine:e5 ~strategy:hybrid8 () in
   let plan = Fault.make ~rate:1.0 ~seed:7 ~sites:[ Fault.Compact; Fault.Alloc ] () in
-  match Supervisor.run ~faults:plan ~spec ~machine:e5 ~strategy:hybrid8 () with
+  match supervised_engine ~faults:plan spec with
   | Error e -> Alcotest.failf "no recovery: %s" (Vc_error.to_string e)
   | Ok o ->
       check_bool "reducers equal" true
-        (o.Supervisor.report.Report.reducers = reference.Report.reducers);
-      check_int "tasks equal" reference.Report.tasks o.Supervisor.report.Report.tasks;
+        (o.Supervisor.value.Report.reducers = reference.Report.reducers);
+      check_int "tasks equal" reference.Report.tasks
+        o.Supervisor.value.Report.tasks;
       check_int "base tasks equal" reference.Report.base_tasks
-        o.Supervisor.report.Report.base_tasks;
+        o.Supervisor.value.Report.base_tasks;
       check_bool "faults were injected" true (o.Supervisor.faults_seen > 0);
       check_bool "scalar fallback fired" true (o.Supervisor.fallbacks > 0)
 
 let test_supervisor_no_recover () =
   let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 12 } in
   let plan = Fault.make ~rate:1.0 ~seed:7 ~sites:[ Fault.Alloc ] () in
-  match
-    Supervisor.run ~faults:plan ~recover:false ~spec ~machine:e5 ~strategy:hybrid8 ()
-  with
+  match supervised_engine ~faults:plan ~recover:false spec with
   | Ok _ -> Alcotest.fail "recover:false still recovered"
   | Error e ->
       check_bool "typed fault" true
@@ -1163,11 +1175,8 @@ let test_supervisor_no_recover () =
 
 let test_supervisor_deadline () =
   let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 18 } in
-  match
-    Supervisor.run
-      ~budgets:(Supervisor.budgets ~deadline:100.0 ())
-      ~spec ~machine:e5 ~strategy:hybrid8 ()
-  with
+  let budgets = Supervisor.budgets ~deadline:100.0 () in
+  match supervised_engine ~budgets spec with
   | Ok _ -> Alcotest.fail "deadline did not fire"
   | Error e ->
       check_bool "budget error" true (Vc_error.is_budget e);
@@ -1175,11 +1184,8 @@ let test_supervisor_deadline () =
 
 let test_supervisor_live_frames () =
   let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 18 } in
-  match
-    Supervisor.run
-      ~budgets:(Supervisor.budgets ~max_live_frames:4 ())
-      ~spec ~machine:e5 ~strategy:hybrid8 ()
-  with
+  let budgets = Supervisor.budgets ~max_live_frames:4 () in
+  match supervised_engine ~budgets spec with
   | Ok _ -> Alcotest.fail "live-frame budget did not fire"
   | Error e ->
       check_bool "budget error" true (Vc_error.is_budget e);
@@ -1212,18 +1218,22 @@ let test_soa_fault_fallback () =
 let test_blocked_interp_budget () =
   let t = Transform.transform fib_program in
   let source = Backend.Ir t in
-  (match
-     Supervisor.run_backend
-       ~budgets:(Supervisor.budgets ~max_live_frames:2 ())
-       Backend.interp source ~roots:[ [| 12 |] ]
-   with
+  let supervised ?(budgets = Supervisor.no_budgets) n =
+    Supervisor.run (fun telemetry ->
+        let opts =
+          { Backend.default_opts with telemetry = Some telemetry; budgets }
+        in
+        Backend.run ~opts Backend.interp source ~roots:[ [| n |] ])
+  in
+  (match supervised ~budgets:(Supervisor.budgets ~max_live_frames:2 ()) 12 with
   | Ok _ -> Alcotest.fail "live-frame budget did not fire"
   | Error e ->
       check_bool "budget error" true (Vc_error.is_budget e);
       check_int "exit code 2" 2 (Vc_error.exit_code e));
-  match Supervisor.run_backend Backend.interp source ~roots:[ [| 10 |] ] with
+  match supervised 10 with
   | Ok o ->
-      check_int "fib 10" 55 (List.assoc "result" o.Supervisor.result.Backend.reducers)
+      check_int "fib 10" 55
+        (List.assoc "result" o.Supervisor.value.Backend.reducers)
   | Error e -> Alcotest.failf "unbudgeted run failed: %s" (Vc_error.to_string e)
 
 (* ------------------------------------------------------------------ *)
@@ -1325,7 +1335,7 @@ let merge_associates_random =
       && H.max_value l = H.max_value r)
 
 (* concurrent adds from several domains must lose nothing: the whole
-   point of the per-domain shards (and the Reservoir's lock) *)
+   point of the per-domain shards *)
 let test_histogram_concurrent_adds () =
   let h = H.create () in
   let domains = 4 and per_domain = 5_000 in
@@ -1349,21 +1359,6 @@ let test_histogram_concurrent_adds () =
     (H.sum h);
   check_int "counts table agrees with count" (domains * per_domain)
     (Array.fold_left ( + ) 0 (H.counts h))
-
-let test_reservoir_concurrent_adds () =
-  let r = Metrics.Reservoir.create ~capacity:1024 in
-  let domains = 4 and per_domain = 2_000 in
-  List.init domains (fun _ ->
-      Domain.spawn (fun () ->
-          for k = 1 to per_domain do
-            Metrics.Reservoir.add r (float_of_int k)
-          done))
-  |> List.iter Domain.join;
-  check_int "lifetime count survives concurrent adds" (domains * per_domain)
-    (Metrics.Reservoir.count r);
-  Alcotest.(check (float 0.0)) "lifetime max survives concurrent adds"
-    (float_of_int per_domain)
-    (Metrics.Reservoir.max_value r)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -1483,8 +1478,6 @@ let () =
             test_histogram_buckets;
           Alcotest.test_case "concurrent adds lose nothing" `Quick
             test_histogram_concurrent_adds;
-          Alcotest.test_case "reservoir concurrent adds lose nothing" `Quick
-            test_reservoir_concurrent_adds;
         ]
         @ qsuite
             [

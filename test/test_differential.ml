@@ -153,7 +153,11 @@ let check_fault_recovery () =
                 let plan =
                   Fault.make ~rate:0.25 ~seed:fault_seed ~sites:[ site ] ()
                 in
-                match Supervisor.run ~faults:plan ~spec ~machine:e5 ~strategy () with
+                match
+                  Supervisor.run (fun telemetry ->
+                      Engine.run ~telemetry ~faults:plan ~spec ~machine:e5
+                        ~strategy ())
+                with
                 | Error e ->
                     Alcotest.failf "site %s seed %d did not recover (%s) on %s"
                       (Fault.site_name site) fault_seed (Vc_error.to_string e)
@@ -161,7 +165,7 @@ let check_fault_recovery () =
                 | Ok o ->
                     fallbacks := !fallbacks + o.Supervisor.fallbacks;
                     faults_seen := !faults_seen + o.Supervisor.faults_seen;
-                    let r = o.Supervisor.report in
+                    let r = o.Supervisor.value in
                     if
                       r.Report.reducers <> reference.Report.reducers
                       || r.Report.tasks <> reference.Report.tasks
@@ -194,7 +198,7 @@ let check_fault_recovery () =
    (strategy, cycles, cpi, space_peak, wall_seconds).  Small chunk/block
    parameters exercise dealing, stealing and merge on shallow random
    trees. *)
-let domain_counts = [ 1; 2; 4 ]
+let domain_counts = [ 1; 2; 4; 64 ]
 
 let scrub (r : Report.t) =
   {
@@ -359,17 +363,19 @@ let check_compiled_fault_recovery () =
                 Fault.make ~rate:0.25 ~seed:fault_seed ~sites:[ Fault.Alloc ] ()
               in
               match
-                Supervisor.run_backend ~strategy ~max_tasks:200_000 ~faults:plan
-                  Backend.compiled source ~roots
+                Supervisor.run (fun telemetry ->
+                    Backend.run
+                      ~opts:{ opts with faults = plan; telemetry = Some telemetry }
+                      Backend.compiled source ~roots)
               with
               | Error e ->
                   Alcotest.failf
                     "compiled backend seed %d did not recover (%s) on %s"
                     fault_seed (Vc_error.to_string e) (describe i p args)
               | Ok o ->
-                  fallbacks := !fallbacks + o.Supervisor.b_fallbacks;
-                  faults_seen := !faults_seen + o.Supervisor.b_faults_seen;
-                  let r = o.Supervisor.result in
+                  fallbacks := !fallbacks + o.Supervisor.fallbacks;
+                  faults_seen := !faults_seen + o.Supervisor.faults_seen;
+                  let r = o.Supervisor.value in
                   if
                     r.Backend.reducers <> reference.Backend.reducers
                     || r.Backend.tasks <> reference.Backend.tasks
@@ -402,15 +408,16 @@ let check_domains_fault_recovery () =
                 ~sites:[ Fault.Compact; Fault.Alloc ] ()
             in
             match
-              Supervisor.run_domains ~chunks:4 ~faults:plan ~spec ~machine:e5
-                ~strategy ~domains:2 ()
+              Supervisor.run (fun telemetry ->
+                  Domain_sched.run ~chunks:4 ~telemetry ~faults:plan ~spec
+                    ~machine:e5 ~strategy ~domains:2 ())
             with
             | Error e ->
                 Alcotest.failf "domains=2 seed %d did not recover (%s) on %s"
                   fault_seed (Vc_error.to_string e) (describe i p args)
-            | Ok d ->
-                faults_seen := !faults_seen + d.Domain_sched.faults_seen;
-                let r = d.Domain_sched.report in
+            | Ok o ->
+                faults_seen := !faults_seen + o.Supervisor.faults_seen;
+                let r = o.Supervisor.value.Domain_sched.report in
                 if
                   r.Report.reducers <> reference.Report.reducers
                   || r.Report.tasks <> reference.Report.tasks

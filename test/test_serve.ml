@@ -2,8 +2,8 @@
    oversized, unknown, dropped, overloaded, deadline-exceeded — each of
    which must leave the daemon serving), graceful-drain semantics, the
    persistent worker pool's containment contract, budget clamping, the
-   /stats reservoir, and the exit-code taxonomy constants the CLI and CI
-   assert against. *)
+   /stats windowed percentiles, and the exit-code taxonomy constants the
+   CLI and CI assert against. *)
 
 module Protocol = Vc_serve.Protocol
 module Server = Vc_serve.Server
@@ -137,23 +137,30 @@ let check_clamp_budgets () =
     (Some 10.0)
     (Supervisor.clamp_budgets ~ceiling tighter).Supervisor.deadline
 
-let check_reservoir () =
-  let r = Vc_core.Metrics.Reservoir.create ~capacity:4 in
-  Alcotest.(check (float 0.0)) "empty quantile is 0" 0.0
-    (Vc_core.Metrics.Reservoir.quantile r 0.5);
-  List.iter (Vc_core.Metrics.Reservoir.add r) [ 10.0; 20.0; 30.0; 40.0 ];
-  Alcotest.(check (float 0.0)) "p50 nearest-rank" 20.0
-    (Vc_core.Metrics.Reservoir.quantile r 0.5);
-  Alcotest.(check (float 0.0)) "p99 nearest-rank" 40.0
-    (Vc_core.Metrics.Reservoir.quantile r 0.99);
-  (* the window slides: 10 is evicted, lifetime max survives *)
-  Vc_core.Metrics.Reservoir.add r 5.0;
-  Alcotest.(check (float 0.0)) "window slid" 5.0
-    (Vc_core.Metrics.Reservoir.quantile r 0.0);
-  Alcotest.(check (float 0.0)) "lifetime max" 40.0
-    (Vc_core.Metrics.Reservoir.max_value r);
-  Alcotest.(check int) "count is lifetime" 5
-    (Vc_core.Metrics.Reservoir.count r)
+(* The /stats windowed percentiles come from the second wheel's
+   histograms: over samples just recorded (all inside the window) they
+   equal the exact histogram's quantiles over the same samples. *)
+let check_windowed_percentiles () =
+  let st = Stats.create () in
+  let exact = Vc_core.Metrics.Histogram.create () in
+  List.iter
+    (fun ms ->
+      Vc_core.Metrics.Histogram.add exact ms;
+      Stats.job_finished st ~bench:"fib" ~engine:"engine" ~status:"ok" ~ok:true
+        ~wall_ms:ms ~queue_wait_ms:0.0 ~exec_ms:ms ~serialize_ms:0.0)
+    [ 0.3; 1.0; 2.5; 4.0; 7.5; 12.0; 40.0; 90.0; 250.0; 1200.0 ];
+  let field k =
+    match List.assoc k (Stats.snapshot st ~queue_depth:0) with
+    | Stats.F f -> f
+    | Stats.I i -> float_of_int i
+  in
+  List.iter
+    (fun (k, q) ->
+      Alcotest.(check (float 0.0)) k
+        (Vc_core.Metrics.Histogram.quantile exact q)
+        (field k))
+    [ ("p50_wall_ms", 0.5); ("p99_wall_ms", 0.99) ];
+  Alcotest.(check (float 0.0)) "max_wall_ms" 1200.0 (field "max_wall_ms")
 
 let check_worker_pool () =
   let pool = Pool.start_pool ~workers:2 () in
@@ -648,8 +655,8 @@ let check_loadgen_bit_equality () =
          body renders with profile + percentiles + histogram *)
       Alcotest.(check int) "histogram count = ok count" s.Loadgen.ok
         (Vc_core.Metrics.Histogram.count s.Loadgen.latency);
-      (* p50/p99 are exact (reservoir); p999 is a histogram bucket upper
-         bound, so it may sit up to one bucket above the exact max *)
+      (* every percentile is a bucket upper bound of the same histogram,
+         so they are ordered *)
       Alcotest.(check bool) "percentiles are ordered" true
         (s.Loadgen.p50_ms <= s.Loadgen.p99_ms
         && s.Loadgen.p99_ms <= s.Loadgen.p999_ms);
@@ -685,8 +692,8 @@ let () =
         [
           Alcotest.test_case "budget clamping is tightest-wins" `Quick
             check_clamp_budgets;
-          Alcotest.test_case "latency reservoir quantiles" `Quick
-            check_reservoir;
+          Alcotest.test_case "windowed /stats percentiles = histogram" `Quick
+            check_windowed_percentiles;
           Alcotest.test_case "worker pool containment and drain" `Quick
             check_worker_pool;
           Alcotest.test_case "seeded jitter retries heal transients" `Quick
