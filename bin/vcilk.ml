@@ -67,6 +67,7 @@
    persistent cache); chaos arms it explicitly via --seed/--faults. *)
 
 open Cmdliner
+module Sweep = Vc_exp.Sweep
 
 let machine_conv =
   let parse s =
@@ -153,10 +154,8 @@ let max_tasks_flag =
    model, real time. *)
 let engine_flag =
   Arg.(value
-       & opt
-           (enum
-              [ ("engine", `Engine); ("blocked", `Blocked); ("compiled", `Compiled) ])
-           `Engine
+       & opt (enum (List.map (fun e -> (Sweep.engine_name e, e)) Sweep.engines))
+           Sweep.Model
        & info [ "e"; "engine" ] ~docv:"ENGINE"
            ~doc:
              "Execution engine: $(b,engine) (the cost-model simulator, \
@@ -164,16 +163,6 @@ let engine_flag =
               closure-interpreter backend), or $(b,compiled) (wall-clock \
               compiled SoA backend). The wall-clock engines report measured \
               throughput and ignore the modeled-cycle $(b,--deadline).")
-
-let engine_name = function
-  | `Engine -> "engine"
-  | `Blocked -> "blocked"
-  | `Compiled -> "compiled"
-
-let backend_of = function
-  | `Blocked -> Vc_core.Backend.interp
-  | `Compiled -> Vc_core.Backend.compiled
-  | `Engine -> invalid_arg "backend_of: the cost model is not a backend"
 
 let wall_rate tasks wall = float_of_int tasks /. Float.max wall 1e-9
 
@@ -207,7 +196,7 @@ let loaded_workloads dirs =
 let ctx_of ?(budgets = Vc_core.Supervisor.no_budgets) quick jobs no_cache =
   (* VC_FAULT_SEED arms fault injection in every sweep point; the sweep
      then refuses to write recovered (degraded-cost) runs to disk. *)
-  Vc_exp.Sweep.create ~quick ~jobs
+  Sweep.create ~quick ~jobs
     ~cache_dir:(if no_cache then None else Some ".vc-cache")
     ~budgets
     ~faults:(Vc_core.Fault.of_env ())
@@ -235,10 +224,10 @@ let install_signal_flush flush =
 (* Flush the run cache and report what the sweep actually did; artifact
    text goes to stdout, so the stats line stays on stderr. *)
 let finish ctx =
-  Vc_exp.Sweep.persist ctx;
+  Sweep.persist ctx;
   Format.eprintf "[sweep] %d simulated, %d disk-cache hits, jobs %d@."
-    (Vc_exp.Sweep.simulations ctx)
-    (Vc_exp.Sweep.cache_hits ctx) (Vc_exp.Sweep.jobs ctx)
+    (Sweep.simulations ctx)
+    (Sweep.cache_hits ctx) (Sweep.jobs ctx)
 
 let list_cmd =
   let run workloads =
@@ -277,11 +266,8 @@ let run_cmd =
     (* a typed enum, so an unknown strategy is a usage error from the
        argument parser instead of a raw Failure escaping main *)
     Arg.(value
-         & opt
-             (enum
-                [ ("seq", `Seq); ("strawman", `Strawman); ("bfs", `Bfs);
-                  ("noreexp", `Noreexp); ("reexp", `Reexp) ])
-             `Reexp
+         & opt (enum (List.map (fun s -> (Sweep.strategy_name s, s)) Sweep.strategies))
+             Sweep.Reexp
          & info [ "s"; "strategy" ] ~doc:"seq|strawman|bfs|noreexp|reexp.")
   in
   let block =
@@ -291,111 +277,60 @@ let run_cmd =
   let run quick jobs no_cache deadline wall_deadline max_live_frames domains
       max_tasks engine workloads bench machine strategy block =
     or_die @@ fun () ->
+    let domains = if domains = 1 then None else Some domains in
     let entry = resolve_bench ~workloads bench in
-    if domains < 1 then begin
-      Format.eprintf "vcilk: --domains must be positive@.";
-      exit 1
-    end;
-    if domains > 1 && (strategy = `Seq || strategy = `Strawman) then begin
-      Format.eprintf "vcilk: --domains applies to the engine strategies (bfs|noreexp|reexp)@.";
-      exit 1
-    end;
-    if engine <> `Engine && (strategy = `Seq || strategy = `Strawman) then begin
-      Format.eprintf
-        "vcilk: --engine %s runs the blocked scheduler (bfs|noreexp|reexp)@."
-        (engine_name engine);
-      exit 1
-    end;
+    let point = { (Sweep.point entry) with engine; machine; strategy; block; domains } in
+    Result.iter_error
+      (fun msg -> Format.eprintf "vcilk: %s@." msg; exit 1)
+      (Sweep.validate point);
     let ctx = ctx_of quick jobs no_cache in
+    if engine <> Sweep.Model && deadline <> None then
+      Format.eprintf
+        "vcilk: note: --deadline is modeled cycles; --engine %s ignores it \
+         (use --wall-deadline)@."
+        (Sweep.engine_name engine);
     let budgets = { Vc_core.Supervisor.deadline; wall_deadline; max_live_frames } in
     let faults = Vc_core.Fault.of_env () in
-    let policy =
-      match strategy with
-      | `Bfs -> Vc_core.Policy.Bfs_only
-      | `Noreexp -> Vc_core.Policy.Hybrid { max_block = block; reexpand = false }
-      | _ -> Vc_core.Policy.Hybrid { max_block = block; reexpand = true }
-    in
-    (* every executor runs supervised, so the recovery line prints once *)
-    let supervised exec =
-      match Vc_core.Supervisor.run exec with
+    let o =
+      match
+        Vc_core.Supervisor.run (fun telemetry ->
+            Sweep.exec ctx ~telemetry ~faults ~budgets ?max_tasks point)
+      with
       | Error e -> die e
-      | Ok o ->
-          if o.Vc_core.Supervisor.faults_seen > 0 then
-            Format.eprintf "[supervisor] %d faults contained, %d scalar fallbacks@."
-              o.Vc_core.Supervisor.faults_seen o.Vc_core.Supervisor.fallbacks;
-          o.Vc_core.Supervisor.value
+      | Ok o -> o
     in
-    if engine <> `Engine then begin
-      (* Wall-clock backend path: no machine model, no modeled cycles. *)
-      if deadline <> None then
-        Format.eprintf
-          "vcilk: note: --deadline is modeled cycles; --engine %s ignores it \
-           (use --wall-deadline)@."
-          (engine_name engine);
-      let source, roots = Vc_exp.Sweep.backend_source ctx entry in
-      let d = Vc_core.Backend.default_opts in
-      let r =
-        supervised (fun telemetry ->
-            let opts =
-              {
-                d with
-                strategy = policy;
-                max_tasks = Option.value max_tasks ~default:d.max_tasks;
-                telemetry = Some telemetry;
-                faults;
-                budgets;
-                domains = (if domains = 1 then None else Some domains);
-              }
-            in
-            Vc_core.Backend.run ~opts (backend_of engine) source ~roots)
-      in
-      List.iter
-        (fun (n, v) -> Format.printf "%s = %d@." n v)
-        r.Vc_core.Backend.reducers;
-      Format.printf
-        "%d tasks (%d base), max depth %d, %d switches, %d re-expansions@."
-        r.Vc_core.Backend.tasks r.Vc_core.Backend.base_tasks
-        r.Vc_core.Backend.max_depth r.Vc_core.Backend.switches
-        r.Vc_core.Backend.reexpansions;
-      Format.printf "engine %s: wall %.6f s, %.3f M tasks/s@."
-        (engine_name engine) r.Vc_core.Backend.wall_seconds
-        (wall_rate r.Vc_core.Backend.tasks r.Vc_core.Backend.wall_seconds
-        /. 1e6);
-      exit 0
-    end;
-    let spec = Vc_exp.Sweep.spec_of ctx entry in
+    if o.faults_seen > 0 then
+      Format.eprintf "[supervisor] %d faults contained, %d scalar fallbacks@."
+        o.faults_seen o.fallbacks;
     let report =
-      supervised @@ fun telemetry ->
-      match strategy with
-      | `Seq -> Vc_core.Seq_exec.run ?max_tasks ~spec ~machine ()
-      | `Strawman -> Vc_core.Strawman.run ?max_tasks ~spec ~machine ()
-      | `Bfs | `Noreexp | `Reexp when domains = 1 ->
-          Vc_core.Engine.run ?max_tasks ~telemetry ~faults ~budgets ~spec ~machine
-            ~strategy:policy ()
-      | `Bfs | `Noreexp | `Reexp ->
-          let d =
-            Vc_core.Domain_sched.run ?max_tasks ~telemetry ~faults ~budgets ~spec
-              ~machine ~strategy:policy ~domains ()
-          in
-          Format.eprintf
-            "[domains] %d domains, %d chunks (frontier %d at depth %d)@."
-            d.Vc_core.Domain_sched.domains d.Vc_core.Domain_sched.chunks
-            d.Vc_core.Domain_sched.frontier d.Vc_core.Domain_sched.frontier_depth;
+      match o.value with
+      | Sweep.Report (r, None) -> r
+      | Sweep.Report (_, Some d) ->
+          let open Vc_core.Domain_sched in
+          Format.eprintf "[domains] %d domains, %d chunks (frontier %d at depth %d)@."
+            d.domains d.chunks d.frontier d.frontier_depth;
           Format.eprintf
             "[domains] expansion %.3e + makespan %.3e of %.3e work cycles; \
              %d modeled steals (%d failed), %d observed@."
-            d.Vc_core.Domain_sched.expansion_cycles
-            d.Vc_core.Domain_sched.makespan_cycles
-            d.Vc_core.Domain_sched.work_cycles
-            d.Vc_core.Domain_sched.modeled_steals
-            d.Vc_core.Domain_sched.modeled_failed_steals
-            d.Vc_core.Domain_sched.observed_steals;
-          d.Vc_core.Domain_sched.report
+            d.expansion_cycles d.makespan_cycles d.work_cycles d.modeled_steals
+            d.modeled_failed_steals d.observed_steals;
+          d.report
+      | Sweep.Wall r ->
+          (* wall-clock backends: no machine model, no modeled cycles *)
+          let open Vc_core.Backend in
+          List.iter (fun (n, v) -> Format.printf "%s = %d@." n v) r.reducers;
+          Format.printf
+            "%d tasks (%d base), max depth %d, %d switches, %d re-expansions@." r.tasks
+            r.base_tasks r.max_depth r.switches r.reexpansions;
+          Format.printf "engine %s: wall %.6f s, %.3f M tasks/s@."
+            (Sweep.engine_name engine) r.wall_seconds
+            (wall_rate r.tasks r.wall_seconds /. 1e6);
+          exit 0
     in
     Format.printf "%a@." Vc_core.Report.pp_summary report;
-    if strategy <> `Seq && not report.Vc_core.Report.oom then
+    if strategy <> Sweep.Seq && not report.Vc_core.Report.oom then
       Format.printf "modeled speedup over sequential: %.2f@."
-        (Vc_exp.Sweep.speedup ctx entry machine report);
+        (Sweep.speedup ctx point.Sweep.entry machine report);
     finish ctx
   in
   Cmd.v
@@ -474,8 +409,8 @@ let table_cmd =
     let ctx = ctx_of quick jobs no_cache in
     let fmt = Format.std_formatter in
     (match n with
-    | 1 -> Vc_exp.Sweep.prewarm ~scope:`Seq_only ctx
-    | 2 | 3 -> Vc_exp.Sweep.prewarm ctx
+    | 1 -> Sweep.prewarm ~scope:`Seq_only ctx
+    | 2 | 3 -> Sweep.prewarm ctx
     | _ -> ());
     (match n with
     | 1 -> Vc_exp.Tables.table1 ctx fmt
@@ -495,8 +430,8 @@ let figure_cmd =
     let ctx = ctx_of quick jobs no_cache in
     let fmt = Format.std_formatter in
     (match n with
-    | 9 | 17 -> Vc_exp.Sweep.prewarm ~scope:`Seq_only ctx
-    | 10 | 11 | 12 | 13 | 14 | 15 | 16 -> Vc_exp.Sweep.prewarm ctx
+    | 9 | 17 -> Sweep.prewarm ~scope:`Seq_only ctx
+    | 10 | 11 | 12 | 13 | 14 | 15 | 16 -> Sweep.prewarm ctx
     | _ -> ());
     (match n with
     | 9 -> Vc_exp.Figures.figure9 ctx fmt
@@ -546,8 +481,8 @@ let trace_cmd =
     (* traced runs are never cached: the trace is a side effect of the
        simulation, so this command always simulates fresh *)
     let entry = resolve_bench ~workloads bench in
-    let ctx = Vc_exp.Sweep.create ~quick ~cache_dir:None () in
-    let spec = Vc_exp.Sweep.spec_of ctx entry in
+    let ctx = Sweep.create ~quick ~cache_dir:None () in
+    let spec = Sweep.spec_of ctx entry in
     let tel = Vc_core.Telemetry.create () in
     (* every level, unbounded: the table and the plot cover the whole run *)
     let level_sink, levels = Vc_core.Telemetry.level_sink () in
@@ -658,8 +593,8 @@ let profile_cmd =
     (* Profiled runs always simulate fresh: attribution is a side effect
        of the simulation, exactly like trace. *)
     let entry = resolve_bench ~workloads bench in
-    let ctx = Vc_exp.Sweep.create ~quick ~cache_dir:None () in
-    let spec = Vc_exp.Sweep.spec_of ctx entry in
+    let ctx = Sweep.create ~quick ~cache_dir:None () in
+    let spec = Sweep.spec_of ctx entry in
     let tel = Vc_core.Telemetry.create () in
     let profile = Vc_core.Profile.create () in
     Vc_core.Profile.attach profile tel;
@@ -753,58 +688,40 @@ let bench_cmd =
       "BASE" "DEPTH" "SW" "RE" "WALL_S" "MTASK/S";
     List.iter
       (fun (e : Vc_bench.Registry.entry) ->
-        let r = Vc_exp.Sweep.backend_run ctx e ~engine ~block in
+        let r = Sweep.backend_run ctx e ~engine ~block in
+        let open Vc_core.Backend in
         Format.printf "%-12s %12d %12d %7d %6d %6d %10.6f %10.2f@."
-          e.Vc_bench.Registry.name r.Vc_core.Backend.tasks
-          r.Vc_core.Backend.base_tasks r.Vc_core.Backend.max_depth
-          r.Vc_core.Backend.switches r.Vc_core.Backend.reexpansions
-          r.Vc_core.Backend.wall_seconds
-          (wall_rate r.Vc_core.Backend.tasks r.Vc_core.Backend.wall_seconds
-          /. 1e6))
+          e.Vc_bench.Registry.name r.tasks r.base_tasks r.max_depth r.switches
+          r.reexpansions r.wall_seconds
+          (wall_rate r.tasks r.wall_seconds /. 1e6))
       entries
   in
   let write_comparison ctx ~entries ~block path =
     (* Best-of-3 per engine: the comparison is a measurement artifact, so
        it must not inherit the sweep memo's single (possibly cold) run —
        one GC-unlucky shot would record a bogus ratio. *)
-    let measure e ~engine =
-      let source, roots = Vc_exp.Sweep.backend_source ctx e in
-      let backend =
-        match Vc_core.Backend.find engine with
-        | Some b -> b
-        | None -> assert false
-      in
-      let opts =
-        {
-          Vc_core.Backend.default_opts with
-          strategy = Vc_core.Policy.Hybrid { max_block = block; reexpand = true };
-        }
-      in
-      let best = ref None in
-      for _ = 1 to 3 do
-        let r = Vc_core.Backend.run ~opts backend source ~roots in
-        match !best with
-        | Some (b : Vc_core.Backend.result)
-          when b.Vc_core.Backend.wall_seconds <= r.Vc_core.Backend.wall_seconds
-          -> ()
-        | _ -> best := Some r
-      done;
-      Option.get !best
+    let measure e engine =
+      let point = { (Sweep.point e) with Sweep.engine; block } in
+      List.fold_left
+        (fun (_, best) _ ->
+          match Sweep.exec ctx point with
+          | Sweep.Wall r -> (r.Vc_core.Backend.tasks, Float.min best r.wall_seconds)
+          | Sweep.Report _ -> assert false)
+        (0, infinity) [ 1; 2; 3 ]
     in
     let benches =
       List.map
         (fun (e : Vc_bench.Registry.entry) ->
-          let i = measure e ~engine:"blocked" in
-          let c = measure e ~engine:"compiled" in
-          let i_rate = wall_rate i.Vc_core.Backend.tasks i.Vc_core.Backend.wall_seconds in
-          let c_rate = wall_rate c.Vc_core.Backend.tasks c.Vc_core.Backend.wall_seconds in
+          let tasks, i_wall = measure e Sweep.Blocked in
+          let c_tasks, c_wall = measure e Sweep.Compiled in
+          let i_rate = wall_rate tasks i_wall and c_rate = wall_rate c_tasks c_wall in
           Vc_exp.Jsonx.Obj
             [
               ("bench", String e.Vc_bench.Registry.name);
-              ("tasks", Int i.Vc_core.Backend.tasks);
-              ("blocked_wall_seconds", Float i.Vc_core.Backend.wall_seconds);
+              ("tasks", Int tasks);
+              ("blocked_wall_seconds", Float i_wall);
               ("blocked_tasks_per_sec", Float i_rate);
-              ("compiled_wall_seconds", Float c.Vc_core.Backend.wall_seconds);
+              ("compiled_wall_seconds", Float c_wall);
               ("compiled_tasks_per_sec", Float c_rate);
               ("compiled_speedup", Float (c_rate /. Float.max i_rate 1e-9));
             ])
@@ -814,7 +731,7 @@ let bench_cmd =
       Vc_exp.Jsonx.Obj
         [
           ("block", Int block);
-          ("quick", Bool (Vc_exp.Sweep.quick ctx));
+          ("quick", Bool (Sweep.quick ctx));
           ("benchmarks", List benches);
         ]
     in
@@ -840,24 +757,24 @@ let bench_cmd =
           (fun (l : Vc_bench.Registry.loaded) -> l.Vc_bench.Registry.entry)
           (loaded_workloads (workloads @ default_workload_dirs))
     in
-    if engine <> `Engine then begin
+    if engine <> Sweep.Model then begin
       (* Wall-clock engines carry no modeled metrics: the baseline gate,
          history, and --write-baseline apply to the cost model only. *)
       if check_baseline <> None || write_baseline <> None then begin
         Format.eprintf
           "vcilk: --check-baseline/--write-baseline gate modeled metrics; \
            they do not apply to --engine %s@."
-          (engine_name engine);
+          (Sweep.engine_name engine);
         exit 1
       end;
       let ctx = ctx_of quick jobs no_cache in
-      install_signal_flush (fun () -> Vc_exp.Sweep.persist ctx);
-      backend_table ctx ~entries ~engine:(engine_name engine) ~block;
+      install_signal_flush (fun () -> Sweep.persist ctx);
+      backend_table ctx ~entries ~engine:(Sweep.engine_name engine) ~block;
       Option.iter (write_comparison ctx ~entries ~block) compiled_json;
       exit 0
     end;
     let ctx = ctx_of quick jobs no_cache in
-    install_signal_flush (fun () -> Vc_exp.Sweep.persist ctx);
+    install_signal_flush (fun () -> Sweep.persist ctx);
     let current = Vc_exp.Baseline.collect ~block ctx in
     let current =
       match serve_latency with
@@ -1008,7 +925,7 @@ let plot_cmd =
     let log2 b = log (float_of_int b) /. log 2.0 in
     let value (r : Vc_core.Report.t) =
       match what with
-      | `Speedup -> Some (Vc_exp.Sweep.speedup ctx entry machine r)
+      | `Speedup -> Some (Sweep.speedup ctx entry machine r)
       | `Utilization -> Some r.Vc_core.Report.utilization
       | `Miss -> List.assoc_opt "L1d" r.Vc_core.Report.miss_rates
     in
@@ -1020,10 +937,10 @@ let plot_cmd =
         points =
           List.filter_map
             (fun block ->
-              let r = Vc_exp.Sweep.hybrid ctx entry machine ~reexpand ~block in
+              let r = Sweep.hybrid ctx entry machine ~reexpand ~block in
               if r.Vc_core.Report.oom then None
               else Option.map (fun v -> (log2 block, v)) (value r))
-            (Vc_exp.Sweep.blocks_of ctx entry);
+            (Sweep.blocks_of ctx entry);
       }
     in
     let what_name =
@@ -1047,7 +964,7 @@ let export_cmd =
   let dir = Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR") in
   let run quick jobs no_cache dir =
     let ctx = ctx_of quick jobs no_cache in
-    Vc_exp.Sweep.prewarm ctx;
+    Sweep.prewarm ctx;
     let files = Vc_exp.Csv.export_all ctx ~dir in
     Format.printf "wrote %d CSV files to %s:@." (List.length files) dir;
     List.iter (fun f -> Format.printf "  %s@." f) files;
@@ -1063,14 +980,14 @@ let verify_cmd =
     or_die @@ fun () ->
     let budgets = { Vc_core.Supervisor.deadline; wall_deadline; max_live_frames } in
     let ctx = ctx_of ~budgets quick jobs no_cache in
-    Vc_exp.Sweep.prewarm ctx;
+    Sweep.prewarm ctx;
     let verdicts = Vc_exp.Claims.all ctx in
     (* --engine blocked|compiled appends the wall-clock backend's
        equivalence claims to the standard set. *)
     let verdicts =
       match engine with
-      | `Engine -> verdicts
-      | e -> verdicts @ Vc_exp.Claims.backend ctx ~engine:(engine_name e)
+      | Sweep.Model -> verdicts
+      | e -> verdicts @ Vc_exp.Claims.backend ctx ~engine:(Sweep.engine_name e)
     in
     (* --workloads appends one differential-replay verdict per loaded
        .rtp workload: oracle, engine, and both wall-clock backends agree
@@ -1084,7 +1001,7 @@ let verify_cmd =
               Printf.sprintf
                 "workload %s replays identically across all backends" name
             in
-            match Vc_fuzz.Corpus.replay ~quick:(Vc_exp.Sweep.quick ctx) l with
+            match Vc_fuzz.Corpus.replay ~quick:(Sweep.quick ctx) l with
             | Ok checks ->
                 { Vc_exp.Claims.claim; holds = true;
                   evidence = Printf.sprintf "%d comparisons" checks }
@@ -1151,71 +1068,48 @@ let chaos_cmd =
     in
     (* Chaos runs are recovered-but-degraded, so they never touch the
        persistent cache; every reference and faulted run is fresh. *)
-    let ctx = Vc_exp.Sweep.create ~quick ~jobs ~cache_dir:None () in
+    let ctx = Sweep.create ~quick ~jobs ~cache_dir:None () in
     (* nothing persists from a chaos ctx; the handler still flushes the
        partial campaign output before exiting 130/143 *)
-    install_signal_flush (fun () -> Vc_exp.Sweep.persist ctx);
-    let strategy = Vc_core.Policy.Hybrid { max_block = block; reexpand = true } in
+    install_signal_flush (fun () -> Sweep.persist ctx);
     Format.printf
       "chaos: engine %s, seed %d, rate %.2f, sites %s, block %d, %d domain%s, \
        %s workloads@."
-      (engine_name engine) seed rate
+      (Sweep.engine_name engine) seed rate
       (String.concat "," (List.map Vc_core.Fault.site_name sites))
       block domains
       (if domains = 1 then "" else "s")
-      (if Vc_exp.Sweep.quick ctx then "quick" else "full");
+      (if Sweep.quick ctx then "quick" else "full");
     (* Campaign: for every benchmark, a supervised run under the fault
        plan must reproduce the fault-free single-context run's reducers
        and task counts exactly — scalar fallback (engine block quarantine,
        backend level quarantine) is a correctness-preserving degradation.
        With --domains > 1 the same must hold across the chunked runs
        (fault plans are split per chunk). *)
-    let project ~faults ~domains entry telemetry =
-      if engine = `Engine then
-        let spec = Vc_exp.Sweep.spec_of ctx entry in
-        let r =
-          if domains = 1 then
-            Vc_core.Engine.run ~telemetry ~faults ~spec ~machine ~strategy ()
-          else
-            (Vc_core.Domain_sched.run ~telemetry ~faults ~spec ~machine ~strategy
-               ~domains ())
-              .Vc_core.Domain_sched.report
-        in
-        Vc_core.Report.(r.reducers, r.tasks, r.base_tasks)
-      else
-        let source, roots = Vc_exp.Sweep.backend_source ctx entry in
-        let opts =
-          {
-            Vc_core.Backend.default_opts with
-            strategy;
-            telemetry = Some telemetry;
-            faults;
-            domains = (if domains = 1 then None else Some domains);
-          }
-        in
-        let r = Vc_core.Backend.run ~opts (backend_of engine) source ~roots in
-        Vc_core.Backend.(r.reducers, r.tasks, r.base_tasks)
+    let project ~faults point telemetry =
+      let c = Sweep.counts (Sweep.exec ctx ~telemetry ~faults point) in
+      (c.reducers, c.tasks, c.base_tasks)
     in
+    let domains = if domains = 1 then None else Some domains in
     let entries = Array.of_list all_entries in
     let results = Array.make (Array.length entries) None in
     let check_bench (entry : Vc_bench.Registry.entry) =
       let name = entry.Vc_bench.Registry.name in
+      let point = { (Sweep.point entry) with Sweep.engine; machine; block; domains } in
       let reference =
-        project ~faults:Vc_core.Fault.none ~domains:1 entry
+        project ~faults:Vc_core.Fault.none { point with domains = None }
           (Vc_core.Telemetry.create ())
       in
       let plan = Vc_core.Fault.make ~rate ~seed ~sites () in
-      match Vc_core.Supervisor.run (project ~faults:plan ~domains entry) with
+      match Vc_core.Supervisor.run (project ~faults:plan point) with
       | Error e -> (name, false, Vc_core.Vc_error.to_string e, 0)
       | Ok o ->
-          let faults_seen = o.Vc_core.Supervisor.faults_seen in
-          ( name,
-            o.Vc_core.Supervisor.value = reference,
-            Printf.sprintf "%d faults, %d fallbacks" faults_seen
-              o.Vc_core.Supervisor.fallbacks,
-            faults_seen )
+          let detail =
+            Printf.sprintf "%d faults, %d fallbacks" o.faults_seen o.fallbacks
+          in
+          (name, o.value = reference, detail, o.faults_seen)
     in
-    Vc_exp.Pool.run ~jobs:(Vc_exp.Sweep.jobs ctx)
+    Vc_exp.Pool.run ~jobs:(Sweep.jobs ctx)
       (Array.to_list
          (Array.mapi (fun i e () -> results.(i) <- Some (check_bench e)) entries));
     let failures = ref 0 in
@@ -1267,7 +1161,7 @@ let chaos_cmd =
           (Printf.sprintf "vcilk-chaos-%d" (Unix.getpid ()))
       in
       let t = Vc_exp.Run_cache.load ~faults:plan ~dir () in
-      let spec = Vc_exp.Sweep.spec_of ctx entries.(0) in
+      let spec = Sweep.spec_of ctx entries.(0) in
       let report = Vc_core.Seq_exec.run ~spec ~machine () in
       let rounds = 6 in
       let last_ok = ref 0 in
@@ -1645,7 +1539,7 @@ let loadgen_cmd =
         Vc_serve.Loadgen.pr_rps = rps;
         pr_duration = duration;
         pr_mix = mix_str;
-        pr_engine = engine_name engine;
+        pr_engine = Sweep.engine_name engine;
         pr_connections = connections;
         pr_quick = quick;
       }
@@ -1684,7 +1578,7 @@ let loadgen_cmd =
     in
     match
       Vc_serve.Loadgen.run ~connect ~rps ~duration ~mix
-        ~engine:(engine_name engine) ~block ?deadline_frac ~delay_ms
+        ~engine:(Sweep.engine_name engine) ~block ?deadline_frac ~delay_ms
         ~connections ~seed ~grace
         ~workload_dirs:(workloads @ default_workload_dirs)
         ~on_snapshot:(fun take -> snapshot := Some take)
@@ -1942,7 +1836,7 @@ let top_cmd =
 let all_cmd =
   let run quick jobs no_cache =
     let ctx = ctx_of quick jobs no_cache in
-    Vc_exp.Sweep.prewarm ctx;
+    Sweep.prewarm ctx;
     let fmt = Format.std_formatter in
     Vc_exp.Tables.table1 ctx fmt;
     Vc_exp.Tables.table2 ctx fmt;

@@ -2,9 +2,9 @@
 
     Every sweep point is a deterministic simulation, so its report can be
     reused across process invocations: [vcilk table 2] after [vcilk all]
-    does zero engine simulations.  Entries are keyed by the string
-    encoding of {!Sweep.key} plus the workload scale (see
-    [Sweep.key_string]); the file carries a schema version and is
+    does zero engine simulations.  Entries are keyed by
+    {!Sweep.key_string}, the encoding of a modeled {!Sweep.point} plus
+    the workload scale; the file carries a schema version and is
     discarded wholesale on mismatch (the invalidation rule — bump
     {!version} whenever the report layout or key schema changes).
 

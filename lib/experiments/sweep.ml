@@ -1,13 +1,62 @@
 open Vc_bench
 
-type key = {
-  bench : string;
-  machine : string;
-  strategy : string;
+type engine = Model | Blocked | Compiled
+type strategy = Seq | Strawman | Bfs | Noreexp | Reexp
+
+let engine_names = [ (Model, "engine"); (Blocked, "blocked"); (Compiled, "compiled") ]
+
+let strategy_names =
+  [ (Seq, "seq"); (Strawman, "strawman"); (Bfs, "bfs"); (Noreexp, "noreexp");
+    (Reexp, "reexp") ]
+
+let of_name names s = List.find_map (fun (v, n) -> if n = s then Some v else None) names
+let engines = List.map fst engine_names
+let engine_name e = List.assoc e engine_names
+let engine_of_string = of_name engine_names
+let strategies = List.map fst strategy_names
+let strategy_name s = List.assoc s strategy_names
+let strategy_of_string = of_name strategy_names
+
+type point = {
+  entry : Registry.entry;
+  engine : engine;
+  machine : Vc_mem.Machine.t;
+  strategy : strategy;
   block : int;
-  compact : string;
-  engine : string;
+  compact : Vc_simd.Compact.engine option;
+  domains : int option;
 }
+
+let point entry =
+  let machine = Vc_mem.Machine.xeon_e5 in
+  { entry; engine = Model; machine; strategy = Reexp; block = 256; compact = None;
+    domains = None }
+
+let validate p =
+  let scalar = p.strategy = Seq || p.strategy = Strawman in
+  match p.domains with
+  | Some d when d < 1 -> Error "--domains must be positive"
+  | Some _ when scalar ->
+      Error "--domains applies to the engine strategies (bfs|noreexp|reexp)"
+  | _ when scalar && p.engine <> Model ->
+      Error
+        (Printf.sprintf "--engine %s runs the blocked scheduler (bfs|noreexp|reexp)"
+           (engine_name p.engine))
+  | _ -> Ok ()
+
+type result =
+  | Report of Vc_core.Report.t * Vc_core.Domain_sched.result option
+  | Wall of Vc_core.Backend.result
+
+type counts =
+  { reducers : (string * int) list; tasks : int; base_tasks : int; max_depth : int }
+
+let counts = function
+  | Report (r, _) ->
+      let { Vc_core.Report.reducers; tasks; base_tasks; max_depth; _ } = r in
+      { reducers; tasks; base_tasks; max_depth }
+  | Wall { Vc_core.Backend.reducers; tasks; base_tasks; max_depth; _ } ->
+      { reducers; tasks; base_tasks; max_depth }
 
 type ctx = {
   quick : bool;
@@ -16,8 +65,7 @@ type ctx = {
   faults : Vc_core.Fault.plan;
   retries : int;
   specs : (string, Vc_core.Spec.t) Hashtbl.t;
-  runs : (key, Vc_core.Report.t) Hashtbl.t;
-  backend_runs : (string * string * int, Vc_core.Backend.result) Hashtbl.t;
+  runs : (string, result) Hashtbl.t;  (* keyed by [key_string] *)
   lock : Mutex.t;
   disk : Run_cache.t option;
   mutable simulated : int;
@@ -44,7 +92,6 @@ let create ?quick ?(jobs = 1) ?(cache_dir = None)
     retries;
     specs = Hashtbl.create 16;
     runs = Hashtbl.create 256;
-    backend_runs = Hashtbl.create 32;
     lock = Mutex.create ();
     disk = Option.map (fun dir -> Run_cache.load ~faults ~dir ()) cache_dir;
     simulated = 0;
@@ -58,17 +105,7 @@ let simulations ctx = Mutex.protect ctx.lock (fun () -> ctx.simulated)
 let cache_hits ctx = Mutex.protect ctx.lock (fun () -> ctx.disk_hits)
 let failures ctx = Mutex.protect ctx.lock (fun () -> List.rev ctx.failed)
 
-let key_string ctx key =
-  Printf.sprintf "%s|%s|%s|%s|%d|%s|%s"
-    (if ctx.quick then "quick" else "full")
-    key.bench key.machine key.strategy key.block key.compact key.engine
-
 let persist ctx = Option.iter (Run_cache.persist ~faults:ctx.faults) ctx.disk
-
-let runs ctx =
-  Mutex.protect ctx.lock (fun () ->
-      Hashtbl.fold (fun k r acc -> (k, r) :: acc) ctx.runs [])
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let machines = [ Vc_mem.Machine.xeon_e5; Vc_mem.Machine.xeon_phi ]
 
@@ -129,194 +166,166 @@ let blocks_of ctx (entry : Registry.entry) =
     List.filter (fun b -> b <= 4096) entry.Registry.sweep_blocks
   else entry.Registry.sweep_blocks
 
-(* The compaction engine {!Vc_core.Engine.run} actually selects when none
-   is given.  Recorded in every engine-run key so that an explicit
-   [with_compaction] request for the machine's default engine resolves to
-   the same key as the plain hybrid run — previously those were two keys
-   ({strategy="reexp"; compact=<name>} vs compact="") and the identical
-   simulation ran twice (e.g. Fig. 16 vs Table 2 points). *)
-let resolved_compact ctx entry (machine : Vc_mem.Machine.t) =
-  Vc_simd.Compact.name
-    (Vc_simd.Compact.default_for machine.Vc_mem.Machine.isa
-       ~width:(width_on ctx entry machine))
-
-let cached ctx key f =
-  match Mutex.protect ctx.lock (fun () -> Hashtbl.find_opt ctx.runs key) with
-  | Some r -> r
-  | None -> (
-      let from_disk =
-        match ctx.disk with
-        | Some d -> Run_cache.find d (key_string ctx key)
-        | None -> None
-      in
-      (* simulate outside the lock; concurrent prewarm tasks never share a
-         key, so duplicated work is possible only on racing demand paths
-         and is resolved by first-insertion-wins *)
-      let fresh, r = match from_disk with Some r -> (false, r) | None -> (true, f ()) in
-      Mutex.protect ctx.lock @@ fun () ->
-      match Hashtbl.find_opt ctx.runs key with
-      | Some r -> r
-      | None ->
-          Hashtbl.add ctx.runs key r;
-          if fresh then begin
-            ctx.simulated <- ctx.simulated + 1;
-            (* fault-armed runs recover exact reducers but degraded
-               (partly scalar) cost numbers: never persist them *)
-            if not (Vc_core.Fault.armed ctx.faults) then
-              Option.iter (fun d -> Run_cache.add d (key_string ctx key) r) ctx.disk
-          end
-          else ctx.disk_hits <- ctx.disk_hits + 1;
-          r)
-
-let seq ctx entry (machine : Vc_mem.Machine.t) =
-  let key =
-    {
-      bench = entry.Registry.name;
-      machine = machine.Vc_mem.Machine.name;
-      strategy = "seq";
-      block = 0;
-      compact = "";
-      engine = "engine";
-    }
+(* The disk-cache encoding of modeled points predates [point]; it must
+   stay byte-identical so existing caches remain warm.  Fields a point's
+   executor ignores are blanked (block for seq/strawman/bfs, compaction
+   for unblocked and wall points, machine for wall points), so
+   equivalent points share one key.  Blocked modeled points record the
+   compaction engine {!Vc_core.Engine.run} actually selects, so an
+   explicit request for the machine's default engine (Fig. 16) shares the
+   plain hybrid run's key (Table 2) instead of simulating it twice. *)
+let key_string ctx p =
+  let wall = p.engine <> Model in
+  let block, compact =
+    match p.strategy with
+    | Seq | Strawman -> (0, "")
+    | Bfs | Noreexp | Reexp ->
+        ( (if p.strategy = Bfs then 0 else p.block),
+          if wall then ""
+          else
+            match p.compact with
+            | Some c -> Vc_simd.Compact.name c
+            | None ->
+                let width = width_on ctx p.entry p.machine in
+                Vc_simd.Compact.(name (default_for p.machine.Vc_mem.Machine.isa ~width)) )
   in
-  cached ctx key (fun () -> Vc_core.Seq_exec.run ~spec:(spec_of ctx entry) ~machine ())
+  Printf.sprintf "%s|%s|%s|%s%s|%d|%s|%s"
+    (if ctx.quick then "quick" else "full")
+    p.entry.Registry.name
+    (if wall then "" else p.machine.Vc_mem.Machine.name)
+    (strategy_name p.strategy)
+    (match p.domains with Some d -> Printf.sprintf "+d%d" d | None -> "")
+    block compact (engine_name p.engine)
 
-let bfs_only ctx entry (machine : Vc_mem.Machine.t) =
-  let key =
-    {
-      bench = entry.Registry.name;
-      machine = machine.Vc_mem.Machine.name;
-      strategy = "bfs";
-      block = 0;
-      compact = resolved_compact ctx entry machine;
-      engine = "engine";
-    }
-  in
-  cached ctx key (fun () ->
-      Vc_core.Engine.run ~faults:ctx.faults ~budgets:ctx.budgets
-        ~spec:(spec_of ctx entry) ~machine ~strategy:Vc_core.Policy.Bfs_only ())
-
-let hybrid ctx entry (machine : Vc_mem.Machine.t) ~reexpand ~block =
-  let key =
-    {
-      bench = entry.Registry.name;
-      machine = machine.Vc_mem.Machine.name;
-      strategy = (if reexpand then "reexp" else "noreexp");
-      block;
-      compact = resolved_compact ctx entry machine;
-      engine = "engine";
-    }
-  in
-  cached ctx key (fun () ->
-      Vc_core.Engine.run ~faults:ctx.faults ~budgets:ctx.budgets
-        ~spec:(spec_of ctx entry) ~machine
-        ~strategy:(Vc_core.Policy.Hybrid { max_block = block; reexpand })
-        ())
-
-(* The hybrid multicore × SIMD scheduler point.  Note [domains = 1] is
-   NOT the plain {!hybrid} run: it executes the same fixed chunk set in
-   one domain, so the d1/d2/d4 family shares everything but the schedule
-   model and the speedup column reads as pure scaling.  The strategy key
-   carries the domain count — modeled cycles depend on it. *)
-let hybrid_domains ctx entry (machine : Vc_mem.Machine.t) ~block ~domains =
-  let key =
-    {
-      bench = entry.Registry.name;
-      machine = machine.Vc_mem.Machine.name;
-      strategy = Printf.sprintf "reexp+d%d" domains;
-      block;
-      compact = resolved_compact ctx entry machine;
-      engine = "engine";
-    }
-  in
-  cached ctx key (fun () ->
-      let result =
-        Vc_core.Domain_sched.run ~faults:ctx.faults ~budgets:ctx.budgets
-          ~spec:(spec_of ctx entry) ~machine
-          ~strategy:(Vc_core.Policy.Hybrid { max_block = block; reexpand = true })
-          ~domains ()
-      in
-      result.Vc_core.Domain_sched.report)
-
-let with_compaction ctx entry (machine : Vc_mem.Machine.t) ~compact ~block =
-  let key =
-    {
-      bench = entry.Registry.name;
-      machine = machine.Vc_mem.Machine.name;
-      strategy = "reexp";
-      block;
-      compact = Vc_simd.Compact.name compact;
-      engine = "engine";
-    }
-  in
-  cached ctx key (fun () ->
-      Vc_core.Engine.run ~compact ~faults:ctx.faults ~budgets:ctx.budgets
-        ~spec:(spec_of ctx entry) ~machine
-        ~strategy:(Vc_core.Policy.Hybrid { max_block = block; reexpand = true })
-        ())
-
-let strawman ctx entry (machine : Vc_mem.Machine.t) =
-  let key =
-    {
-      bench = entry.Registry.name;
-      machine = machine.Vc_mem.Machine.name;
-      strategy = "strawman";
-      block = 0;
-      compact = "";
-      engine = "engine";
-    }
-  in
-  cached ctx key (fun () -> Vc_core.Strawman.run ~spec:(spec_of ctx entry) ~machine ())
-
-let speedup ctx entry machine report =
-  Vc_core.Report.speedup ~baseline:(seq ctx entry machine) report
-
-(* ------------------------------------------------------------------ *)
-(* Wall-clock backend points ({!Vc_core.Backend}).  These are memoized
-   in-memory only: their [wall_seconds] is a property of the host the
-   process runs on, so persisting them through the disk cache would
-   serve one machine's timings as another's measurements. *)
-
+(* DSL benchmarks run on the wall-clock backends as blocked IR (the pair
+   where interpreted vs compiled dispatch actually differs), the rest as
+   their native spec. *)
 let backend_source ctx (entry : Registry.entry) =
   match entry.Registry.dsl with
   | Some dsl ->
-      (* DSL benchmarks run as blocked IR — the pair where interpreted
-         vs compiled dispatch actually differs *)
       let program, roots = dsl ~quick:ctx.quick in
       (Vc_core.Backend.Ir (Vc_core.Transform.transform program), roots)
   | None ->
       let spec = spec_of ctx entry in
       (Vc_core.Backend.Native spec, spec.Vc_core.Spec.roots)
 
-let backend_of_name engine =
-  match Vc_core.Backend.find engine with
-  | Some b -> b
-  | None -> invalid_arg ("Sweep.backend_run: unknown engine " ^ engine)
-
-let backend_run ctx (entry : Registry.entry) ~engine ~block =
-  let memo_key = (entry.Registry.name, engine, block) in
-  match
-    Mutex.protect ctx.lock (fun () -> Hashtbl.find_opt ctx.backend_runs memo_key)
-  with
-  | Some r -> r
-  | None ->
-      let backend = backend_of_name engine in
-      let source, roots = backend_source ctx entry in
-      let opts =
-        {
-          Vc_core.Backend.default_opts with
-          strategy = Vc_core.Policy.Hybrid { max_block = block; reexpand = true };
-          faults = ctx.faults;
-          budgets = ctx.budgets;
-        }
+let exec ctx ?telemetry ?(faults = Vc_core.Fault.none)
+    ?(budgets = Vc_core.Supervisor.no_budgets) ?max_tasks p =
+  Result.iter_error (fun msg -> invalid_arg ("Sweep.exec: " ^ msg)) (validate p);
+  let policy =
+    if p.strategy = Bfs then Vc_core.Policy.Bfs_only
+    else Vc_core.Policy.Hybrid { max_block = p.block; reexpand = p.strategy <> Noreexp }
+  in
+  let spec () = spec_of ctx p.entry in
+  let machine = p.machine and compact = p.compact in
+  match (p.engine, p.strategy, p.domains) with
+  | Model, Seq, _ ->
+      Report (Vc_core.Seq_exec.run ?max_tasks ~spec:(spec ()) ~machine (), None)
+  | Model, Strawman, _ ->
+      Report (Vc_core.Strawman.run ?max_tasks ~spec:(spec ()) ~machine (), None)
+  | Model, _, None ->
+      let r =
+        Vc_core.Engine.run ?compact ?max_tasks ?telemetry ~faults ~budgets
+          ~spec:(spec ()) ~machine ~strategy:policy ()
       in
-      let r = Vc_core.Backend.run ~opts backend source ~roots in
-      Mutex.protect ctx.lock (fun () ->
-          match Hashtbl.find_opt ctx.backend_runs memo_key with
-          | Some r -> r
-          | None ->
-              Hashtbl.add ctx.backend_runs memo_key r;
-              r)
+      Report (r, None)
+  | Model, _, Some domains ->
+      let d =
+        Vc_core.Domain_sched.run ?compact ?max_tasks ?telemetry ~faults ~budgets
+          ~spec:(spec ()) ~machine ~strategy:policy ~domains ()
+      in
+      Report (d.report, Some d)
+  | (Blocked | Compiled), _, _ ->
+      let source, roots = backend_source ctx p.entry in
+      let d = Vc_core.Backend.default_opts in
+      let max_tasks = Option.value max_tasks ~default:d.max_tasks in
+      let opts =
+        { d with strategy = policy; max_tasks; telemetry; faults; budgets;
+                 domains = p.domains }
+      in
+      let backend =
+        if p.engine = Blocked then Vc_core.Backend.interp else Vc_core.Backend.compiled
+      in
+      Wall (Vc_core.Backend.run ~opts backend source ~roots)
+
+let run ctx p =
+  let key = key_string ctx p in
+  match Mutex.protect ctx.lock (fun () -> Hashtbl.find_opt ctx.runs key) with
+  | Some r -> r
+  | None -> (
+      (* only modeled points persist: wall-clock numbers are a property
+         of the host, and the cache would serve one machine's timings as
+         another's measurements *)
+      let disk = if p.engine = Model then ctx.disk else None in
+      let cached = Option.bind disk (fun d -> Run_cache.find d key) in
+      (* execute outside the lock; concurrent prewarm tasks never share a
+         key, so duplicated work is possible only on racing demand paths
+         and is resolved by first-insertion-wins *)
+      let r =
+        match cached with
+        | Some r -> Report (r, None)
+        | None -> (
+            match exec ctx ~faults:ctx.faults ~budgets:ctx.budgets p with
+            | Report (r, Some _) -> Report (r, None)
+            | r -> r)
+      in
+      Mutex.protect ctx.lock @@ fun () ->
+      match Hashtbl.find_opt ctx.runs key with
+      | Some r -> r
+      | None ->
+          Hashtbl.add ctx.runs key r;
+          (match (cached, r) with
+          | Some _, _ -> ctx.disk_hits <- ctx.disk_hits + 1
+          | None, Report (report, _) ->
+              ctx.simulated <- ctx.simulated + 1;
+              (* fault-armed runs recover exact reducers but degraded
+                 (partly scalar) cost numbers: never persist them *)
+              if not (Vc_core.Fault.armed ctx.faults) then
+                Option.iter (fun d -> Run_cache.add d key report) disk
+          | None, Wall _ -> ());
+          r)
+
+let runs ctx =
+  Mutex.protect ctx.lock (fun () ->
+      Hashtbl.fold
+        (fun k r acc -> match r with Report (r, _) -> (k, r) :: acc | Wall _ -> acc)
+        ctx.runs [])
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+(* The named points the tables, figures and claims read. *)
+let report ctx p =
+  match run ctx p with
+  | Report (r, _) -> r
+  | Wall _ -> invalid_arg "Sweep: not a modeled point"
+
+let modeled entry machine strategy = { (point entry) with machine; strategy }
+let seq ctx e m = report ctx (modeled e m Seq)
+let bfs_only ctx e m = report ctx (modeled e m Bfs)
+let strawman ctx e m = report ctx (modeled e m Strawman)
+
+let hybrid ctx e m ~reexpand ~block =
+  report ctx { (modeled e m (if reexpand then Reexp else Noreexp)) with block }
+
+(* [domains = 1] is NOT the plain {!hybrid} run: it executes the same
+   fixed chunk set in one domain, so the d1/d2/d4 family shares
+   everything but the schedule model and the speedup column reads as pure
+   scaling.  The strategy key carries the domain count. *)
+let hybrid_domains ctx e m ~block ~domains =
+  report ctx { (modeled e m Reexp) with block; domains = Some domains }
+
+let with_compaction ctx e m ~compact ~block =
+  report ctx { (modeled e m Reexp) with block; compact = Some compact }
+
+let speedup ctx entry machine report =
+  Vc_core.Report.speedup ~baseline:(seq ctx entry machine) report
+
+let backend_run ctx entry ~engine ~block =
+  match engine_of_string engine with
+  | Some ((Blocked | Compiled) as engine) -> (
+      match run ctx { (point entry) with engine; block } with
+      | Wall r -> r
+      | Report _ -> assert false)
+  | Some Model | None -> invalid_arg ("Sweep.backend_run: unknown engine " ^ engine)
 
 let best ctx entry machine ~reexpand =
   let candidates =
@@ -349,54 +358,6 @@ let compaction_benchmarks = [ "fib"; "nqueens" ]
 
 type scope = [ `Seq_only | `Full ]
 
-let seq_points ctx =
-  List.concat_map
-    (fun entry ->
-      List.map (fun m () -> ignore (seq ctx entry m : Vc_core.Report.t)) machines)
-    Registry.all
-
-let engine_points ctx =
-  List.concat_map
-    (fun entry ->
-      List.concat_map
-        (fun m ->
-          (fun () -> ignore (bfs_only ctx entry m : Vc_core.Report.t))
-          :: List.concat_map
-               (fun block ->
-                 [
-                   (fun () ->
-                     ignore (hybrid ctx entry m ~reexpand:false ~block : Vc_core.Report.t));
-                   (fun () ->
-                     ignore (hybrid ctx entry m ~reexpand:true ~block : Vc_core.Report.t));
-                 ])
-               (blocks_of ctx entry))
-        machines)
-    Registry.all
-
-let strawman_points ctx =
-  List.concat_map
-    (fun name ->
-      let entry = Registry.find name in
-      List.map (fun m () -> ignore (strawman ctx entry m : Vc_core.Report.t)) machines)
-    strawman_benchmarks
-
-(* Fig. 16 / claims compare the default engine (already a plain-hybrid
-   cache hit thanks to the normalized key) against sequential compaction
-   at the best re-expansion block — which is only known once the hybrid
-   grid is in, hence the second wave. *)
-let compaction_points ctx =
-  List.concat_map
-    (fun name ->
-      let entry = Registry.find name in
-      List.map
-        (fun m () ->
-          let block, _ = best ctx entry m ~reexpand:true in
-          ignore
-            (with_compaction ctx entry m ~compact:Vc_simd.Compact.Sequential ~block
-              : Vc_core.Report.t))
-        machines)
-    compaction_benchmarks
-
 let prewarm ?(scope = `Full) ctx =
   (* build every spec in the calling domain so pool workers (and their
      closures) only read the spec table *)
@@ -409,8 +370,36 @@ let prewarm ?(scope = `Full) ctx =
     if fs <> [] then
       Mutex.protect ctx.lock (fun () -> ctx.failed <- List.rev_append fs ctx.failed)
   in
+  let each entries points =
+    List.concat_map (fun e -> List.concat_map (points e) machines) entries
+  in
+  let named = List.map Registry.find in
+  let task p () = ignore (run ctx p : result) in
+  let seq_points = each Registry.all (fun e m -> [ task (modeled e m Seq) ]) in
   match scope with
-  | `Seq_only -> submit (seq_points ctx)
+  | `Seq_only -> submit seq_points
   | `Full ->
-      submit (seq_points ctx @ engine_points ctx @ strawman_points ctx);
-      submit (compaction_points ctx)
+      let grid e m =
+        task (modeled e m Bfs)
+        :: List.concat_map
+             (fun block ->
+               [ task { (modeled e m Noreexp) with block };
+                 task { (modeled e m Reexp) with block } ])
+             (blocks_of ctx e)
+      in
+      let strawman_points =
+        each (named strawman_benchmarks) (fun e m -> [ task (modeled e m Strawman) ])
+      in
+      submit (seq_points @ each Registry.all grid @ strawman_points);
+      (* Fig. 16 / claims compare the default engine (already a
+         plain-hybrid cache hit thanks to the normalized key) against
+         sequential compaction at the best re-expansion block — which is
+         only known once the hybrid grid is in, hence the second wave. *)
+      submit
+        (each (named compaction_benchmarks) (fun e m ->
+             [
+               (fun () ->
+                 let block, _ = best ctx e m ~reexpand:true in
+                 let compact = Vc_simd.Compact.Sequential in
+                 ignore (with_compaction ctx e m ~compact ~block));
+             ]))

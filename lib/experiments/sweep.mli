@@ -1,34 +1,64 @@
-(** Memoized execution of benchmark × machine × strategy × block-size
-    points.
+(** Execution of benchmark × engine × machine × strategy × block-size
+    points: fresh ({!exec}) or memoized ({!run}).
 
-    Every table and figure of the evaluation reads from the same sweep
-    space, so one context computes each point once and the harness reuses
-    it across Tables 1–3 and Figures 9–16.  [quick] mode substitutes
-    small workloads (for smoke runs and the bechamel timing harness).
+    Every caller that runs a benchmark — the CLI, the serve daemon, the
+    load generator, the tables and figures — builds a {!point} and hands
+    it to one of the two; the engine family is a value the caller picks.
+    One context computes each point once and the harness reuses it across
+    Tables 1–3 and Figures 9–16.  [quick] mode substitutes small
+    workloads (for smoke runs and the bechamel timing harness).
 
-    The context is domain-safe: the memo tables are mutex-guarded, and
+    The context is domain-safe: the memo table is mutex-guarded, and
     {!prewarm} fans the independent simulations out over a
     {!Pool}-managed set of OCaml domains, after which the (serial)
     artifact generators run entirely against warm entries.  With a
-    [cache_dir], points additionally persist across processes via
+    [cache_dir], modeled points additionally persist across processes via
     {!Run_cache} — call {!persist} before exiting. *)
 
-type key = {
-  bench : string;
-  machine : string;
-  strategy : string;
-  block : int;
-  compact : string;
-      (** the {e resolved} compaction engine name for engine runs (bfs /
-          noreexp / reexp), so an explicit request for the machine's
-          default engine shares the plain hybrid run's key; [""] for
-          seq / strawman runs, which do not compact *)
-  engine : string;
-      (** execution-engine family — ["engine"] for every cost-model point
-          (the cost simulator is the only family the disk cache stores);
-          the field keeps the key space partitioned from any future
-          persisted backend family *)
+type engine = Model | Blocked | Compiled
+(** The cost-model simulator (["engine"], modeled cycles) or a wall-clock
+    backend (["blocked"] closure interpreter, ["compiled"] SoA kernels). *)
+
+val engines : engine list
+val engine_name : engine -> string
+val engine_of_string : string -> engine option
+
+type strategy = Seq | Strawman | Bfs | Noreexp | Reexp
+
+val strategies : strategy list
+val strategy_name : strategy -> string
+val strategy_of_string : string -> strategy option
+
+type point = {
+  entry : Vc_bench.Registry.entry;
+  engine : engine;
+  machine : Vc_mem.Machine.t;  (** wall engines ignore it *)
+  strategy : strategy;  (** [Seq]/[Strawman] run on [Model] only *)
+  block : int;  (** hybrid max block (noreexp / reexp) *)
+  compact : Vc_simd.Compact.engine option;  (** [Model] only; [None] = default *)
+  domains : int option;
+      (** [Some n]: the chunked multicore run ({!Vc_core.Domain_sched} on
+          [Model]); [Some 1] is {e not} the [None] point *)
 }
+
+val point : Vc_bench.Registry.entry -> point
+(** [Model], E5, [Reexp] at block 256, default compaction, one context;
+    override with [{ (point e) with ... }]. *)
+
+val validate : point -> (unit, string) result
+(** Rejects a non-positive domain count, and [Seq]/[Strawman] with
+    [domains] or a wall engine.  Messages name the [vcilk run] flags. *)
+
+type result =
+  | Report of Vc_core.Report.t * Vc_core.Domain_sched.result option
+      (** a [Model] point's report, with the chunked run for [domains] *)
+  | Wall of Vc_core.Backend.result
+
+type counts =
+  { reducers : (string * int) list; tasks : int; base_tasks : int; max_depth : int }
+
+val counts : result -> counts
+(** The fields every engine family computes bit-equal. *)
 
 type ctx
 
@@ -69,16 +99,18 @@ val failures : ctx -> Pool.failure list
     (chronological).  Empty on a healthy sweep.  A contained point is
     re-attempted on demand if a generator later reads it. *)
 
-val key_string : ctx -> key -> string
-(** The disk-cache encoding of [key]: the workload scale (quick/full)
-    followed by the key fields. *)
+val key_string : ctx -> point -> string
+(** The memo and disk-cache key: scale, bench, machine, strategy (["+dN"]
+    with domains), block, resolved compaction engine, engine family.
+    Fields the executor ignores are blanked, so equivalent points share
+    a key. *)
 
 val persist : ctx -> unit
 (** Flush newly simulated points to the disk cache (no-op without one). *)
 
-val runs : ctx -> (key * Vc_core.Report.t) list
-(** Every memoized point, sorted by key — deterministic regardless of the
-    schedule that produced it. *)
+val runs : ctx -> (string * Vc_core.Report.t) list
+(** Every memoized modeled point with its {!key_string}, sorted by key —
+    deterministic regardless of the schedule that produced it. *)
 
 val machines : Vc_mem.Machine.t list
 (** E5 and Phi, in that order. *)
@@ -93,44 +125,51 @@ val width_on : ctx -> Vc_bench.Registry.entry -> Vc_mem.Machine.t -> int
 val blocks_of : ctx -> Vc_bench.Registry.entry -> int list
 (** The block-size grid swept for this benchmark. *)
 
-val seq : ctx -> Vc_bench.Registry.entry -> Vc_mem.Machine.t -> Vc_core.Report.t
+(** {1 Execution} *)
 
-val bfs_only : ctx -> Vc_bench.Registry.entry -> Vc_mem.Machine.t -> Vc_core.Report.t
-
-val hybrid :
+val exec :
   ctx ->
-  Vc_bench.Registry.entry ->
-  Vc_mem.Machine.t ->
-  reexpand:bool ->
-  block:int ->
+  ?telemetry:Vc_core.Telemetry.t ->
+  ?faults:Vc_core.Fault.plan ->
+  ?budgets:Vc_core.Supervisor.budgets ->
+  ?max_tasks:int ->
+  point ->
+  result
+(** Execute the point fresh at this context's scale: the one dispatch
+    over {!Vc_core.Seq_exec}, {!Vc_core.Strawman}, {!Vc_core.Engine},
+    {!Vc_core.Domain_sched} and {!Vc_core.Backend}.  [faults] and
+    [budgets] default to none (seq/strawman take neither), [max_tasks] to
+    each executor's default.  Wrap it in {!Vc_core.Supervisor.run} to
+    count recovery.  Raises [Invalid_argument] on a point {!validate}
+    rejects, {!Vc_core.Vc_error.Error} on budget violations and
+    unrecovered faults. *)
+
+val run : ctx -> point -> result
+(** {!exec} under the context's faults and budgets, memoized in one table
+    keyed by {!key_string}.  Only [Model] points use the disk cache
+    (never written from a fault-armed context): wall-clock numbers are
+    host-local.  A domains point keeps only its merged report, the part
+    that persists. *)
+
+(** {2 Named points}: one-line constructors over {!run}. *)
+
+val seq : ctx -> Vc_bench.Registry.entry -> Vc_mem.Machine.t -> Vc_core.Report.t
+val bfs_only : ctx -> Vc_bench.Registry.entry -> Vc_mem.Machine.t -> Vc_core.Report.t
+val strawman : ctx -> Vc_bench.Registry.entry -> Vc_mem.Machine.t -> Vc_core.Report.t
+val hybrid :
+  ctx -> Vc_bench.Registry.entry -> Vc_mem.Machine.t -> reexpand:bool -> block:int ->
   Vc_core.Report.t
 
 val hybrid_domains :
-  ctx ->
-  Vc_bench.Registry.entry ->
-  Vc_mem.Machine.t ->
-  block:int ->
-  domains:int ->
+  ctx -> Vc_bench.Registry.entry -> Vc_mem.Machine.t -> block:int -> domains:int ->
   Vc_core.Report.t
-(** The {!Vc_core.Domain_sched} hybrid multicore × SIMD point
-    (re-expansion strategy, strategy key ["reexp+dN"]).  [domains = 1]
-    executes the same fixed chunk set in one domain — deliberately NOT a
-    {!hybrid} cache hit — so a d1/d2/d4 column reads as pure scaling of
-    an identical workload.  Raises on a budget violation like the other
-    engine points (pools contain it). *)
+(** The re-expansion point with [domains = Some domains]. *)
 
 val with_compaction :
-  ctx ->
-  Vc_bench.Registry.entry ->
-  Vc_mem.Machine.t ->
-  compact:Vc_simd.Compact.engine ->
-  block:int ->
-  Vc_core.Report.t
-(** Re-expansion strategy with an explicit compaction engine (Fig. 16).
-    Requesting the machine's default engine is a cache hit on the plain
-    {!hybrid} run at the same block. *)
-
-val strawman : ctx -> Vc_bench.Registry.entry -> Vc_mem.Machine.t -> Vc_core.Report.t
+  ctx -> Vc_bench.Registry.entry -> Vc_mem.Machine.t -> compact:Vc_simd.Compact.engine ->
+  block:int -> Vc_core.Report.t
+(** Re-expansion with an explicit compaction engine (Fig. 16); the
+    machine's default engine is a cache hit on the plain {!hybrid} run. *)
 
 val speedup : ctx -> Vc_bench.Registry.entry -> Vc_mem.Machine.t -> Vc_core.Report.t -> float
 (** Modeled speedup over the same benchmark's sequential run on the same
@@ -139,28 +178,16 @@ val speedup : ctx -> Vc_bench.Registry.entry -> Vc_mem.Machine.t -> Vc_core.Repo
 val backend_source :
   ctx -> Vc_bench.Registry.entry -> Vc_core.Backend.source * int array list
 (** The entry as a wall-clock backend source at this context's scale:
-    blocked IR plus root frames when the entry has a DSL form (where
-    interpreted vs compiled dispatch actually differs), its native spec
+    blocked IR plus roots when it has a DSL form, its native spec
     otherwise. *)
 
 val backend_run :
-  ctx ->
-  Vc_bench.Registry.entry ->
-  engine:string ->
-  block:int ->
-  Vc_core.Backend.result
-(** One wall-clock backend point ([engine] = "blocked" | "compiled",
-    re-expansion strategy at [block]), under the context's faults and
-    wall/live budgets.  Memoized {e in-memory only} — wall-clock numbers
-    are host-local and never touch the disk cache.  Raises
-    [Invalid_argument] on an unknown engine name and {!Vc_core.Vc_error}
-    errors like the engine points. *)
+  ctx -> Vc_bench.Registry.entry -> engine:string -> block:int -> Vc_core.Backend.result
+(** The re-expansion point at [block] on the wall engine named [engine]
+    (["blocked"] | ["compiled"]); [Invalid_argument] on any other name. *)
 
 val best :
-  ctx ->
-  Vc_bench.Registry.entry ->
-  Vc_mem.Machine.t ->
-  reexpand:bool ->
+  ctx -> Vc_bench.Registry.entry -> Vc_mem.Machine.t -> reexpand:bool ->
   int * Vc_core.Report.t
 (** (block size, report) maximizing modeled speedup over the grid. *)
 

@@ -60,43 +60,19 @@ let pp_summary ppf s =
     (List.length s.divergences)
     s.p50_ms s.p99_ms s.p999_ms s.max_ms
 
-(* Per-benchmark batch reference: what [vcilk run] produces.  Responses
-   must be bit-equal on reducers and task counts; modeled cycles feed the
-   [--deadline-frac] budgets. *)
-type reference = {
-  ref_reducers : (string * int) list;  (* sorted *)
-  ref_tasks : int;
-  ref_base : int;
-  ref_cycles : float;
-}
-
 let sorted_reducers rs =
   List.sort (fun (a, _) (b, _) -> compare a b) rs
 
-let reference_of ctx entry ~engine ~strategy ~block =
-  if engine = "engine" then begin
-    let machine = Vc_mem.Machine.find "e5" in
-    let r =
-      match strategy with
-      | "bfs" -> Sweep.bfs_only ctx entry machine
-      | "noreexp" -> Sweep.hybrid ctx entry machine ~reexpand:false ~block
-      | _ -> Sweep.hybrid ctx entry machine ~reexpand:true ~block
-    in
-    {
-      ref_reducers = sorted_reducers r.Vc_core.Report.reducers;
-      ref_tasks = r.tasks;
-      ref_base = r.base_tasks;
-      ref_cycles = r.cycles;
-    }
-  end
-  else
-    let r = Sweep.backend_run ctx entry ~engine ~block in
-    {
-      ref_reducers = sorted_reducers r.Vc_core.Backend.reducers;
-      ref_tasks = r.tasks;
-      ref_base = r.base_tasks;
-      ref_cycles = 0.0;
-    }
+(* Per-benchmark batch reference: {!Sweep.run} on the point the request
+   names, reducers sorted.  Responses must be bit-equal on reducers and
+   task counts; modeled cycles feed the [--deadline-frac] budgets. *)
+let reference_of ctx entry req =
+  let result = Sweep.run ctx (Protocol.point req entry) in
+  let c = Sweep.counts result in
+  let cycles =
+    match result with Sweep.Report (r, _) -> r.Vc_core.Report.cycles | Sweep.Wall _ -> 0.0
+  in
+  ({ c with reducers = sorted_reducers c.reducers }, cycles)
 
 (* Deterministic per-request uniform value (xorshift64* of (seed, k)):
    the mix choice for request k does not depend on thread scheduling. *)
@@ -133,15 +109,15 @@ type agg = {
 
 let with_agg agg f = Mutex.protect agg.lock (fun () -> f agg)
 
-let check_reply agg (rep : Protocol.reply) (expected : reference) dt_ms =
+let check_reply agg (rep : Protocol.reply) (expected : Sweep.counts) dt_ms =
   Histogram.add agg.hist dt_ms;
   match rep.r_status with
   | Protocol.Ok_ ->
       let got = sorted_reducers rep.r_reducers in
       if
-        got = expected.ref_reducers
-        && rep.r_tasks = expected.ref_tasks
-        && rep.r_base_tasks = expected.ref_base
+        got = expected.reducers
+        && rep.r_tasks = expected.tasks
+        && rep.r_base_tasks = expected.base_tasks
       then with_agg agg (fun a -> a.a_ok <- a.a_ok + 1)
       else
         let detail =
@@ -153,8 +129,8 @@ let check_reply agg (rep : Protocol.reply) (expected : reference) dt_ms =
             rep.r_tasks rep.r_base_tasks
             (J.to_string
                (J.Obj
-                  (List.map (fun (k, v) -> (k, J.Int v)) expected.ref_reducers)))
-            expected.ref_tasks expected.ref_base
+                  (List.map (fun (k, v) -> (k, J.Int v)) expected.reducers)))
+            expected.tasks expected.base_tasks
         in
         with_agg agg (fun a ->
             a.a_ok <- a.a_ok + 1;
@@ -170,7 +146,7 @@ let reply_max_frame = 1 lsl 20
 (* One connection's worth of the open-loop schedule: requests k = i, i+C,
    i+2C, ... each sent at t0 + k/rps, replies consumed between sends. *)
 let conn_thread ~connect ~agg ~choose ~t0 ~rps ~n ~stride ~first ~t_grace () =
-  let pending : (string, float * reference) Hashtbl.t = Hashtbl.create 64 in
+  let pending : (string, float * Sweep.counts) Hashtbl.t = Hashtbl.create 64 in
   let next = ref first in
   let abandon () =
     (* connection is unusable: every outstanding and unsent request on
@@ -205,10 +181,10 @@ let conn_thread ~connect ~agg ~choose ~t0 ~rps ~n ~stride ~first ~t_grace () =
         else if !next < n && now >= t0 +. (float_of_int !next /. rps) then begin
           let k = !next in
           next := k + stride;
-          let req, rref = choose k in
+          let req, expected = choose k in
           (match Protocol.write_line fd (Protocol.request_line req) with
           | () ->
-              Hashtbl.replace pending req.Protocol.id (now, rref);
+              Hashtbl.replace pending req.Protocol.id (now, expected);
               with_agg agg (fun a -> a.a_sent <- a.a_sent + 1)
           | exception (Unix.Unix_error _ | Sys_error _) -> abandon ());
           step ()
@@ -364,23 +340,27 @@ let run ~connect ~rps ~duration ~mix ?(engine = "engine")
   match
     List.map
       (fun (name, w) ->
+        let req =
+          { (Protocol.run_request ~bench:name) with engine; strategy; block; delay_ms }
+        in
         match Registry.resolve ~dirs:workload_dirs name with
         | Error e -> raise (E.Error e)
         | Ok entry ->
-            (name, w, reference_of ctx entry ~engine ~strategy ~block))
+            let expected, cycles = reference_of ctx entry req in
+            (req, w, expected, cycles))
       mix
   with
   | exception E.Error e -> Error e
   | refs ->
       let total_weight =
-        List.fold_left (fun acc (_, w, _) -> acc + w) 0 refs
+        List.fold_left (fun acc (_, w, _, _) -> acc + w) 0 refs
       in
       let pick k =
         let u = uniform ~seed ~k in
         let target = u *. float_of_int total_weight in
         let rec go acc = function
           | [] -> List.nth refs (List.length refs - 1)
-          | ((_, w, _) as r) :: rest ->
+          | ((_, w, _, _) as r) :: rest ->
               let acc = acc +. float_of_int w in
               if target < acc then r else go acc rest
         in
@@ -409,22 +389,13 @@ let run ~connect ~rps ~duration ~mix ?(engine = "engine")
       let t0 = Unix.gettimeofday () in
       let t_grace = t0 +. (float_of_int n /. rps) +. grace in
       let choose i k =
-        let name, _, rref = pick k in
+        let req, _, expected, cycles = pick k in
         let deadline =
           match deadline_frac with
-          | Some f when engine = "engine" -> Some (f *. rref.ref_cycles)
+          | Some f when engine = "engine" -> Some (f *. cycles)
           | _ -> None
         in
-        ( {
-            (Protocol.run_request ~bench:name) with
-            id = Printf.sprintf "c%d-%d" i k;
-            engine;
-            strategy;
-            block;
-            deadline;
-            delay_ms;
-          },
-          rref )
+        ({ req with id = Printf.sprintf "c%d-%d" i k; deadline }, expected)
       in
       let threads =
         List.init stride (fun i ->

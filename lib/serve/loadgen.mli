@@ -2,10 +2,10 @@
 
     Replays a weighted benchmark mix at a fixed request rate over a set
     of persistent connections, then checks every [ok] response for {e bit
-    equality} against an in-process batch reference (the same reducer
-    values, task and base-task counts a [vcilk run] of that benchmark
-    produces) — the serving path must never change results, only their
-    delivery.
+    equality} against an in-process batch reference: {!Vc_exp.Sweep.run}
+    on the very point each request names ({!Protocol.point}), so engine,
+    strategy and block all reach the reference — the serving path must
+    never change results, only their delivery.
 
     The schedule is open-loop: request [k] is sent at [k/rps] seconds
     regardless of how fast responses come back, so pushing [rps] past

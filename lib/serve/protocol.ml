@@ -45,7 +45,9 @@ let proto_error fmt =
         })
     fmt
 
-let engines = [ "engine"; "blocked"; "compiled" ]
+module Sweep = Vc_exp.Sweep
+
+(* seq and strawman have no blocked scheduler, so they are not served *)
 let strategies = [ "bfs"; "noreexp"; "reexp" ]
 
 let parse_request line =
@@ -107,9 +109,9 @@ let parse_request line =
           in
           if op = Run && req.bench = "" then
             proto_error "run request is missing the \"bench\" field"
-          else if op = Run && not (List.mem req.engine engines) then
-            proto_error "unknown engine %S (expected engine|blocked|compiled)"
-              req.engine
+          else if op = Run && Sweep.engine_of_string req.engine = None then
+            proto_error "unknown engine %S (expected %s)" req.engine
+              (String.concat "|" (List.map Sweep.engine_name Sweep.engines))
           else if op = Run && not (List.mem req.strategy strategies) then
             proto_error "unknown strategy %S (expected bfs|noreexp|reexp)"
               req.strategy
@@ -118,6 +120,30 @@ let parse_request line =
           else Ok req
         with J.Decode msg -> proto_error "invalid request: %s" msg)
     | Ok _ -> proto_error "request frame must be a JSON object"
+
+let point (req : request) entry =
+  let unknown what v =
+    E.fail ~phase:E.Execute E.Protocol E.Abort "unknown %s %S" what v
+  in
+  let p = Sweep.point entry in
+  let engine =
+    match Sweep.engine_of_string req.engine with
+    | Some e -> e
+    | None -> unknown "engine" req.engine
+  in
+  let strategy =
+    match Sweep.strategy_of_string req.strategy with
+    | Some s when List.mem req.strategy strategies -> s
+    | _ -> unknown "strategy" req.strategy
+  in
+  let machine =
+    match Vc_mem.Machine.find req.machine with
+    | m -> m
+    (* the wall engines have no machine model *)
+    | exception Not_found when engine <> Sweep.Model -> p.machine
+    | exception Not_found -> unknown "machine" req.machine
+  in
+  { p with engine; machine; strategy; block = req.block }
 
 let op_name = function Run -> "run" | Stats -> "stats" | Ping -> "ping"
 

@@ -41,6 +41,12 @@ val parse_request : string -> (request, Vc_core.Vc_error.t) result
     unknown op/engine/strategy, missing [bench]) are [Protocol]-site
     faults carrying a human-readable detail. *)
 
+val point : request -> Vc_bench.Registry.entry -> Vc_exp.Sweep.point
+(** The execution point a [Run] request names, on the resolved [entry].
+    Raises a [Protocol]-site {!Vc_core.Vc_error.Error} on an unknown
+    engine or strategy, or an unknown machine for the cost model (the
+    wall engines ignore [machine]). *)
+
 (** {1 Response statuses} *)
 
 type status =

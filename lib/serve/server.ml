@@ -134,115 +134,59 @@ let overload_error ~max_queue ~depth =
     detail = "job queue full; retry with backoff";
   }
 
-let report_fields (r : Vc_core.Report.t) =
+(* Every engine family replies with the fields all of them compute
+   bit-equal, then its own: modeled cycles, or the wall clock plus the
+   scheduler counters that make the served strategy visible. *)
+let reply_fields result =
+  let c = Sweep.counts result in
   [
-    ("reducers", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) r.reducers));
-    ("tasks", J.Int r.tasks);
-    ("base_tasks", J.Int r.base_tasks);
-    ("max_depth", J.Int r.max_depth);
-    ("cycles", J.Float r.cycles);
+    ("reducers", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) c.reducers));
+    ("tasks", J.Int c.tasks);
+    ("base_tasks", J.Int c.base_tasks);
+    ("max_depth", J.Int c.max_depth);
   ]
-
-let backend_fields (r : Vc_core.Backend.result) =
-  [
-    ("reducers", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) r.reducers));
-    ("tasks", J.Int r.tasks);
-    ("base_tasks", J.Int r.base_tasks);
-    ("max_depth", J.Int r.max_depth);
-    ("backend_wall_s", J.Float r.wall_seconds);
-  ]
+  @
+  match result with
+  | Sweep.Report (r, _) -> [ ("cycles", J.Float r.Vc_core.Report.cycles) ]
+  | Sweep.Wall r ->
+      [
+        ("backend_wall_s", J.Float r.Vc_core.Backend.wall_seconds);
+        ("switches", J.Int r.switches);
+        ("reexpansions", J.Int r.reexpansions);
+      ]
 
 type exec_result =
   | Fields of (string * J.t) list
   | Failed of E.t
   | Crashed of string
 
-let strategy_of (req : Protocol.request) =
-  match req.strategy with
-  | "bfs" -> Vc_core.Policy.Bfs_only
-  | s -> Vc_core.Policy.Hybrid { max_block = req.block; reexpand = s = "reexp" }
-
-(* Execute one admitted request in a pool worker.  The memoized sweep
-   path (warm memo + disk cache) serves plain engine requests; anything
-   carrying per-request budgets or task caps runs directly under the
-   supervisor with the clamped budgets. *)
+(* Execute one admitted request in a pool worker.  Plain requests are
+   served from the sweep memo (warm memo + disk cache for the cost
+   model); anything carrying per-request budgets or task caps runs fresh
+   under the supervisor with the clamped budgets, and the recovery fields
+   ride along. *)
 let execute t (req : Protocol.request) entry ~salt ~telemetry =
   let req_budgets =
-    {
-      Supervisor.deadline = req.deadline;
-      wall_deadline = req.wall_deadline;
-      max_live_frames = req.max_live_frames;
-    }
-  in
-  let plain =
-    req_budgets = Supervisor.no_budgets && req.max_tasks = None
-  in
-  let budgets = Supervisor.clamp_budgets ~ceiling:t.cfg.ceiling req_budgets in
-  let faults = Fault.split t.cfg.faults ~salt in
-  (* budgeted requests run supervised; the recovery fields ride along *)
-  let supervised fields run =
-    match Supervisor.run ~telemetry run with
-    | Ok o ->
-        Fields
-          (fields o.Supervisor.value
-          @ [
-              ("fallbacks", J.Int o.Supervisor.fallbacks);
-              ("faults_seen", J.Int o.Supervisor.faults_seen);
-            ])
-    | Error e -> Failed e
+    Supervisor.budgets ?deadline:req.deadline ?wall_deadline:req.wall_deadline
+      ?max_live_frames:req.max_live_frames ()
   in
   try
-    match req.engine with
-    | "engine" -> (
-        let machine =
-          try Vc_mem.Machine.find req.machine
-          with Not_found ->
-            E.fail ~phase:E.Execute E.Protocol E.Abort "unknown machine %S"
-              req.machine
-        in
-        if plain then
-          let report =
-            match req.strategy with
-            | "bfs" -> Sweep.bfs_only t.ctx entry machine
-            | "noreexp" ->
-                Sweep.hybrid t.ctx entry machine ~reexpand:false
-                  ~block:req.block
-            | _ ->
-                Sweep.hybrid t.ctx entry machine ~reexpand:true
-                  ~block:req.block
-          in
-          Fields (report_fields report)
-        else
-          let spec = Sweep.spec_of t.ctx entry in
-          supervised report_fields (fun telemetry ->
-              Vc_core.Engine.run ?max_tasks:req.max_tasks ~telemetry ~faults
-                ~budgets ~spec ~machine ~strategy:(strategy_of req) ()))
-    | engine -> (
-        if plain then
+    let point = Protocol.point req entry in
+    if req_budgets = Supervisor.no_budgets && req.max_tasks = None then
+      Fields (reply_fields (Sweep.run t.ctx point))
+    else
+      let budgets = Supervisor.clamp_budgets ~ceiling:t.cfg.ceiling req_budgets in
+      let faults = Fault.split t.cfg.faults ~salt in
+      match
+        Supervisor.run ~telemetry (fun telemetry ->
+            Sweep.exec t.ctx ~telemetry ~faults ~budgets ?max_tasks:req.max_tasks
+              point)
+      with
+      | Ok o ->
           Fields
-            (backend_fields (Sweep.backend_run t.ctx entry ~engine ~block:req.block))
-        else
-          let backend =
-            match Vc_core.Backend.find engine with
-            | Some b -> b
-            | None ->
-                E.fail ~phase:E.Execute E.Protocol E.Abort "unknown engine %S"
-                  engine
-          in
-          let source, roots = Sweep.backend_source t.ctx entry in
-          let d = Vc_core.Backend.default_opts in
-          supervised backend_fields (fun telemetry ->
-              let opts =
-                {
-                  d with
-                  strategy = strategy_of req;
-                  max_tasks = Option.value req.max_tasks ~default:d.max_tasks;
-                  telemetry = Some telemetry;
-                  faults;
-                  budgets;
-                }
-              in
-              Vc_core.Backend.run ~opts backend source ~roots))
+            (reply_fields o.value
+            @ [ ("fallbacks", J.Int o.fallbacks); ("faults_seen", J.Int o.faults_seen) ])
+      | Error e -> Failed e
   with
   | E.Error e -> Failed e
   | exn -> Crashed (Printexc.to_string exn)

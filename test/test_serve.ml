@@ -321,6 +321,68 @@ let check_serves_and_answers () =
   Alcotest.(check bool) "tasks counted" true (r.Protocol.r_tasks > 0);
   Unix.close fd
 
+let send_request fd reader req =
+  Protocol.write_line fd (Protocol.request_line req);
+  read_reply reader
+
+let int_field (r : Protocol.reply) name =
+  Vc_exp.Jsonx.(to_int (member name r.Protocol.r_raw))
+
+(* A plain wall-clock request is served from the sweep memo under a key
+   that includes the strategy: bfs never switches to blocked execution,
+   re-expansion at a small block does. *)
+let check_wall_strategy_honoured () =
+  with_server @@ fun path _srv ->
+  let fd = connect path in
+  let reader = Protocol.reader fd in
+  let switches strategy =
+    let r =
+      send_request fd reader
+        {
+          (Protocol.run_request ~bench:"fib") with
+          engine = "compiled";
+          strategy;
+          block = 16;
+        }
+    in
+    Alcotest.check status (strategy ^ " runs") Protocol.Ok_ r.Protocol.r_status;
+    int_field r "switches"
+  in
+  Alcotest.(check int) "bfs never switches" 0 (switches "bfs");
+  Alcotest.(check bool) "reexp switches" true (switches "reexp" > 0);
+  Unix.close fd
+
+(* The memo branch (a plain request) and the fresh supervised branch (a
+   task cap far above the tree) of the one dispatch agree on every
+   engine family. *)
+let check_plain_equals_budgeted () =
+  with_server @@ fun path _srv ->
+  let fd = connect path in
+  let reader = Protocol.reader fd in
+  List.iter
+    (fun engine ->
+      let req = { (Protocol.run_request ~bench:"fib") with engine } in
+      let plain = send_request fd reader req in
+      let budgeted =
+        send_request fd reader { req with max_tasks = Some 1_000_000 }
+      in
+      Alcotest.check status (engine ^ " plain ok") Protocol.Ok_
+        plain.Protocol.r_status;
+      Alcotest.check status (engine ^ " budgeted ok") Protocol.Ok_
+        budgeted.Protocol.r_status;
+      Alcotest.(check bool) (engine ^ " budgeted ran supervised") true
+        (Vc_exp.Jsonx.member "faults_seen" budgeted.Protocol.r_raw
+        <> Vc_exp.Jsonx.Null);
+      Alcotest.(check (list (pair string int))) (engine ^ " reducers")
+        plain.Protocol.r_reducers budgeted.Protocol.r_reducers;
+      List.iter
+        (fun field ->
+          Alcotest.(check int) (engine ^ " " ^ field) (int_field plain field)
+            (int_field budgeted field))
+        [ "tasks"; "base_tasks"; "max_depth" ])
+    [ "engine"; "blocked"; "compiled" ];
+  Unix.close fd
+
 let check_malformed_keeps_serving () =
   with_server @@ fun path _srv ->
   let fd = connect path in
@@ -723,6 +785,10 @@ let () =
             check_stats_and_ping;
           Alcotest.test_case "graceful drain finishes in-flight work"
             `Quick check_graceful_drain;
+          Alcotest.test_case "plain wall requests honour strategy" `Quick
+            check_wall_strategy_honoured;
+          Alcotest.test_case "plain = budgeted on every engine" `Quick
+            check_plain_equals_budgeted;
         ] );
       ( "observability",
         [
