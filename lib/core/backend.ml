@@ -298,9 +298,8 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
     match
       Fault.trip faults Fault.Alloc ~phase:Vc_error.Execute
         ~hint:Vc_error.Fallback_scalar
-        ~detail:
-          (Printf.sprintf "%s: level buffer at depth %d (%d frames)" label depth
-             size)
+        ~detail:(fun () ->
+          Printf.sprintf "%s: level buffer at depth %d (%d frames)" label depth size)
     with
     | () -> None
     | exception Vc_error.Error err

@@ -40,7 +40,9 @@ let push t frame =
   if t.size >= t.capacity then
     invalid_arg (Printf.sprintf "Block.push: %s full (capacity %d)" t.label t.capacity);
   let row = t.size in
-  Array.iteri (fun f v -> t.data.(f).(row) <- v) frame;
+  for f = 0 to Array.length frame - 1 do
+    t.data.(f).(row) <- frame.(f)
+  done;
   t.size <- row + 1
 
 let reserve t =

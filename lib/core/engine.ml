@@ -28,9 +28,15 @@ type ctx = {
   mutable executed : int;
   (* Reusable blocks: ping-pong pair per breadth-first run depth parity is
      not enough because re-expansion nests; instead one reusable block per
-     (tree depth, slot).  Slot [0..e-1] holds blocked execution's per-site
-     children; breadth-first "next" blocks use slot [e]. *)
-  pool : (int * int, Block.t ref) Hashtbl.t;
+     (tree depth, slot), in [pool.(depth).(slot)] ([[||]] = depth not yet
+     reached).  Slot [0..e-1] holds blocked execution's per-site children;
+     breadth-first "next" blocks use slot [e]. *)
+  mutable pool : Block.t option array array;
+  (* The current level's base and recursive rows, refilled by every
+     [process_level]: a level's rows are consumed (base cases run, children
+     spawned) before the next level is processed. *)
+  base_rows : Vc_simd.Compact.rows;
+  rec_rows : Vc_simd.Compact.rows;
 }
 
 let isa ctx = ctx.m.Measure.machine.Vc_mem.Machine.isa
@@ -109,57 +115,39 @@ let note_fault ctx (e : Vc_error.t) =
 let pool_block ctx ~depth ~slot ~room =
   Fault.trip ctx.faults Fault.Alloc ~phase:Vc_error.Expand
     ~hint:Vc_error.Fallback_scalar
-    ~detail:(Printf.sprintf "block d%d-s%d (room %d)" depth slot room);
-  let key = (depth, slot) in
-  let cell =
-    match Hashtbl.find_opt ctx.pool key with
-    | Some cell -> cell
+    ~detail:(fun () -> Printf.sprintf "block d%d-s%d (room %d)" depth slot room);
+  if depth >= Array.length ctx.pool then begin
+    let grown = Array.make (max (depth + 1) (2 * Array.length ctx.pool)) [||] in
+    Array.blit ctx.pool 0 grown 0 (Array.length ctx.pool);
+    ctx.pool <- grown
+  end;
+  if Array.length ctx.pool.(depth) = 0 then
+    ctx.pool.(depth) <- Array.make (ctx.spec.Spec.num_spawns + 1) None;
+  let cells = ctx.pool.(depth) in
+  let blk =
+    match cells.(slot) with
+    | Some blk -> blk
     | None ->
-        let blk =
-          Block.create
-            ~label:(Printf.sprintf "blk-d%d-s%d" depth slot)
-            ctx.m.Measure.addr ~schema:ctx.spec.Spec.schema ~isa:(isa ctx)
-            ~capacity:(max room 16)
-        in
-        let cell = ref blk in
-        Hashtbl.add ctx.pool key cell;
-        cell
+        Block.create
+          ~label:(Printf.sprintf "blk-d%d-s%d" depth slot)
+          ctx.m.Measure.addr ~schema:ctx.spec.Spec.schema ~isa:(isa ctx)
+          ~capacity:(max room 16)
   in
-  !cell |> Block.clear;
-  cell := Block.ensure_room !cell ctx.m.Measure.addr ~extra:room;
-  !cell
+  Block.clear blk;
+  let fitted = Block.ensure_room blk ctx.m.Measure.addr ~extra:room in
+  if fitted != blk || Option.is_none cells.(slot) then cells.(slot) <- Some fitted;
+  fitted
 
-(* Charge the packed vector loads that bring a block's frames into
-   registers: per field, one vector load per width-chunk. *)
-let charge_block_read ctx blk =
-  let n = Block.size blk in
+(* Charge the packed vector loads ([write:false]) or stores of [count]
+   frames of [blk] starting at row [from]: per field, one vector access
+   per width-chunk. *)
+let charge_rows ctx blk ~write ~from ~count =
   let vm = ctx.m.Measure.vm in
   for f = 0 to ctx.nfields - 1 do
-    let chunk = ref 0 in
-    while !chunk < n do
-      let lanes = min ctx.width (n - !chunk) in
-      Vc_simd.Vm.vector_load vm
-        ~addr:(Block.field_addr blk ~field:f ~row:!chunk)
-        ~lanes ~lane_bytes:ctx.elem;
-      chunk := !chunk + ctx.width
-    done
+    Vc_simd.Vm.column vm ~write
+      ~addr:(Block.field_addr blk ~field:f ~row:from)
+      ~n:count ~width:ctx.width ~lane_bytes:ctx.elem
   done
-
-(* Charge the packed stores of [count] frames appended to [blk] starting at
-   row [from]. *)
-let charge_block_append ctx blk ~from ~count =
-  let vm = ctx.m.Measure.vm in
-  if count > 0 then
-    for f = 0 to ctx.nfields - 1 do
-      let chunk = ref 0 in
-      while !chunk < count do
-        let lanes = min ctx.width (count - !chunk) in
-        Vc_simd.Vm.vector_store vm
-          ~addr:(Block.field_addr blk ~field:f ~row:(from + !chunk))
-          ~lanes ~lane_bytes:ctx.elem;
-        chunk := !chunk + ctx.width
-      done
-    done
 
 let count_tasks ctx n =
   ctx.executed <- ctx.executed + n;
@@ -292,7 +280,7 @@ let process_level ctx blk ~depth ~phase =
   Metrics.tasks_at_level ctx.m.Measure.metrics ~depth ~n;
   Metrics.occupancy_sample ctx.m.Measure.metrics ~n ~width:ctx.width;
   Metrics.live_threads ctx.m.Measure.metrics ctx.live;
-  charge_block_read ctx blk;
+  charge_rows ctx blk ~write:false ~from:0 ~count:n;
   Vc_simd.Vm.batch vm ~width:ctx.width ~n ~insns_per_task:insns.Spec.check_insns ();
   Metrics.kernel_ops ctx.m.Measure.metrics (n * insns.Spec.check_insns);
   (* data-dependent work the compiler cannot vectorize stays scalar *)
@@ -301,12 +289,14 @@ let process_level ctx blk ~depth ~phase =
      level metrics) but before any base work, so on a fault the whole
      block is exactly "task-counted but not yet executed": quarantine it
      and run every frame's subtree scalar, with [count_roots:false]. *)
+  let base_rows = ctx.base_rows and rec_rows = ctx.rec_rows in
   let quarantine err =
     note_fault ctx err;
+    base_rows.len <- 0;
+    rec_rows.len <- 0;
     scalar_subtrees ctx
       (List.init n (fun row -> frame_of ctx blk row))
-      ~depth ~count_roots:false;
-    ([||], [||])
+      ~depth ~count_roots:false
   in
   (* the compact span closes (via Fun.protect) before any quarantine
      runs, so fallback work attributes under the phase frame, not under
@@ -315,39 +305,40 @@ let process_level ctx blk ~depth ~phase =
     with_span ctx frame_compact @@ fun () ->
     Fault.trip ctx.faults Fault.Compact ~phase:Vc_error.Execute
       ~hint:Vc_error.Fallback_scalar
-      ~detail:(Printf.sprintf "partition of %d frames at depth %d" n depth);
-    Vc_simd.Compact.partition ~vm ~engine:ctx.compact ~width:ctx.width ~n
+      ~detail:(fun () -> Printf.sprintf "partition of %d frames at depth %d" n depth);
+    Vc_simd.Compact.partition_into ~vm ~engine:ctx.compact ~width:ctx.width ~n
       ~pred:(fun row -> ctx.spec.Spec.is_base blk row)
+      ~sel:base_rows ~rest:rec_rows
   in
-  let base_rows, rec_rows =
-    match partition () with
-    | groups -> groups
-    | exception Vc_simd.Compact.Unsupported { engine; isa; reason } ->
-        (* an unsupported engine/ISA pairing is a compaction fault too:
-           degrade to scalar under supervision, typed error otherwise *)
-        let err =
-          {
-            Vc_error.kind =
-              Vc_error.Fault
-                { site = Vc_error.Compaction; hint = Vc_error.Fallback_scalar };
-            phase = Vc_error.Execute;
-            detail =
-              Printf.sprintf "engine %s unsupported on %s: %s" engine isa reason;
-          }
-        in
-        if ctx.recover then quarantine err else raise (Vc_error.Error err)
-    | exception (Vc_error.Error err as exn) when recoverable ctx exn ->
-        quarantine err
-  in
-  let nb = Array.length base_rows in
+  (match partition () with
+  | () -> ()
+  | exception Vc_simd.Compact.Unsupported { engine; isa; reason } ->
+      (* an unsupported engine/ISA pairing is a compaction fault too:
+         degrade to scalar under supervision, typed error otherwise *)
+      let err =
+        {
+          Vc_error.kind =
+            Vc_error.Fault
+              { site = Vc_error.Compaction; hint = Vc_error.Fallback_scalar };
+          phase = Vc_error.Execute;
+          detail =
+            Printf.sprintf "engine %s unsupported on %s: %s" engine isa reason;
+        }
+      in
+      if ctx.recover then quarantine err else raise (Vc_error.Error err)
+  | exception (Vc_error.Error err as exn) when recoverable ctx exn ->
+      quarantine err);
+  let nb = base_rows.len in
   Metrics.base_at_level ctx.m.Measure.metrics ~depth ~n:nb;
   (* base group: unmasked vector execution after compaction *)
   Vc_simd.Vm.batch vm ~classify:true ~width:ctx.width ~n:nb
     ~insns_per_task:insns.Spec.base_insns ();
   Metrics.kernel_ops ctx.m.Measure.metrics (nb * insns.Spec.base_insns);
-  Array.iter (fun row -> ctx.spec.Spec.exec_base ctx.reducers blk row) base_rows;
+  for i = 0 to nb - 1 do
+    ctx.spec.Spec.exec_base ctx.reducers blk base_rows.idx.(i)
+  done;
   (* recursive group: shared inductive work *)
-  let nr = Array.length rec_rows in
+  let nr = rec_rows.len in
   Vc_simd.Vm.batch vm ~classify:true ~width:ctx.width ~n:nr
     ~insns_per_task:insns.Spec.inductive_insns ();
   Metrics.kernel_ops ctx.m.Measure.metrics (nr * insns.Spec.inductive_insns);
@@ -380,25 +371,30 @@ let process_level ctx blk ~depth ~phase =
              (Vc_mem.Hierarchy.level_stats ctx.m.Measure.hier))
     | None -> ()
   end;
-  rec_rows
+  nr
 
-(* Spawn site [site]'s children of [rec_rows] into [dst]; returns how many
-   spawned.  Site-major order groups similar children (§4.2). *)
-let spawn_site ctx blk rec_rows ~site ~dst =
+(* Spawn site [site]'s children of the level's recursive rows into [dst];
+   returns how many spawned.  Site-major order groups similar children
+   (§4.2). *)
+let spawn_site ctx blk ~site ~dst =
   let vm = ctx.m.Measure.vm in
   let insns = ctx.spec.Spec.insns in
-  let nr = Array.length rec_rows in
+  let rec_rows = ctx.rec_rows in
+  let nr = rec_rows.len in
   Vc_simd.Vm.scalar_ops vm site_overhead;
   Vc_simd.Vm.batch vm ~width:ctx.width ~n:nr ~insns_per_task:insns.Spec.spawn_insns ();
   Metrics.kernel_ops ctx.m.Measure.metrics (nr * insns.Spec.spawn_insns);
   let before = Block.size dst in
-  Array.iter
-    (fun row -> ignore (ctx.spec.Spec.spawn blk row ~site ~dst : bool))
-    rec_rows;
+  for i = 0 to nr - 1 do
+    ignore (ctx.spec.Spec.spawn blk rec_rows.idx.(i) ~site ~dst : bool)
+  done;
   let pushed = Block.size dst - before in
-  charge_block_append ctx dst ~from:before ~count:pushed;
+  charge_rows ctx dst ~write:true ~from:before ~count:pushed;
   pushed
 
+(* The frames of the level's recursive rows, for quarantine. *)
+let rec_frames ctx blk =
+  List.init ctx.rec_rows.len (fun i -> frame_of ctx blk ctx.rec_rows.idx.(i))
 
 let check_live ctx =
   if ctx.live > ctx.max_live then raise (Oom { live = ctx.live; limit = ctx.max_live })
@@ -423,23 +419,20 @@ let bfs_step ctx blk ~depth ~reexp_from =
      under an "expand" span; whatever happens to the next level happens
      after it closes, so the span covers exactly one level's work. *)
   with_span ctx frame_expand @@ fun () ->
-  let rec_rows = process_level ctx blk ~depth ~phase:Telemetry.Bfs in
-  if Array.length rec_rows = 0 then begin
+  let nr = process_level ctx blk ~depth ~phase:Telemetry.Bfs in
+  if nr = 0 then begin
     ctx.live <- ctx.live - Block.size blk;
     None
   end
   else begin
     let e = ctx.spec.Spec.num_spawns in
     match
-      let next =
-        pool_block ctx ~depth:(depth + 1) ~slot:e
-          ~room:(Array.length rec_rows * e)
-      in
+      let next = pool_block ctx ~depth:(depth + 1) ~slot:e ~room:(nr * e) in
       (* Site-major enqueueing: all site-i children before any site-(i+1)
          children, preserving spawn-id grouping (§5). *)
       for site = 0 to e - 1 do
         with_span ctx ctx.site_frames.(site) (fun () ->
-            ignore (spawn_site ctx blk rec_rows ~site ~dst:next : int))
+            ignore (spawn_site ctx blk ~site ~dst:next : int))
       done;
       next
     with
@@ -448,9 +441,7 @@ let bfs_step ctx blk ~depth ~reexp_from =
            fires before the pool mutates anything): the recursive frames
            are accounted but their subtrees are not — run them scalar *)
         note_fault ctx err;
-        scalar_subtrees ctx
-          (Array.to_list (Array.map (fun row -> frame_of ctx blk row) rec_rows))
-          ~depth ~count_roots:false;
+        scalar_subtrees ctx (rec_frames ctx blk) ~depth ~count_roots:false;
         ctx.live <- ctx.live - Block.size blk;
         None
     | next ->
@@ -499,8 +490,8 @@ and blocked ctx blk ~depth =
        closes before any child block is descended into. *)
     let children =
       with_span ctx frame_blocked @@ fun () ->
-      let rec_rows = process_level ctx blk ~depth ~phase:Telemetry.Blocked in
-      if Array.length rec_rows = 0 then begin
+      let nr = process_level ctx blk ~depth ~phase:Telemetry.Blocked in
+      if nr = 0 then begin
         ctx.live <- ctx.live - Block.size blk;
         [||]
       end
@@ -510,11 +501,8 @@ and blocked ctx blk ~depth =
         match
           for site = 0 to e - 1 do
             with_span ctx ctx.site_frames.(site) (fun () ->
-                let dst =
-                  pool_block ctx ~depth:(depth + 1) ~slot:site
-                    ~room:(Array.length rec_rows)
-                in
-                ignore (spawn_site ctx blk rec_rows ~site ~dst : int);
+                let dst = pool_block ctx ~depth:(depth + 1) ~slot:site ~room:nr in
+                ignore (spawn_site ctx blk ~site ~dst : int);
                 ctx.live <- ctx.live + Block.size dst;
                 spawned := dst :: !spawned)
           done
@@ -529,9 +517,7 @@ and blocked ctx blk ~depth =
                 ctx.live <- ctx.live - Block.size dst;
                 Block.clear dst)
               !spawned;
-            scalar_subtrees ctx
-              (Array.to_list (Array.map (fun row -> frame_of ctx blk row) rec_rows))
-              ~depth ~count_roots:false;
+            scalar_subtrees ctx (rec_frames ctx blk) ~depth ~count_roots:false;
             ctx.live <- ctx.live - Block.size blk;
             [||]
         | () ->
@@ -591,7 +577,7 @@ let execute_frames ctx ~roots ~depth =
       scalar_subtrees ctx roots ~depth ~count_roots:true
   | root ->
       List.iter (fun frame -> Block.push root frame) roots;
-      charge_block_append ctx root ~from:0 ~count:(Block.size root);
+      charge_rows ctx root ~write:true ~from:0 ~count:(Block.size root);
       ctx.live <- ctx.live + Block.size root;
       if Block.size root >= ctx.max_block then begin
         Telemetry.emit ctx.tel
@@ -619,7 +605,7 @@ let expand_frontier ctx ~roots ~target =
       ([], 0)
   | root ->
       List.iter (fun frame -> Block.push root frame) roots;
-      charge_block_append ctx root ~from:0 ~count:(Block.size root);
+      charge_rows ctx root ~write:true ~from:0 ~count:(Block.size root);
       ctx.live <- ctx.live + Block.size root;
       let rec go blk ~depth =
         budget_check ctx;
@@ -692,7 +678,9 @@ let make_ctx ?compact ?(max_tasks = 200_000_000) ?(cutoff = 0) ?telemetry
     wall_start;
     live = 0;
     executed = 0;
-    pool = Hashtbl.create 64;
+    pool = [||];
+    base_rows = Vc_simd.Compact.rows ();
+    rec_rows = Vc_simd.Compact.rows ();
   }
 
 let report_of ctx ~strategy ~wall_seconds =

@@ -81,7 +81,7 @@ let trip plan site ~phase ~hint ~detail =
     if mix plan.seed i k mod plan.period = 0 then begin
       Atomic.incr plan.fired.(i);
       Vc_error.fail ~phase (err_site site) hint "injected fault #%d at %s: %s" k
-        (site_name site) detail
+        (site_name site) (detail ())
     end
   end
 

@@ -57,10 +57,12 @@ val trip :
   site ->
   phase:Vc_error.phase ->
   hint:Vc_error.hint ->
-  detail:string ->
+  detail:(unit -> string) ->
   unit
 (** Count one call at [site]; raise a typed fault on the calls the plan
-    selects.  No-op when the plan is disarmed (for [site]). *)
+    selects.  No-op when the plan is disarmed (for [site]).  [detail] is
+    forced only when a fault fires, so call sites pay nothing to describe
+    the calls that do not. *)
 
 val fired : plan -> (site * int) list
 (** Faults actually injected so far, per armed site that fired. *)

@@ -10,8 +10,7 @@ let create (machine : Vc_mem.Machine.t) =
   let hier = machine.Vc_mem.Machine.hierarchy () in
   let vm =
     Vc_simd.Vm.create
-      ~on_access:(fun { Vc_simd.Vm.addr; bytes; write = _ } ->
-        Vc_mem.Hierarchy.access hier ~addr ~bytes)
+      ~on_access:(fun ~addr ~bytes ~write:_ -> Vc_mem.Hierarchy.access hier ~addr ~bytes)
       machine.Vc_mem.Machine.isa
   in
   { vm; hier; addr = Addr.create (); metrics = Metrics.create (); machine }

@@ -45,7 +45,7 @@ let aos_to_soa ?telemetry ?(faults = Fault.none) ?(recover = true) ~vm ~addr
   (match
      Fault.trip faults Fault.Convert ~phase:Vc_error.Setup
        ~hint:Vc_error.Fallback_scalar
-       ~detail:(Printf.sprintf "aos->soa of %d frames x %d fields" n nfields)
+       ~detail:(fun () -> Printf.sprintf "aos->soa of %d frames x %d fields" n nfields)
    with
   | () ->
       for f = 0 to nfields - 1 do
@@ -86,7 +86,7 @@ let soa_to_aos ?telemetry ?(faults = Fault.none) ?(recover = true) ~vm ~aos_base
   (match
      Fault.trip faults Fault.Convert ~phase:Vc_error.Execute
        ~hint:Vc_error.Fallback_scalar
-       ~detail:(Printf.sprintf "soa->aos of %d frames x %d fields" n nfields)
+       ~detail:(fun () -> Printf.sprintf "soa->aos of %d frames x %d fields" n nfields)
    with
   | () ->
       for f = 0 to nfields - 1 do

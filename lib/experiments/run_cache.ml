@@ -129,7 +129,7 @@ let load ?(faults = Vc_core.Fault.none) ~dir () =
   (if Sys.file_exists path then
      match
        Vc_core.Fault.trip faults Vc_core.Fault.Cache ~phase:Vc_core.Vc_error.Load
-         ~hint:Vc_core.Vc_error.Discard_entry ~detail:path;
+         ~hint:Vc_core.Vc_error.Discard_entry ~detail:(fun () -> path);
        Jsonx.parse (read_file path)
      with
      | Ok j when Jsonx.(member "version" j = Int version) -> (
@@ -187,7 +187,7 @@ let save_atomic ?(faults = Vc_core.Fault.none) ~path payload =
      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let write_once () =
     Vc_core.Fault.trip faults Vc_core.Fault.Cache ~phase:Vc_core.Vc_error.Persist
-      ~hint:Vc_core.Vc_error.Retry ~detail:path;
+      ~hint:Vc_core.Vc_error.Retry ~detail:(fun () -> path);
     let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
     (try
        let oc = open_out_bin tmp in

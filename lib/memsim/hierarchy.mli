@@ -13,13 +13,16 @@ type level = {
 type t
 
 val create : level list -> t
-(** Nearest level first.  Raises [Invalid_argument] on an empty list. *)
+(** Nearest level first.  Raises [Invalid_argument] on an empty list or
+    when a level's line size differs from the nearest level's ({!access}
+    walks every level one nearest-level line at a time). *)
 
 val levels : t -> level list
 
 val access : t -> addr:int -> bytes:int -> unit
-(** Route one access (of any byte span) through the hierarchy.  Every line
-    touched is looked up in L1; only L1-missing lines proceed outward. *)
+(** Route one access (of any byte span, at a non-negative [addr]) through
+    the hierarchy.  Every line touched is looked up in L1; only L1-missing
+    lines proceed outward.  Allocates nothing. *)
 
 val penalty_cycles : t -> float
 (** Total accumulated miss-penalty cycles. *)

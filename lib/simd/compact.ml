@@ -74,69 +74,44 @@ let check_sub_width engine ~isa ~width ~sub_width =
                width;
          })
 
+type rows = { mutable idx : int array; mutable len : int }
+
+let rows () = { idx = [||]; len = 0 }
+
+(* Empty [r], with room for [n] rows (grown geometrically, never shrunk:
+   an engine's buffers settle at its widest block). *)
+let reset_rows r n =
+  if Array.length r.idx < n then r.idx <- Array.make (max n (2 * Array.length r.idx)) 0;
+  r.len <- 0
+
+let push r i =
+  r.idx.(r.len) <- i;
+  r.len <- r.len + 1
+
 (* Stable partition with a plain scalar loop: one compare + one store per
    element. *)
-let sequential ~vm ~n ~pred =
-  let sel = ref [] and rest = ref [] in
-  for i = n - 1 downto 0 do
-    Vm.scalar_ops vm 2;
-    if pred i then sel := i :: !sel else rest := i :: !rest
-  done;
-  (Array.of_list !sel, Array.of_list !rest)
+let sequential ~vm ~n ~pred ~sel ~rest =
+  Vm.scalar_ops vm (2 * n);
+  for i = 0 to n - 1 do
+    push (if pred i then sel else rest) i
+  done
 
-(* Shared chunked driver for the table-based engines.  The stream is
-   processed [width] lanes at a time; [compact_side] appends one side
-   (selected or unselected lanes) of one chunk.  Lane predicates are kept
-   as a boolean array so registers wider than the native int (e.g. the
-   64-wide char lanes of AVX512BW) work; each engine extracts the
-   sub-group masks it needs, which are at most 16 bits. *)
-let chunked ~width ~n ~pred ~compact_side =
-  let sel = Array.make n 0 and rest = Array.make n 0 in
-  let nsel = ref 0 and nrest = ref 0 in
-  let lanes = Array.make width 0 in
-  let keeps = Array.make width false in
-  let base = ref 0 in
-  while !base < n do
-    let chunk = min width (n - !base) in
-    for i = 0 to chunk - 1 do
-      lanes.(i) <- !base + i;
-      keeps.(i) <- pred (!base + i)
-    done;
-    (* Lanes beyond [chunk] (final partial register) are inactive on both
-       sides. *)
-    for i = chunk to width - 1 do
-      keeps.(i) <- false
-    done;
-    nsel := compact_side ~lanes ~keeps ~chunk ~want:true ~dst:sel ~pos:!nsel;
-    nrest := compact_side ~lanes ~keeps ~chunk ~want:false ~dst:rest ~pos:!nrest;
-    base := !base + width
-  done;
-  (Array.sub sel 0 !nsel, Array.sub rest 0 !nrest)
+type tables = Shuffle of Shuffle_table.t | Prefix of Prefix_table.t
 
-(* Mask bits of sub-group [g] (width [sub_width]) for the lanes whose
-   predicate equals [want], restricted to the live [chunk]. *)
-let sub_group_mask ~keeps ~chunk ~sub_width ~want g =
-  let m = ref 0 in
-  for i = 0 to sub_width - 1 do
-    let lane = (g * sub_width) + i in
-    if lane < chunk && keeps.(lane) = want then m := !m lor (1 lsl i)
-  done;
-  !m
-
-(* Factorized shuffle compaction: split the register into [width/sub]
-   sub-groups; per sub-group one shuffle-table lookup, one advance-table
-   lookup and one shuffle, appending at the running position (Fig. 8).
-   Only the table reads are traced to memory; the data movement of the
-   reordered threads is charged by the block manager that consumes the
-   permutation. *)
-let shuffle_side ~vm ~width ~sub_width =
-  let table = shuffle_table sub_width in
-  let groups = width / sub_width in
-  fun ~lanes ~keeps ~chunk ~want ~dst ~pos ->
-    let p = ref pos in
-    for g = 0 to groups - 1 do
-      let m = sub_group_mask ~keeps ~chunk ~sub_width ~want g in
-      (Vm.stats vm).Stats.compaction_passes <- (Vm.stats vm).Stats.compaction_passes + 1;
+(* Append the lanes of one sub-group (mask [m], first lane [lane0]) to
+   [dst], charging one pass of the table-driven engine.  Shuffle: one
+   shuffle-table lookup, one advance-table lookup and one shuffle per
+   sub-group, appending at the running position (Fig. 8).  Prefix: one
+   prefix-table lookup and, when any lane is kept, one masked scatter (the
+   Phi path).  Only the table reads are traced to memory; the data
+   movement of the reordered threads is charged by the block manager that
+   consumes the permutation. *)
+let compact_group vm ~width ~sub_width tables m ~lane0 dst =
+  let stats = Vm.stats vm in
+  stats.Stats.compaction_passes <- stats.Stats.compaction_passes + 1;
+  let p = dst.len in
+  match tables with
+  | Shuffle table ->
       Vm.table_lookup vm
         ~addr:(table_region_base + (m * (sub_width + 1)))
         ~bytes:(sub_width + 1);
@@ -146,21 +121,10 @@ let shuffle_side ~vm ~width ~sub_width =
       let control = Shuffle_table.shuffle_control table m in
       let cnt = Shuffle_table.advance table m in
       for i = 0 to cnt - 1 do
-        dst.(!p + i) <- lanes.((g * sub_width) + control.(i))
+        dst.idx.(p + i) <- lane0 + control.(i)
       done;
-      p := !p + cnt
-    done;
-    !p
-
-(* Prefix-sum + masked-scatter compaction (Phi path). *)
-let prefix_side ~vm ~width ~sub_width =
-  let table = prefix_table sub_width in
-  let groups = width / sub_width in
-  fun ~lanes ~keeps ~chunk ~want ~dst ~pos ->
-    let p = ref pos in
-    for g = 0 to groups - 1 do
-      let m = sub_group_mask ~keeps ~chunk ~sub_width ~want g in
-      (Vm.stats vm).Stats.compaction_passes <- (Vm.stats vm).Stats.compaction_passes + 1;
+      dst.len <- p + cnt
+  | Prefix table ->
       Vm.table_lookup vm
         ~addr:(table_region_base + 0x10000 + (m * (sub_width + 1)))
         ~bytes:(sub_width + 1);
@@ -170,17 +134,51 @@ let prefix_side ~vm ~width ~sub_width =
         (* the masked scatter instruction itself; its stores land in the
            compacted output block, charged by the block manager *)
         Vm.vector_op vm ~width ~active:cnt;
-        (Vm.stats vm).Stats.scatters <- (Vm.stats vm).Stats.scatters + 1
+        stats.Stats.scatters <- stats.Stats.scatters + 1
       end;
       for lane = 0 to sub_width - 1 do
-        if m land (1 lsl lane) <> 0 then
-          dst.(!p + off.(lane)) <- lanes.((g * sub_width) + lane)
+        if m land (1 lsl lane) <> 0 then dst.idx.(p + off.(lane)) <- lane0 + lane
       done;
-      p := !p + cnt
-    done;
-    !p
+      dst.len <- p + cnt
 
-let partition ~vm ~engine ~width ~n ~pred =
+(* Chunked driver for the table-based engines.  The stream is processed
+   [width] lanes at a time.  Each sub-group's keep-mask (at most 16 bits)
+   is computed once per register; the unselected mask is the register's
+   live lanes minus the selected ones, so lanes beyond the stream's end
+   (final partial register) are inactive on both sides.  Working on
+   sub-group masks rather than one register mask also covers registers
+   wider than the native int (e.g. the 64-wide char lanes of AVX512BW). *)
+let chunked ~vm ~width ~sub_width tables ~n ~pred ~sel ~rest =
+  let groups = width / sub_width in
+  let keep = Array.make groups 0 and live = Array.make groups 0 in
+  let base = ref 0 in
+  while !base < n do
+    let chunk = min width (n - !base) in
+    for g = 0 to groups - 1 do
+      let k = ref 0 and l = ref 0 in
+      for i = 0 to sub_width - 1 do
+        let lane = (g * sub_width) + i in
+        if lane < chunk then begin
+          l := !l lor (1 lsl i);
+          if pred (!base + lane) then k := !k lor (1 lsl i)
+        end
+      done;
+      keep.(g) <- !k;
+      live.(g) <- !l
+    done;
+    for g = 0 to groups - 1 do
+      compact_group vm ~width ~sub_width tables keep.(g) ~lane0:(!base + (g * sub_width)) sel
+    done;
+    for g = 0 to groups - 1 do
+      compact_group vm ~width ~sub_width tables
+        (live.(g) land lnot keep.(g))
+        ~lane0:(!base + (g * sub_width))
+        rest
+    done;
+    base := !base + width
+  done
+
+let partition_into ~vm ~engine ~width ~n ~pred ~sel ~rest =
   let isa_name = (Vm.isa vm).Isa.name in
   let unsupported reason =
     raise (Unsupported { engine = name engine; isa = isa_name; reason })
@@ -190,20 +188,28 @@ let partition ~vm ~engine ~width ~n ~pred =
     unsupported
       (Printf.sprintf "Compact.partition: engine %s is illegal on ISA %s"
          (name engine) isa_name);
-  if n = 0 then ([||], [||])
-  else begin
+  reset_rows sel n;
+  reset_rows rest n;
+  if n > 0 then begin
     (Vm.stats vm).Stats.compaction_calls <- (Vm.stats vm).Stats.compaction_calls + 1;
     match engine with
-    | Sequential -> sequential ~vm ~n ~pred
+    | Sequential -> sequential ~vm ~n ~pred ~sel ~rest
     | Full_table ->
         if width > 16 then
           unsupported "Compact.partition: full table limited to width 16";
-        chunked ~width ~n ~pred
-          ~compact_side:(shuffle_side ~vm ~width ~sub_width:width)
+        chunked ~vm ~width ~sub_width:width (Shuffle (shuffle_table width)) ~n ~pred ~sel
+          ~rest
     | Factorized { sub_width } ->
         check_sub_width engine ~isa:isa_name ~width ~sub_width;
-        chunked ~width ~n ~pred ~compact_side:(shuffle_side ~vm ~width ~sub_width)
+        chunked ~vm ~width ~sub_width (Shuffle (shuffle_table sub_width)) ~n ~pred ~sel
+          ~rest
     | Prefix_scatter { sub_width } ->
         check_sub_width engine ~isa:isa_name ~width ~sub_width;
-        chunked ~width ~n ~pred ~compact_side:(prefix_side ~vm ~width ~sub_width)
+        chunked ~vm ~width ~sub_width (Prefix (prefix_table sub_width)) ~n ~pred ~sel
+          ~rest
   end
+
+let partition ~vm ~engine ~width ~n ~pred =
+  let sel = rows () and rest = rows () in
+  partition_into ~vm ~engine ~width ~n ~pred ~sel ~rest;
+  (Array.sub sel.idx 0 sel.len, Array.sub rest.idx 0 rest.len)

@@ -1191,6 +1191,47 @@ let test_supervisor_live_frames () =
       check_bool "budget error" true (Vc_error.is_budget e);
       check_int "exit code 2" 2 (Vc_error.exit_code e)
 
+(* [Fault.trip]'s detail is a thunk: forced exactly once per injected
+   fault, never under [Fault.none], at a disarmed site or on a call that
+   does not fire; the injected error text is the eager one. *)
+let test_fault_detail_on_fire () =
+  let forced = ref 0 in
+  let detail () =
+    incr forced;
+    "partition of 8 frames at depth 3"
+  in
+  let trip plan =
+    Fault.trip plan Fault.Compact ~phase:Vc_error.Execute ~hint:Vc_error.Fallback_scalar
+      ~detail
+  in
+  for _ = 1 to 100 do
+    trip Fault.none
+  done;
+  check_int "Fault.none never forces" 0 !forced;
+  let elsewhere = Fault.make ~rate:1.0 ~seed:7 ~sites:[ Fault.Alloc ] () in
+  for _ = 1 to 100 do
+    trip elsewhere
+  done;
+  check_int "a disarmed site never forces" 0 !forced;
+  let plan = Fault.make ~rate:0.25 ~seed:3 ~sites:[ Fault.Compact ] () in
+  let fired = ref 0 in
+  for k = 0 to 199 do
+    match trip plan with
+    | () -> check_int "a call that does not fire forces nothing" !fired !forced
+    | exception Vc_error.Error e ->
+        incr fired;
+        check_int "forced once per fault" !fired !forced;
+        Alcotest.(check string)
+          "error text"
+          (Printf.sprintf
+             "[compaction/execute] injected fault #%d at compact: partition of 8 frames at \
+              depth 3 (recovery: fallback-scalar)"
+             k)
+          (Vc_error.to_string e)
+  done;
+  check_bool "some calls fired, some did not" true (!fired > 0 && !fired < 200);
+  check_int "fired = plan's count" !fired (Fault.total_fired plan)
+
 let test_soa_fault_fallback () =
   let vm = Vc_simd.Vm.create Vc_simd.Isa.sse42 in
   let addr = Addr.create () in
@@ -1496,6 +1537,8 @@ let () =
             test_supervisor_live_frames;
           Alcotest.test_case "soa fault falls back to scalar copy" `Quick
             test_soa_fault_fallback;
+          Alcotest.test_case "fault details are built only on fire" `Quick
+            test_fault_detail_on_fire;
           Alcotest.test_case "blocked interp budgets" `Quick
             test_blocked_interp_budget;
         ] );
