@@ -14,15 +14,15 @@
      kernels over unboxed structure-of-arrays frames — the "compiled"
      backend for IR sources;
    - the closure stepper ({!Blocked_interp}): per-thread closure dispatch
-     over list levels — the "blocked" backend for IR sources;
+     over the same SoA levels — the "blocked" backend for IR sources;
    - the native stepper: [Spec.t] callbacks over ThreadBlocks — both
      backends use it for native sources (a native spec is already
      compiled OCaml; there is nothing further to specialize).
 
-   Compiled-vs-blocked is therefore a pure dispatch/layout comparison with
-   bit-equal results: both run under the same scheduler, budgets, fault
-   sites and chunked-domains driver, and the differential suite holds all
-   six result fields equal.
+   Compiled-vs-blocked is therefore a pure dispatch comparison with
+   bit-equal results: both run over the same levels and level pool, under
+   the same scheduler, budgets, fault sites and chunked-domains driver,
+   and the differential suite holds all six result fields equal.
 
    Structured after Bombyx's backend split (PAPERS.md): the IR stays
    fixed, a future C-stub/FPGA-style cost backend is a third [t] value,
@@ -82,24 +82,15 @@ type 'lvl stepper = {
   num_spawns : int;
 }
 
-let interp_stepper (inst : Blocked_interp.inst) : Blocked_interp.level stepper =
-  {
-    size = Blocked_interp.size;
-    new_level = (fun _ -> Blocked_interp.new_level ());
-    clear = Blocked_interp.clear;
-    of_frames = Blocked_interp.of_frames ~nparams:inst.Blocked_interp.nparams;
-    frames = Blocked_interp.frames;
-    step = inst.Blocked_interp.step;
-    scalar = inst.Blocked_interp.scalar;
-    num_spawns = inst.Blocked_interp.num_spawns;
-  }
-
-let soa_stepper (inst : Codegen.Soa.inst) : Codegen.Soa.buf stepper =
+(* Both IR steppers (compiled kernels and the closure interpreter) run
+   over the same SoA levels, so they share one set of level operations. *)
+let ir_stepper (inst : Codegen.Soa.inst) : Codegen.Soa.buf stepper =
+  let nfields = inst.Codegen.Soa.nparams in
   {
     size = Codegen.Soa.size;
-    new_level = inst.Codegen.Soa.new_buf;
+    new_level = Codegen.Soa.make_buf ~nfields;
     clear = Codegen.Soa.clear;
-    of_frames = Codegen.Soa.of_frames ~nfields:inst.Codegen.Soa.nparams;
+    of_frames = Codegen.Soa.of_frames ~nfields;
     frames = Codegen.Soa.frames;
     step = inst.Codegen.Soa.step;
     scalar = inst.Codegen.Soa.scalar;
@@ -272,21 +263,21 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
     end
     else f ()
   in
-  (* Per-(depth, slot) level-buffer pool, as in the engine: buffers are
-     reused once the subtree that filled them has been fully consumed.
-     Slot [e] is the bfs "next" buffer, slots 0..e-1 the per-site blocked
-     buffers. *)
-  let pool : (int * int, l) Hashtbl.t = Hashtbl.create 64 in
-  let pool_level ~depth ~slot ~cap =
-    match Hashtbl.find_opt pool (depth, slot) with
-    | Some l ->
+  (* Level-buffer pool: a LIFO free list.  A level goes back as soon as it
+     has been stepped (or comes back empty), so the buffers alive at any
+     time are the unconsumed frontier plus the spares — never a buffer per
+     depth at that depth's high-water mark.  A fresh buffer starts at the
+     given capacity and grows geometrically when pushed past it. *)
+  let free = ref [] in
+  let acquire cap =
+    match !free with
+    | l :: rest ->
+        free := rest;
         st.clear l;
         l
-    | None ->
-        let l = st.new_level cap in
-        Hashtbl.add pool (depth, slot) l;
-        l
+    | [] -> st.new_level cap
   in
+  let release l = free := l :: !free in
   let dummy = st.new_level 1 in
   let no_sites = [||] in
   (* Faults trip per level, before any of its rows execute, so a
@@ -318,6 +309,8 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
     Telemetry.emit tel (Telemetry.Fault { site; detail = err.Vc_error.detail });
     Telemetry.emit tel (Telemetry.Fallback { depth; size = n });
     s.live <- s.live - n;
+    let frames = st.frames src in
+    release src;
     with_span "fallback" @@ fun () ->
     List.iter
       (st.scalar ~depth ~on_task:(fun ~depth:d ~base ->
@@ -330,7 +323,7 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
                ();
            if d > s.max_depth then s.max_depth <- d;
            if base then s.base_tasks <- s.base_tasks + 1))
-      (st.frames src)
+      frames
   in
   let rec bfs src n depth =
     budget_check ();
@@ -340,23 +333,24 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
     | None ->
         check_tasks n;
         s.tasks <- s.tasks + n;
-        let next = pool_level ~depth:(depth + 1) ~slot:e ~cap:n in
+        let next = acquire n in
         let nbase =
           with_span "expand" @@ fun () ->
           st.step ~src ~blocked:false ~next ~sites:no_sites
         in
+        release src;
         s.base_tasks <- s.base_tasks + nbase;
         Telemetry.emit tel
           (Telemetry.Level { phase = Telemetry.Bfs; depth; size = n; base = nbase });
         let ln = st.size next in
         s.live <- s.live + ln - n;
-        if ln > 0 then
-          if ln < max_block then bfs next ln (depth + 1)
-          else begin
-            s.switches <- s.switches + 1;
-            Telemetry.emit tel (Telemetry.Switch { depth = depth + 1; size = ln });
-            blocked next ln (depth + 1)
-          end
+        if ln = 0 then release next
+        else if ln < max_block then bfs next ln (depth + 1)
+        else begin
+          s.switches <- s.switches + 1;
+          Telemetry.emit tel (Telemetry.Switch { depth = depth + 1; size = ln });
+          blocked next ln (depth + 1)
+        end
   and blocked src n depth =
     budget_check ();
     if depth > s.max_depth then s.max_depth <- depth;
@@ -365,13 +359,13 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
     | None ->
         check_tasks n;
         s.tasks <- s.tasks + n;
-        let sites =
-          Array.init e (fun i -> pool_level ~depth:(depth + 1) ~slot:i ~cap:n)
-        in
+        let cap = n / max 1 e in
+        let sites = Array.init e (fun _ -> acquire cap) in
         let nbase =
           with_span "blocked" @@ fun () ->
           st.step ~src ~blocked:true ~next:dummy ~sites
         in
+        release src;
         s.base_tasks <- s.base_tasks + nbase;
         Telemetry.emit tel
           (Telemetry.Level { phase = Telemetry.Blocked; depth; size = n; base = nbase });
@@ -380,19 +374,19 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
         Array.iter
           (fun blk ->
             let bn = st.size blk in
-            if bn > 0 then
-              if bn >= max_block || not reexpand then blocked blk bn (depth + 1)
-              else begin
-                s.reexpansions <- s.reexpansions + 1;
-                Telemetry.emit tel
-                  (Telemetry.Reexpand
-                     {
-                       depth = depth + 1;
-                       size = bn;
-                       shrink = float_of_int bn /. float_of_int (max 1 max_block);
-                     });
-                bfs blk bn (depth + 1)
-              end)
+            if bn = 0 then release blk
+            else if bn >= max_block || not reexpand then blocked blk bn (depth + 1)
+            else begin
+              s.reexpansions <- s.reexpansions + 1;
+              Telemetry.emit tel
+                (Telemetry.Reexpand
+                   {
+                     depth = depth + 1;
+                     size = bn;
+                     shrink = float_of_int bn /. float_of_int (max 1 max_block);
+                   });
+              bfs blk bn (depth + 1)
+            end)
           sites
   in
   let root = st.of_frames roots in
@@ -459,8 +453,10 @@ type any_stepper = Any : 'l stepper -> any_stepper
 let stepper_of ~compiled source ~reducers =
   match source with
   | Ir t ->
-      if compiled then Any (soa_stepper (Codegen.Soa.instantiate t ~reducers))
-      else Any (interp_stepper (Blocked_interp.instantiate t ~reducers))
+      let instantiate =
+        if compiled then Codegen.Soa.instantiate else Blocked_interp.instantiate
+      in
+      Any (ir_stepper (instantiate t ~reducers))
   | Native spec -> Any (native_stepper spec ~reducers)
 
 let finish ~reducers (s : cstate) ~wall_start =
@@ -583,7 +579,7 @@ let interp =
   {
     name = "blocked";
     description =
-      "interpreted: per-thread closure dispatch over list levels \
+      "interpreted: per-thread closure dispatch over SoA levels \
        (Blocked_interp for IR, ThreadBlock callbacks for native specs)";
     exec = exec_backend ~compiled:false;
   }

@@ -6,18 +6,22 @@
     blocks) at raw OCaml speed, with no cost model.  Two instances:
 
     - {!interp} ("blocked"): the {!Blocked_interp} closure stepper for IR
-      sources (per-thread closure dispatch over list levels), spec
+      sources (per-thread closure dispatch over SoA levels), spec
       callbacks over ThreadBlocks for native sources;
     - {!compiled}: per-spawn-site specialized {!Codegen.Soa} step kernels
-      over unboxed SoA frames for IR sources (native sources use the same
+      over the same SoA levels for IR sources (native sources use the same
       callback path — a native spec is already compiled OCaml).
+
+    Both IR steppers step {!Codegen.Soa.buf} levels taken from one LIFO
+    free-list pool per run: a level returns to it as soon as it has been
+    stepped, so backend memory follows the live frontier.
 
     Both produce bit-equal reducers, task counts and scheduler counters
     for the same source and strategy; the differential suite enforces
     this.  Compare with {!Engine}, which runs the {e cost model} over
     native specs and reports modeled cycles: backends report wall-clock
     throughput instead and exist so compiled-vs-interpreted is a pure
-    dispatch/layout measurement.
+    dispatch measurement.
 
     The scheduler is shared and generic over a level-stepper: budgets,
     per-level fault quarantine, wall-clock timing and the chunked-domains

@@ -1,54 +1,30 @@
 open Vc_lang
-
-(* A level is a list of frames kept in reverse push order, with its size
-   alongside so the scheduler never walks a level just to count it. *)
-type level = { mutable rev : int array list; mutable n : int }
-
-let new_level () = { rev = []; n = 0 }
-let size l = l.n
-
-let clear l =
-  l.rev <- [];
-  l.n <- 0
-
-let frames l = List.rev l.rev
-
-let push l frame =
-  l.rev <- frame :: l.rev;
-  l.n <- l.n + 1
-
-let of_frames ~nparams fs =
-  let l = new_level () in
-  List.iter
-    (fun f ->
-      if Array.length f <> nparams then
-        invalid_arg
-          (Printf.sprintf "Blocked_interp.of_frames: root frame has %d fields, %d expected"
-             (Array.length f) nparams);
-      (* copy: threads alias their frame into the codegen rt *)
-      push l (Array.copy f))
-    fs;
-  l
-
-type inst = {
-  nparams : int;
-  num_spawns : int;
-  step : src:level -> blocked:bool -> next:level -> sites:level array -> int;
-  scalar :
-    on_task:(depth:int -> base:bool -> unit) -> depth:int -> int array -> unit;
-}
+module Soa = Codegen.Soa
 
 exception Continue_thread
 
-let instantiate (t : Blocked_ast.t) ~(reducers : Reducer.set) : inst =
+let instantiate (t : Blocked_ast.t) ~(reducers : Reducer.set) : Soa.inst =
   let program = t.Blocked_ast.source in
   let layout = Codegen.layout_of program in
   let nparams = Array.length (Codegen.params layout) in
+  (* [scalar]'s child buffer, reused for every frame it expands *)
+  let children = Soa.make_buf ~nfields:nparams 1 in
   (* Enqueue sinks write through these cells; [step] and [scalar] point
      them at their destination levels. *)
-  let sink_next = ref (new_level ()) in
+  let sink_next = ref children in
   let sink_sites = ref [||] in
   let reduce name v = Reducer.reduce reducers name v in
+  (* A push evaluates every child argument into a per-site scratch frame,
+     then appends it column-wise: nothing is allocated per child. *)
+  let compile_push exprs =
+    let fs = Array.of_list (List.map (Codegen.compile_expr layout) exprs) in
+    let scratch = Array.make (Array.length fs) 0 in
+    fun rt ->
+      for i = 0 to Array.length fs - 1 do
+        scratch.(i) <- fs.(i) rt
+      done;
+      scratch
+  in
   let compile_b (bs : Blocked_ast.bstmt) : Codegen.rt -> unit =
     let rec go (bs : Blocked_ast.bstmt) : Codegen.rt -> unit =
       match bs with
@@ -80,11 +56,11 @@ let instantiate (t : Blocked_ast.t) ~(reducers : Reducer.set) : inst =
           let f = Codegen.compile_expr layout expr in
           fun rt -> reduce name (f rt)
       | Blocked_ast.NextAdd exprs ->
-          let fs = Array.of_list (List.map (Codegen.compile_expr layout) exprs) in
-          fun rt -> push !sink_next (Array.map (fun f -> f rt) fs)
+          let eval = compile_push exprs in
+          fun rt -> Soa.push !sink_next (eval rt)
       | Blocked_ast.NextsAdd (site, exprs) ->
-          let fs = Array.of_list (List.map (Codegen.compile_expr layout) exprs) in
-          fun rt -> push !sink_sites.(site) (Array.map (fun f -> f rt) fs)
+          let eval = compile_push exprs in
+          fun rt -> Soa.push !sink_sites.(site) (eval rt)
     in
     let f = go bs in
     fun rt -> try f rt with Continue_thread -> ()
@@ -95,41 +71,32 @@ let instantiate (t : Blocked_ast.t) ~(reducers : Reducer.set) : inst =
   let blk_base = compile_b t.Blocked_ast.blocked_method.Blocked_ast.base in
   let blk_ind = compile_b t.Blocked_ast.blocked_method.Blocked_ast.inductive in
   let rt = Codegen.make_rt layout in
-  let nbase = ref 0 in
-  let run_thread ~fbase ~find frame =
-    (* Frames are enqueued once and consumed once, so the rt can alias the
-       frame array directly instead of blitting it into a scratch copy —
-       this removes the dominant per-thread churn (one blit per task).
-       Param assignments write through the alias, which is fine: nothing
-       reads a frame after its thread ran. *)
-    Codegen.set_frame rt frame;
-    Codegen.reset_locals rt;
-    if is_base rt <> 0 then begin
-      incr nbase;
-      fbase rt
-    end
-    else find rt
-  in
   let step ~src ~blocked ~next ~sites =
     sink_next := next;
     sink_sites := sites;
-    nbase := 0;
     let fbase, find = if blocked then (blk_base, blk_ind) else (bfs_base, bfs_ind) in
-    let threads = frames src in
-    (* consumed: the scheduler's level pool must not keep them alive *)
-    clear src;
-    List.iter (run_thread ~fbase ~find) threads;
+    let nbase = ref 0 in
+    (* each thread runs on a private copy of its row: param assignments
+       write [rt.frame], never the level being stepped *)
+    for r = 0 to Soa.size src - 1 do
+      Soa.load_row src r rt.Codegen.frame;
+      Codegen.reset_locals rt;
+      if is_base rt <> 0 then begin
+        incr nbase;
+        fbase rt
+      end
+      else find rt
+    done;
     !nbase
   in
   (* Scalar subtree execution (the fault-quarantine fallback): the bfs
      flavor, depth-first over an explicit stack, one frame at a time. *)
-  let children = new_level () in
   let scalar ~on_task ~depth frame =
     sink_next := children;
     let rec go = function
       | [] -> ()
       | (fr, d) :: rest ->
-          Codegen.set_frame rt fr;
+          Array.blit fr 0 rt.Codegen.frame 0 nparams;
           Codegen.reset_locals rt;
           if is_base rt <> 0 then begin
             on_task ~depth:d ~base:true;
@@ -138,12 +105,16 @@ let instantiate (t : Blocked_ast.t) ~(reducers : Reducer.set) : inst =
           end
           else begin
             on_task ~depth:d ~base:false;
-            clear children;
+            Soa.clear children;
             bfs_ind rt;
-            (* [rev] holds the last child first: the first child ends on top *)
-            go (List.fold_left (fun st ch -> (ch, d + 1) :: st) rest children.rev)
+            (* the first child ends on top *)
+            let st = ref rest in
+            for r = Soa.size children - 1 downto 0 do
+              st := (Soa.frame children r, d + 1) :: !st
+            done;
+            go !st
           end
     in
     go [ (frame, depth) ]
   in
-  { nparams; num_spawns = t.Blocked_ast.num_spawns; step; scalar }
+  { Soa.nparams; num_spawns = t.Blocked_ast.num_spawns; step; scalar }

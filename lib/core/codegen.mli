@@ -19,23 +19,15 @@ val layout_of : Vc_lang.Ast.program -> layout
 val params : layout -> string array
 val locals : layout -> string array
 
-type rt = { mutable frame : int array; locals : int array }
+type rt = { frame : int array; locals : int array }
 (** Runtime state of one thread: [frame] holds the parameters (length =
-    number of params), [locals] is scratch (length = number of locals).
-    [frame] is mutable so executors can alias a single-owner frame array
-    ({!set_frame}) instead of blitting it — the blocked interpreter's
-    per-thread hot path. *)
+    number of params), [locals] is scratch (length = number of locals). *)
 
 val make_rt : layout -> rt
 (** Fresh runtime state with zeroed slots (reusable across threads by
     overwriting [frame] contents and calling {!reset_locals}). *)
 
 val reset_locals : rt -> unit
-
-val set_frame : rt -> int array -> unit
-(** Alias [rt.frame] to the given array (no copy).  Only safe when the
-    executor owns the array exclusively: compiled code may write params
-    through it ([Assign] to a parameter). *)
 
 val compile_expr : layout -> Vc_lang.Ast.expr -> rt -> int
 (** Booleans evaluate to 0/1.  Short-circuits [&&] and [||]. *)
@@ -57,7 +49,9 @@ val compile_stmt :
     Fig. 6 scheduling; see that module for the engine-level contract. *)
 module Soa : sig
   type buf
-  (** A growable SoA level: one int-array column per frame field. *)
+  (** A growable SoA level: one int-array column per frame field.  The
+      level representation of both IR steppers (this module's kernels and
+      {!Blocked_interp}'s closures). *)
 
   val make_buf : nfields:int -> int -> buf
   (** [make_buf ~nfields cap]: an empty buffer with initial capacity
@@ -69,6 +63,10 @@ module Soa : sig
   val push : buf -> int array -> unit
   (** Append one frame (length ≥ [nfields]); grows geometrically. *)
 
+  val load_row : buf -> int -> int array -> unit
+  (** [load_row b i frame] copies row [i] into [frame] (length ≥
+      [nfields]), allocating nothing. *)
+
   val frame : buf -> int -> int array
   (** Copy row [i] out as a fresh frame array. *)
 
@@ -76,17 +74,19 @@ module Soa : sig
   (** All rows, in order, as fresh frame arrays (quarantine extraction). *)
 
   val of_frames : nfields:int -> int array list -> buf
+  (** A buffer holding the given root frames.  Raises [Invalid_argument]
+      unless every frame has exactly [nfields] fields. *)
 
   type inst = {
-    nparams : int;
+    nparams : int;  (** fields per frame: [make_buf ~nfields:nparams] *)
     num_spawns : int;
-    new_buf : int -> buf;  (** fresh buffer with the program's fields *)
     step : src:buf -> blocked:bool -> next:buf -> sites:buf array -> int;
         (** Execute one whole level: base rows run their base kernel,
             inductive rows push children into [next] (bfs flavor) or
             [sites] (blocked flavor, one buffer per spawn site).  Returns
             the number of base rows.  [sites] must have [num_spawns]
-            entries when [blocked]. *)
+            entries when [blocked].  [src]'s rows are consumed: the caller
+            may clear and reuse it afterwards. *)
     scalar :
       on_task:(depth:int -> base:bool -> unit) -> depth:int -> int array -> unit;
         (** Execute one frame's whole subtree on the classic per-thread

@@ -65,18 +65,30 @@ let check_backends_vs_engine () =
 
 (* On DSL sources — where interpreted and compiled dispatch actually
    differ — the two backends must agree on every result field except
-   wall clock, across the full strategy grid. *)
+   wall clock, across the full strategy grid, single-context and over 2
+   domains.  Blocks 1–3 make nearly every level switch or re-expand, so
+   level buffers are released and reacquired at every depth. *)
 let strategies =
-  (Policy.Bfs_only, "bfs")
-  :: List.concat_map
-       (fun block ->
-         [
-           ( Policy.Hybrid { max_block = block; reexpand = false },
-             Printf.sprintf "noreexp/%d" block );
-           ( Policy.Hybrid { max_block = block; reexpand = true },
-             Printf.sprintf "reexp/%d" block );
-         ])
-       [ 16; 256; 4096 ]
+  let policies =
+    (Policy.Bfs_only, "bfs")
+    :: List.concat_map
+         (fun block ->
+           [
+             ( Policy.Hybrid { max_block = block; reexpand = false },
+               Printf.sprintf "noreexp/%d" block );
+             ( Policy.Hybrid { max_block = block; reexpand = true },
+               Printf.sprintf "reexp/%d" block );
+           ])
+         [ 1; 2; 3; 16; 256; 4096 ]
+  in
+  List.concat_map
+    (fun (strategy, sname) ->
+      [
+        ({ Backend.default_opts with strategy }, sname);
+        ( { Backend.default_opts with strategy; domains = Some 2 },
+          sname ^ "/domains=2" );
+      ])
+    policies
 
 let scrub (r : Backend.result) = { r with Backend.wall_seconds = 0.0 }
 
@@ -85,8 +97,7 @@ let check_compiled_vs_interp () =
     (fun name ->
       let source, roots = source_of name in
       List.iter
-        (fun (strategy, sname) ->
-          let opts = { Backend.default_opts with strategy } in
+        (fun (opts, sname) ->
           let bi = Backend.run ~opts Backend.interp source ~roots in
           let bc = Backend.run ~opts Backend.compiled source ~roots in
           if scrub bi <> scrub bc then
@@ -238,6 +249,34 @@ let check_budgets () =
           Alcotest.failf "%s ignored the live-frame budget" backend.Backend.name)
     Backend.all
 
+(* Root frames must have one field per program parameter: both IR
+   backends reject a too-long or too-short root with the same
+   [Invalid_argument], single-context and chunked. *)
+let check_root_arity () =
+  let source, _ = source_of "fib" in
+  List.iter
+    (fun root ->
+      let expected =
+        Invalid_argument
+          (Printf.sprintf
+             "Codegen.Soa.of_frames: root frame has %d fields, 1 expected"
+             (Array.length root))
+      in
+      List.iter
+        (fun backend ->
+          List.iter
+            (fun domains ->
+              let opts = { Backend.default_opts with domains } in
+              Alcotest.check_raises
+                (Printf.sprintf "%s, %d-field root, domains %s"
+                   backend.Backend.name (Array.length root)
+                   (match domains with None -> "none" | Some n -> string_of_int n))
+                expected
+                (fun () -> ignore (Backend.run ~opts backend source ~roots:[ root ])))
+            [ None; Some 2 ])
+        Backend.all)
+    [ [| 10; 3 |]; [||] ]
+
 (* Multi-root sources: several root frames build one shared frontier —
    reducers must equal the sum of the per-root runs (all registry
    reducers are monoid sums on these benchmarks). *)
@@ -284,5 +323,7 @@ let () =
             check_budgets;
           Alcotest.test_case "multi-root frontier sums per-root results"
             `Quick check_multi_root;
+          Alcotest.test_case "malformed root arity is rejected alike"
+            `Quick check_root_arity;
         ] );
     ]
