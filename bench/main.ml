@@ -240,17 +240,7 @@ let () =
       ~regen_seconds
       ~simulated:(Vc_exp.Sweep.simulations ctx)
       ~cache_hits:(Vc_exp.Sweep.cache_hits ctx)
-      ~kernels ~telemetry:(telemetry_json ctx);
-    (* Baseline history: one summary entry per harness run, the input of
-       [vcilk bench --check-baseline].  Fault-armed runs carry degraded
-       (recovered) costs and must never enter the history. *)
-    if Vc_core.Fault.armed (Vc_core.Fault.of_env ()) then
-      say "(fault-armed run: not appending to BENCH_history.json)@."
-    else begin
-      Vc_exp.Baseline.append ~path:"BENCH_history.json"
-        (Vc_exp.Baseline.collect ctx);
-      say "(appended to BENCH_history.json)@."
-    end
+      ~kernels ~telemetry:(telemetry_json ctx)
   with Vc_core.Vc_error.Error e ->
     Format.eprintf "bench: %s@." (Vc_core.Vc_error.to_string e);
     exit (Vc_core.Vc_error.exit_code e)

@@ -17,9 +17,9 @@
                                    stacks (flamegraph input), JSON
      plot BENCH                  - ASCII block-size sweep curves
      export DIR                  - all artifacts as CSV
-     bench                       - per-benchmark summary metrics; appends
-                                   to the baseline history and gates on
-                                   it (--check-baseline, exit 3)
+     bench                       - per-benchmark summary metrics: the
+                                   exact modeled ledger, or wall-clock
+                                   throughput with --engine
      version                     - package version, git provenance, and
                                    per-machine SIMD widths
      verify                      - the paper's claims as checks
@@ -35,7 +35,7 @@
      all                         - every table, figure, and ablation
 
    Exit codes (defined once in Vc_error, listed in --help): 0 ok,
-   1 detected failure, 2 budget exceeded, 3 perf regression; 124 usage,
+   1 detected failure, 2 budget exceeded; 124 usage,
    125 crash, 130/143 interrupted (after flushing partial artifacts).
 
    Sweep-driven subcommands (table, figure, plot, export, verify, all)
@@ -166,8 +166,7 @@ let engine_flag =
 
 let wall_rate tasks wall = float_of_int tasks /. Float.max wall 1e-9
 
-(* Uniform exit-code convention: 0 ok, 1 failure, 2 budget exceeded,
-   3 perf regression (bench --check-baseline). *)
+(* Uniform exit-code convention: 0 ok, 1 failure, 2 budget exceeded. *)
 let die (e : Vc_core.Vc_error.t) : 'a =
   Format.eprintf "vcilk: %s@." (Vc_core.Vc_error.to_string e);
   exit (Vc_core.Vc_error.exit_code e)
@@ -207,7 +206,7 @@ let ctx_of ?(budgets = Vc_core.Supervisor.no_budgets) quick jobs no_cache =
    run cache and any open telemetry sinks — before exiting with the shell
    convention (130 = SIGINT, 143 = SIGTERM), so an interrupted campaign
    keeps what it already computed.  Distinct from the detected-failure
-   exit taxonomy (0/1/2/3) and from serve, which installs its own
+   exit taxonomy (0/1/2) and from serve, which installs its own
    handlers to drain gracefully and exit 0. *)
 let install_signal_flush flush =
   let handle code =
@@ -636,33 +635,6 @@ let bench_cmd =
          & info [ "b"; "block" ]
              ~doc:"Hybrid block size used for every collected point.")
   in
-  let history =
-    Arg.(value & opt string "BENCH_history.json"
-         & info [ "history" ] ~docv:"FILE"
-             ~doc:
-               "Baseline history file appended to after collection; pass \
-                $(b,--history -) to skip the append.")
-  in
-  let check_baseline =
-    Arg.(value & opt (some string) None
-         & info [ "check-baseline" ] ~docv:"FILE"
-             ~doc:
-               "Compare the fresh metrics against the last entry of FILE and \
-                exit 3 if any metric regressed past its threshold. Skips the \
-                history append.")
-  in
-  let write_baseline =
-    Arg.(value & opt (some string) None
-         & info [ "write-baseline" ] ~docv:"FILE"
-             ~doc:
-               "Write the fresh metrics as a single-entry baseline file \
-                (replacing FILE). Skips the history append.")
-  in
-  let tolerance =
-    Arg.(value & opt float 1.0
-         & info [ "tolerance" ] ~docv:"T"
-             ~doc:"Scale every regression threshold by T (default 1.0).")
-  in
   let compiled_json =
     Arg.(value & opt (some string) None
          & info [ "compiled-json" ] ~docv:"FILE"
@@ -671,16 +643,6 @@ let bench_cmd =
                 (blocked and compiled) and write the throughput comparison \
                 as JSON to FILE ($(b,-) = stdout). Wall numbers are \
                 host-local and informational.")
-  in
-  let serve_latency =
-    Arg.(value & opt (some string) None
-         & info [ "serve-latency" ] ~docv:"FILE"
-             ~doc:
-               "Merge the serving-latency columns (p50/p99 under the \
-                recorded loadgen profile) from a $(b,vcilk loadgen \
-                --latency-json) artifact into the collected entry, so \
-                $(b,--check-baseline)/$(b,--write-baseline) gate them \
-                (baseline schema v4).")
   in
   (* One wall-clock backend point per benchmark at the bench block size. *)
   let backend_table ctx ~entries ~engine ~block =
@@ -745,135 +707,38 @@ let bench_cmd =
           (fun () -> output_string oc text);
         Format.eprintf "[bench] wrote %s@." path
   in
-  let run quick jobs no_cache workloads block history check_baseline
-      write_baseline tolerance engine compiled_json serve_latency =
+  let run quick jobs no_cache workloads block engine compiled_json =
     or_die @@ fun () ->
     (* --workloads entries join the wall-clock backend table and the
-       comparison JSON; the modeled baseline history keeps its built-in
-       schema. *)
+       comparison JSON; the modeled ledger keeps the built-in registry. *)
     let entries =
       Vc_bench.Registry.all
       @ List.map
           (fun (l : Vc_bench.Registry.loaded) -> l.Vc_bench.Registry.entry)
           (loaded_workloads (workloads @ default_workload_dirs))
     in
-    if engine <> Sweep.Model then begin
-      (* Wall-clock engines carry no modeled metrics: the baseline gate,
-         history, and --write-baseline apply to the cost model only. *)
-      if check_baseline <> None || write_baseline <> None then begin
-        Format.eprintf
-          "vcilk: --check-baseline/--write-baseline gate modeled metrics; \
-           they do not apply to --engine %s@."
-          (Sweep.engine_name engine);
-        exit 1
-      end;
-      let ctx = ctx_of quick jobs no_cache in
-      install_signal_flush (fun () -> Sweep.persist ctx);
-      backend_table ctx ~entries ~engine:(Sweep.engine_name engine) ~block;
-      Option.iter (write_comparison ctx ~entries ~block) compiled_json;
-      exit 0
-    end;
+    Result.iter_error
+      (fun msg -> Format.eprintf "vcilk: %s@." msg; exit 1)
+      (Sweep.validate { (Sweep.point (List.hd entries)) with engine; block });
     let ctx = ctx_of quick jobs no_cache in
     install_signal_flush (fun () -> Sweep.persist ctx);
-    let current = Vc_exp.Baseline.collect ~block ctx in
-    let current =
-      match serve_latency with
-      | None -> current
-      | Some path -> (
-          let body =
-            try
-              let ic = open_in_bin path in
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () -> really_input_string ic (in_channel_length ic))
-            with Sys_error msg ->
-              Format.eprintf "vcilk: %s@." msg;
-              exit 1
-          in
-          match Vc_exp.Jsonx.parse body with
-          | Error msg ->
-              Format.eprintf "vcilk: %s: unparseable artifact (%s)@." path msg;
-              exit 1
-          | Ok j -> (
-              match Vc_exp.Baseline.serve_of_artifact j with
-              | serve -> Vc_exp.Baseline.with_serve current ~serve
-              | exception Vc_exp.Jsonx.Decode msg ->
-                  Format.eprintf "vcilk: %s: %s@." path msg;
-                  exit 1))
-    in
-    (match current.Vc_exp.Baseline.serve with
-    | Some s ->
-        Format.printf "serve latency (%s): p50=%.3fms p99=%.3fms@."
-          s.Vc_exp.Baseline.profile s.Vc_exp.Baseline.serve_p50_ms
-          s.Vc_exp.Baseline.serve_p99_ms
-    | None -> ());
-    Format.printf "%-24s %14s %8s %8s %6s %6s %10s %10s@." "BENCH/MACHINE"
-      "CYCLES" "SPEEDUP" "DSPEED" "OCC" "CPASS" "SPACE" "MTASK/S";
-    List.iter
-      (fun (key, (m : Vc_exp.Baseline.metrics)) ->
-        Format.printf "%-24s %14.0f %8.2f %8.2f %6.2f %6d %10d %10.2f@." key
-          m.Vc_exp.Baseline.cycles m.Vc_exp.Baseline.speedup
-          m.Vc_exp.Baseline.domains_speedup
-          m.Vc_exp.Baseline.lane_occupancy m.Vc_exp.Baseline.compaction_passes
-          m.Vc_exp.Baseline.space_peak
-          (m.Vc_exp.Baseline.wall_tasks_per_sec /. 1e6))
-      current.Vc_exp.Baseline.benchmarks;
+    if engine = Sweep.Model then
+      Format.printf "%a" Vc_exp.Baseline.pp (Vc_exp.Baseline.collect ~block ctx)
+    else backend_table ctx ~entries ~engine:(Sweep.engine_name engine) ~block;
     Option.iter (write_comparison ctx ~entries ~block) compiled_json;
-    finish ctx;
-    let faults_armed = Vc_core.Fault.armed (Vc_core.Fault.of_env ()) in
-    match check_baseline with
-    | Some path -> (
-        match Vc_exp.Baseline.load ~path with
-        | Error msg ->
-            Format.eprintf "vcilk: %s@." msg;
-            exit 1
-        | Ok [] ->
-            Format.eprintf "vcilk: %s: empty baseline history@." path;
-            exit 1
-        | Ok entries -> (
-            let baseline = Option.get (Vc_exp.Baseline.last entries) in
-            match Vc_exp.Baseline.check ~tolerance ~baseline ~current () with
-            | Error msg ->
-                Format.eprintf "vcilk: %s: %s@." path msg;
-                exit 1
-            | Ok verdicts ->
-                Format.printf "@.regression gate vs %s (entry %S)@.%a" path
-                  baseline.Vc_exp.Baseline.label Vc_exp.Baseline.pp_verdicts
-                  verdicts;
-                exit
-                  (if Vc_exp.Baseline.regressions verdicts = [] then
-                     Vc_core.Vc_error.exit_ok
-                   else Vc_core.Vc_error.exit_regression)))
-    | None -> (
-        match write_baseline with
-        | Some path ->
-            (* Fault-armed metrics carry degraded (recovered-run) costs:
-               never let them become the reference. *)
-            if faults_armed then begin
-              Format.eprintf "vcilk: refusing to write a baseline from a fault-armed run@.";
-              exit 1
-            end;
-            Vc_exp.Baseline.write ~path [ current ];
-            Format.eprintf "[bench] wrote baseline %s@." path
-        | None ->
-            if history <> "-" then
-              if faults_armed then
-                Format.eprintf "[bench] fault-armed run: not appending to %s@." history
-              else begin
-                Vc_exp.Baseline.append ~path:history current;
-                Format.eprintf "[bench] appended to %s@." history
-              end)
+    finish ctx
   in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Collect per-benchmark summary metrics (modeled cycles, speedup, \
-          occupancy, compaction, space), append them to the baseline \
-          history, and optionally gate against a recorded baseline \
-          (exit 3 on regression).")
+         "Print per-benchmark summary metrics. On the cost model (the \
+          default engine): modeled cycles, speedup, 2-domain speedup, lane \
+          occupancy, compaction passes, space peak and the occupancy \
+          histogram at full precision, the exact ledger that \
+          test/golden/baseline.txt pins. On a wall-clock engine: one \
+          measured throughput row per benchmark.")
     Term.(const run $ quick_flag $ jobs_flag $ no_cache_flag $ workloads_flag
-          $ block $ history $ check_baseline $ write_baseline $ tolerance
-          $ engine_flag $ compiled_json $ serve_latency)
+          $ block $ engine_flag $ compiled_json)
 
 let version_cmd =
   let run () =
@@ -1522,42 +1387,10 @@ let loadgen_cmd =
                "After the send window closes, wait this long for outstanding \
                 replies before counting them lost.")
   in
-  let latency_json =
-    Arg.(value & opt (some string) None
-         & info [ "latency-json" ] ~docv:"FILE"
-             ~doc:
-               "Write the latency artifact (BENCH_serve.json shape: loadgen \
-                profile, p50/p99/p99.9/mean/max, full histogram) to FILE. \
-                On SIGINT/SIGTERM the partial artifact is flushed before \
-                exiting 130/143.")
-  in
   let run quick workloads socket tcp rps duration mix_str engine deadline_frac
-      connections seed delay_ms block grace latency_json =
+      connections seed delay_ms block grace =
     or_die @@ fun () ->
-    let profile =
-      {
-        Vc_serve.Loadgen.pr_rps = rps;
-        pr_duration = duration;
-        pr_mix = mix_str;
-        pr_engine = Sweep.engine_name engine;
-        pr_connections = connections;
-        pr_quick = quick;
-      }
-    in
-    let write_artifact s =
-      match latency_json with
-      | None -> ()
-      | Some path ->
-          Vc_exp.Run_cache.save_atomic ~path
-            (Vc_exp.Jsonx.to_pretty_string
-               (Vc_serve.Loadgen.latency_json ~profile s));
-          Format.eprintf "[loadgen] wrote %s@." path
-    in
-    (* parity with bench/chaos/fuzz: an interrupted run flushes the
-       partial artifact before exiting 130/143 *)
-    let snapshot = ref None in
-    install_signal_flush (fun () ->
-        match !snapshot with Some take -> write_artifact (take ()) | None -> ());
+    install_signal_flush (fun () -> ());
     let mix =
       match Vc_serve.Loadgen.parse_mix mix_str with
       | Ok m -> m
@@ -1581,12 +1414,10 @@ let loadgen_cmd =
         ~engine:(Sweep.engine_name engine) ~block ?deadline_frac ~delay_ms
         ~connections ~seed ~grace
         ~workload_dirs:(workloads @ default_workload_dirs)
-        ~on_snapshot:(fun take -> snapshot := Some take)
         ~quick ()
     with
     | Error e -> die e
     | Ok s ->
-        write_artifact s;
         Format.printf "%a@." Vc_serve.Loadgen.pp_summary s;
         (match s.Vc_serve.Loadgen.stats_line with
         | Some line -> Format.printf "%s@." line
@@ -1609,7 +1440,7 @@ let loadgen_cmd =
           under deliberate pressure).")
     Term.(const run $ quick_flag $ workloads_flag $ socket $ tcp $ rps
           $ duration $ mix $ engine_flag $ deadline_frac $ connections $ seed
-          $ delay_ms $ block $ grace $ latency_json)
+          $ delay_ms $ block $ grace)
 
 (* ------------------------------------------------------------------ top *)
 
@@ -1896,8 +1727,6 @@ let () =
         ~doc:
           "when a --deadline, --wall-deadline, --max-live-frames or \
            --max-tasks budget was exceeded.";
-      Cmd.Exit.info Vc_core.Vc_error.exit_regression
-        ~doc:"when the bench --check-baseline performance gate tripped.";
       Cmd.Exit.info 124 ~doc:"on command-line parsing errors.";
       Cmd.Exit.info 125
         ~doc:"on an unexpected internal crash (never a detected failure).";

@@ -265,30 +265,4 @@ module Histogram = struct
     s.sum <- sa +. sb;
     s.max_seen <- Float.max ma mb;
     out
-
-  (* Self-contained JSON rendering (vc_core sits below the Jsonx
-     library).  Floats print with 17 significant digits so they
-     round-trip; layout fields let a reader rebuild the histogram. *)
-  let to_json_string t =
-    let c, sum, max_seen = merged t in
-    let total = Array.fold_left ( + ) 0 c in
-    let fl x =
-      let s = Printf.sprintf "%.17g" x in
-      if
-        String.contains s '.' || String.contains s 'e'
-        || String.contains s 'n' || String.contains s 'i'
-      then s
-      else s ^ ".0"
-    in
-    let ints a =
-      "[" ^ String.concat "," (Array.to_list (Array.map string_of_int a)) ^ "]"
-    in
-    let floats a =
-      "[" ^ String.concat "," (Array.to_list (Array.map fl a)) ^ "]"
-    in
-    Printf.sprintf
-      "{\"lo\":%s,\"hi\":%s,\"buckets\":%d,\"count\":%d,\"sum\":%s,\"max_ms\":%s,\"bounds_ms\":%s,\"counts\":%s}"
-      (fl t.lo) (fl t.hi) t.buckets total (fl sum)
-      (fl (if total = 0 then 0.0 else max_seen))
-      (floats t.bounds) (ints c)
 end

@@ -125,8 +125,4 @@ module Histogram : sig
   val merge : t -> t -> t
   (** Bucket-wise sum into a fresh histogram.  Raises [Invalid_argument]
       on a layout mismatch ([lo], [hi] or [buckets] differ). *)
-
-  val to_json_string : t -> string
-  (** Compact JSON object: layout ([lo], [hi], [buckets]), [count],
-      [sum], [max_ms], [bounds_ms] array, [counts] array. *)
 end

@@ -67,13 +67,12 @@ let hint_of t = match t.kind with Fault { hint; _ } -> Some hint | _ -> None
 let is_budget t = match t.kind with Budget_exceeded _ -> true | Fault _ -> false
 
 (* The process-level exit-code taxonomy shared by every vcilk subcommand:
-   0 ok, 1 detected failure, 2 budget/deadline exceeded, 3 perf
-   regression.  Crashes are distinct: cmdliner maps uncaught exceptions
-   to 125 and usage errors to 124. *)
+   0 ok, 1 detected failure, 2 budget/deadline exceeded.  Crashes are
+   distinct: cmdliner maps uncaught exceptions to 125 and usage errors
+   to 124. *)
 let exit_ok = 0
 let exit_failure = 1
 let exit_budget = 2
-let exit_regression = 3
 
 let exit_code t = if is_budget t then exit_budget else exit_failure
 

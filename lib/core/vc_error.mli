@@ -73,9 +73,7 @@ val is_budget : t -> bool
       check failed, fuzz divergence (reproducer written), unrecovered
       fault, load error;
     - {!exit_budget} [= 2]: a budget or deadline was exceeded
-      ([Budget_exceeded]);
-    - {!exit_regression} [= 3]: the perf gate tripped
-      ([bench --check-baseline]).
+      ([Budget_exceeded]).
 
     A {e crash} (uncaught exception) is distinct from all of these:
     cmdliner maps it to 125 (and CLI usage errors to 124), so a nonzero
@@ -85,7 +83,6 @@ val is_budget : t -> bool
 val exit_ok : int
 val exit_failure : int
 val exit_budget : int
-val exit_regression : int
 
 val exit_code : t -> int
 (** {!exit_budget} for budget violations, {!exit_failure} otherwise. *)

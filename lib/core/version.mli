@@ -1,5 +1,5 @@
-(** Package version and build provenance, stamped into bench artifacts
-    (baseline history entries) and printed by [vcilk version]. *)
+(** Package version and build provenance, printed by [vcilk version]
+    and [vcilk --version]. *)
 
 val version : string
 (** The package version ("1.0.0"). *)

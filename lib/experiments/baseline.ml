@@ -1,20 +1,3 @@
-(* 1: initial schema (per-benchmark summary metrics keyed bench/machine).
-   2: adds [domains_speedup] — the hybrid multicore × SIMD scheduler's
-      modeled speedup over sequential at 2 domains — so multicore scaling
-      is gated alongside the single-core metrics.
-   3: adds [wall_tasks_per_sec] — host wall-clock throughput of the
-      hybrid run, informational only (host-dependent, so deliberately
-      absent from [checks]; 0.0 when the run came from the disk cache).
-   4: adds the optional entry-level [serve] block — serving-path latency
-      columns (p50/p99 wall under a fixed loadgen profile, from the
-      BENCH_serve.json artifact) gated with coarse thresholds when both
-      entries carry them under the same profile. *)
-let version = 4
-
-let log_src = Logs.Src.create "vc.baseline" ~doc:"Bench baseline history"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type metrics = {
   cycles : float;
   speedup : float;
@@ -23,400 +6,38 @@ type metrics = {
   compaction_passes : int;
   space_peak : int;
   occupancy_hist : int array;
-  wall_tasks_per_sec : float;
 }
-
-type serve_latency = {
-  profile : string;
-  serve_p50_ms : float;
-  serve_p99_ms : float;
-}
-
-type entry = {
-  label : string;
-  quick : bool;
-  block : int;
-  benchmarks : (string * metrics) list;
-  serve : serve_latency option;
-}
-
-(* ------------------------------------------------------------------ *)
-(* Collection *)
 
 let default_block = 256
 
 let collect ?(block = default_block) ctx =
-  let benchmarks =
-    List.concat_map
-      (fun (e : Vc_bench.Registry.entry) ->
-        List.map
-          (fun (m : Vc_mem.Machine.t) ->
-            let r = Sweep.hybrid ctx e m ~reexpand:true ~block in
-            let rd = Sweep.hybrid_domains ctx e m ~block ~domains:2 in
-            let metrics =
-              {
-                cycles = r.Vc_core.Report.cycles;
-                speedup = Sweep.speedup ctx e m r;
-                domains_speedup = Sweep.speedup ctx e m rd;
-                lane_occupancy = r.Vc_core.Report.lane_occupancy;
-                compaction_passes = r.Vc_core.Report.compaction_passes;
-                space_peak = r.Vc_core.Report.space_peak;
-                occupancy_hist = Array.copy r.Vc_core.Report.occupancy_hist;
-                wall_tasks_per_sec =
-                  (* disk-cache hits carry no wall clock (0.0 marks them) *)
-                  (if r.Vc_core.Report.wall_seconds > 0.0 then
-                     float_of_int r.Vc_core.Report.tasks
-                     /. r.Vc_core.Report.wall_seconds
-                   else 0.0);
-              }
-            in
-            (e.Vc_bench.Registry.name ^ "/" ^ m.Vc_mem.Machine.name, metrics))
-          Sweep.machines)
-      Vc_bench.Registry.all
-  in
-  {
-    label = Vc_core.Version.describe ();
-    quick = Sweep.quick ctx;
-    block;
-    benchmarks = List.sort (fun (a, _) (b, _) -> compare a b) benchmarks;
-    serve = None;
-  }
-
-(* The serving-latency columns come from a loadgen artifact
-   (BENCH_serve.json), not from [collect]'s deterministic sweep — the
-   caller merges them in after the fact. *)
-let with_serve e ~serve = { e with serve = Some serve }
-
-(* Read the columns out of a BENCH_serve.json body.  The profile knobs
-   are folded into one comparison string: latency is only comparable
-   under the same load, so [check] refuses mismatched profiles the same
-   way it refuses quick-vs-full. *)
-let serve_of_artifact j =
-  let open Jsonx in
-  let p = member "profile" j in
-  if p = Null then decode_error "serve artifact: no \"profile\" object";
-  let profile =
-    Printf.sprintf "rps=%g dur=%g mix=%s engine=%s conns=%d quick=%b"
-      (to_float (member "rps" p))
-      (to_float (member "duration_s" p))
-      (to_str (member "mix" p))
-      (to_str (member "engine" p))
-      (to_int (member "connections" p))
-      (to_bool (member "quick" p))
-  in
-  {
-    profile;
-    serve_p50_ms = to_float (member "p50_ms" j);
-    serve_p99_ms = to_float (member "p99_ms" j);
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Entry <-> Jsonx *)
-
-let json_of_metrics (m : metrics) : Jsonx.t =
-  Jsonx.Obj
-    [
-      ("cycles", Float m.cycles);
-      ("speedup", Float m.speedup);
-      ("domains_speedup", Float m.domains_speedup);
-      ("lane_occupancy", Float m.lane_occupancy);
-      ("compaction_passes", Int m.compaction_passes);
-      ("space_peak", Int m.space_peak);
-      ("occupancy_hist", List (Array.to_list m.occupancy_hist |> List.map (fun n -> Jsonx.Int n)));
-      ("wall_tasks_per_sec", Float m.wall_tasks_per_sec);
-    ]
-
-let json_of_entry (e : entry) : Jsonx.t =
-  Jsonx.Obj
-    ([
-       ("label", Jsonx.String e.label);
-       ("quick", Bool e.quick);
-       ("block", Int e.block);
-       ( "benchmarks",
-         Obj (List.map (fun (k, m) -> (k, json_of_metrics m)) e.benchmarks) );
-     ]
-    @
-    match e.serve with
-    | None -> []
-    | Some s ->
-        [
-          ( "serve",
-            Jsonx.Obj
-              [
-                ("profile", String s.profile);
-                ("p50_ms", Float s.serve_p50_ms);
-                ("p99_ms", Float s.serve_p99_ms);
-              ] );
-        ])
-
-let metrics_of_json j : metrics =
-  let open Jsonx in
-  let m name = member name j in
-  {
-    cycles = to_float (m "cycles");
-    speedup = to_float (m "speedup");
-    domains_speedup = to_float (m "domains_speedup");
-    lane_occupancy = to_float (m "lane_occupancy");
-    compaction_passes = to_int (m "compaction_passes");
-    space_peak = to_int (m "space_peak");
-    occupancy_hist = Array.of_list (List.map to_int (to_list (m "occupancy_hist")));
-    wall_tasks_per_sec = to_float (m "wall_tasks_per_sec");
-  }
-
-let entry_of_json j : entry =
-  let open Jsonx in
-  match member "benchmarks" j with
-  | Obj fields ->
-      {
-        label = to_str (member "label" j);
-        quick = to_bool (member "quick" j);
-        block = to_int (member "block" j);
-        benchmarks = List.map (fun (k, v) -> (k, metrics_of_json v)) fields;
-        serve =
-          (match member "serve" j with
-          | Null -> None
-          | s ->
-              Some
-                {
-                  profile = to_str (member "profile" s);
-                  serve_p50_ms = to_float (member "p50_ms" s);
-                  serve_p99_ms = to_float (member "p99_ms" s);
-                });
-      }
-  | v -> decode_error "benchmarks: expected an object, got %s" (Jsonx.to_string v)
-
-(* ------------------------------------------------------------------ *)
-(* History file *)
-
-let json_of_history entries =
-  Jsonx.Obj
-    [ ("version", Int version); ("entries", List (List.map json_of_entry entries)) ]
-
-let load ~path =
-  if not (Sys.file_exists path) then Ok []
-  else
-    let read () =
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Jsonx.parse (read ()) with
-    | exception Sys_error msg -> Error (Printf.sprintf "%s: %s" path msg)
-    | Error msg -> Error (Printf.sprintf "%s: unparseable history (%s)" path msg)
-    | Ok j -> (
-        if Jsonx.(member "version" j <> Int version) then
-          Error
-            (Printf.sprintf "%s: history version mismatch (want %d)" path version)
-        else
-          match Jsonx.member "entries" j with
-          | Jsonx.List entries -> (
-              try Ok (List.map entry_of_json entries)
-              with Jsonx.Decode msg -> Error (Printf.sprintf "%s: %s" path msg))
-          | _ -> Error (Printf.sprintf "%s: no \"entries\" list" path))
-
-let last entries = match List.rev entries with [] -> None | e :: _ -> Some e
-
-let write ?faults ~path entries =
-  Run_cache.save_atomic ?faults ~path (Jsonx.to_pretty_string (json_of_history entries))
-
-let append ?faults ~path entry =
-  match load ~path with
-  | Ok entries -> write ?faults ~path (entries @ [ entry ])
-  | Error msg ->
-      (* A corrupt history must not silently eat its past: keep the file
-         and drop the new entry rather than overwrite. *)
-      Log.warn (fun m -> m "%s; not appending" msg)
-
-(* ------------------------------------------------------------------ *)
-(* Regression check *)
-
-type verdict = {
-  key : string;
-  metric : string;
-  baseline_v : float;
-  current_v : float;
-  delta : float;
-  threshold : float;
-  regressed : bool;
-}
-
-(* Direction-aware relative thresholds.  The engine is deterministic, so
-   any drift is a real code change — the slack absorbs intentional minor
-   cost-model adjustments, not measurement noise.  Counters with small
-   magnitudes (compaction passes) get a coarser threshold and a floored
-   denominator so 3 -> 4 passes is not a 33% "regression" panic but
-   3 -> 7 still trips.  [wall_tasks_per_sec] is deliberately NOT listed:
-   wall-clock throughput depends on the host, so it is recorded for
-   transparency but never gated. *)
-let checks =
-  [
-    (* name, worse-when-higher, threshold *)
-    ("cycles", true, 0.02);
-    ("speedup", false, 0.02);
-    ("domains_speedup", false, 0.05);
-    ("lane_occupancy", false, 0.02);
-    ("compaction_passes", true, 0.10);
-    ("space_peak", true, 0.10);
-  ]
-
-let value_of name (m : metrics) =
-  match name with
-  | "cycles" -> m.cycles
-  | "speedup" -> m.speedup
-  | "domains_speedup" -> m.domains_speedup
-  | "lane_occupancy" -> m.lane_occupancy
-  | "compaction_passes" -> float_of_int m.compaction_passes
-  | "space_peak" -> float_of_int m.space_peak
-  | _ -> invalid_arg ("Baseline.value_of: " ^ name)
-
-(* Floors on the relative denominator, per metric: ratios over tiny bases
-   explode (0 -> 1 compaction passes is not infinite regress). *)
-let denom_floor = function
-  | "compaction_passes" -> 1.0
-  | "space_peak" -> 1.0
-  | _ -> 1e-9
-
-let hist_l1 a b =
-  let sum h = Array.fold_left ( + ) 0 h in
-  let ta = float_of_int (max 1 (sum a)) and tb = float_of_int (max 1 (sum b)) in
-  let n = max (Array.length a) (Array.length b) in
-  let get h i = if i < Array.length h then float_of_int h.(i) else 0.0 in
-  let d = ref 0.0 in
-  for i = 0 to n - 1 do
-    d := !d +. Float.abs ((get a i /. ta) -. (get b i /. tb))
-  done;
-  !d
-
-let hist_threshold = 0.05
-
-(* Serving latency is host wall clock, so unlike the modeled metrics it
-   carries real measurement noise; the coarse thresholds (and the
-   1 ms denominator floor, for quick-scale runs whose p50 sits well
-   under a millisecond) catch structural regressions — a 2× tail blowup
-   — not jitter. *)
-let serve_checks = [ ("serve_p50_ms", 0.75); ("serve_p99_ms", 1.0) ]
-
-let serve_value_of name (s : serve_latency) =
-  match name with
-  | "serve_p50_ms" -> s.serve_p50_ms
-  | "serve_p99_ms" -> s.serve_p99_ms
-  | _ -> invalid_arg ("Baseline.serve_value_of: " ^ name)
-
-let serve_denom_floor = 1.0
-
-(* Latency columns gate only when both entries carry them (old histories
-   and serve-less collections stay comparable); mismatched loadgen
-   profiles are a harness misuse, reported via [Error] by [check]. *)
-let serve_verdicts ~tolerance ~(baseline : entry) ~(current : entry) =
-  match (baseline.serve, current.serve) with
-  | Some b, Some c ->
+  List.concat_map
+    (fun (e : Vc_bench.Registry.entry) ->
       List.map
-        (fun (name, threshold) ->
-          let bv = serve_value_of name b and cv = serve_value_of name c in
-          let threshold = threshold *. tolerance in
-          let denom = Float.max (Float.abs bv) serve_denom_floor in
-          let delta = (cv -. bv) /. denom in
-          {
-            key = "serve";
-            metric = name;
-            baseline_v = bv;
-            current_v = cv;
-            delta;
-            threshold;
-            regressed = delta > threshold;
-          })
-        serve_checks
-  | _ -> []
+        (fun (m : Vc_mem.Machine.t) ->
+          let r = Sweep.hybrid ctx e m ~reexpand:true ~block in
+          let rd = Sweep.hybrid_domains ctx e m ~block ~domains:2 in
+          ( e.Vc_bench.Registry.name ^ "/" ^ m.Vc_mem.Machine.name,
+            {
+              cycles = r.Vc_core.Report.cycles;
+              speedup = Sweep.speedup ctx e m r;
+              domains_speedup = Sweep.speedup ctx e m rd;
+              lane_occupancy = r.Vc_core.Report.lane_occupancy;
+              compaction_passes = r.Vc_core.Report.compaction_passes;
+              space_peak = r.Vc_core.Report.space_peak;
+              occupancy_hist = Array.copy r.Vc_core.Report.occupancy_hist;
+            } ))
+        Sweep.machines)
+    Vc_bench.Registry.all
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let check ?(tolerance = 1.0) ~baseline ~current () =
-  if baseline.quick <> current.quick then
-    Error
-      (Printf.sprintf "scale mismatch: baseline is %s, current is %s"
-         (if baseline.quick then "quick" else "full")
-         (if current.quick then "quick" else "full"))
-  else if baseline.block <> current.block then
-    Error
-      (Printf.sprintf "block mismatch: baseline uses %d, current uses %d"
-         baseline.block current.block)
-  else if
-    match (baseline.serve, current.serve) with
-    | Some b, Some c -> b.profile <> c.profile
-    | _ -> false
-  then
-    Error
-      (Printf.sprintf
-         "serve profile mismatch: baseline under %S, current under %S"
-         (match baseline.serve with Some b -> b.profile | None -> "")
-         (match current.serve with Some c -> c.profile | None -> ""))
-  else
-    Ok
-      (serve_verdicts ~tolerance ~baseline ~current
-      @ List.concat_map
-         (fun (key, (b : metrics)) ->
-           match List.assoc_opt key current.benchmarks with
-           | None ->
-               (* A benchmark that vanished is the worst regression of all. *)
-               [
-                 {
-                   key;
-                   metric = "present";
-                   baseline_v = 1.0;
-                   current_v = 0.0;
-                   delta = 1.0;
-                   threshold = 0.0;
-                   regressed = true;
-                 };
-               ]
-           | Some c ->
-               let scalar (name, worse_high, threshold) =
-                 let bv = value_of name b and cv = value_of name c in
-                 let threshold = threshold *. tolerance in
-                 let denom = Float.max (Float.abs bv) (denom_floor name) in
-                 let delta =
-                   (if worse_high then cv -. bv else bv -. cv) /. denom
-                 in
-                 {
-                   key;
-                   metric = name;
-                   baseline_v = bv;
-                   current_v = cv;
-                   delta;
-                   threshold;
-                   regressed = delta > threshold;
-                 }
-               in
-               let hist =
-                 let d = hist_l1 b.occupancy_hist c.occupancy_hist in
-                 let threshold = hist_threshold *. tolerance in
-                 {
-                   key;
-                   metric = "occupancy_hist";
-                   baseline_v = 0.0;
-                   current_v = 0.0;
-                   delta = d;
-                   threshold;
-                   regressed = d > threshold;
-                 }
-               in
-               List.map scalar checks @ [ hist ])
-         baseline.benchmarks)
-
-let regressions verdicts = List.filter (fun v -> v.regressed) verdicts
-
-let pp_verdicts ppf verdicts =
-  let bad = regressions verdicts in
-  Format.fprintf ppf "%-24s %-18s %12s %12s %8s@." "BENCH/MACHINE" "METRIC"
-    "BASELINE" "CURRENT" "DELTA";
+let pp ppf rows =
+  Format.fprintf ppf "%-15s %-24s %-24s %-24s %-24s %6s %6s %s@." "BENCH/MACHINE"
+    "CYCLES" "SPEEDUP" "DSPEED" "OCC" "CPASS" "SPACE" "OCC_HIST";
   List.iter
-    (fun v ->
-      if v.regressed || v.metric = "present" then
-        Format.fprintf ppf "%-24s %-18s %12.4g %12.4g %+7.1f%%  REGRESSED (>%g%%)@."
-          v.key v.metric v.baseline_v v.current_v (100.0 *. v.delta)
-          (100.0 *. v.threshold))
-    verdicts;
-  if bad = [] then
-    Format.fprintf ppf "ok: %d checks within thresholds@." (List.length verdicts)
-  else
-    Format.fprintf ppf "%d of %d checks regressed@." (List.length bad)
-      (List.length verdicts)
+    (fun (key, m) ->
+      Format.fprintf ppf "%-15s %-24.17g %-24.17g %-24.17g %-24.17g %6d %6d %s@." key
+        m.cycles m.speedup m.domains_speedup m.lane_occupancy m.compaction_passes
+        m.space_peak
+        (String.concat " " (Array.to_list (Array.map string_of_int m.occupancy_hist))))
+    rows

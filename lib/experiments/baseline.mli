@@ -1,136 +1,34 @@
-(** Versioned per-benchmark baseline metrics and the perf-regression gate.
+(** The modeled ledger: per-benchmark summary metrics at one block size.
 
-    Each bench run can append a summary {!entry} — modeled cycles, speedup
-    over sequential, lane occupancy, compaction passes, and the occupancy
-    histogram for every benchmark × machine point — to a history file
-    ([BENCH_history.json]), written crash-safely via
-    {!Run_cache.save_atomic}.  [vcilk bench --check-baseline FILE] then
-    compares a fresh collection against the last recorded entry with
-    direction-aware relative thresholds and exits 3 on regression.
-
-    The engine is a deterministic simulator, so baseline deltas are real
-    code-behavior changes, not measurement noise; the thresholds exist to
-    absorb intentional minor cost-model adjustments. *)
-
-val version : int
-(** Schema version of the history file; mismatches refuse to load. *)
+    {!collect} summarizes the hybrid re-expansion point of every registry
+    benchmark on every machine; {!pp} renders the summary at full
+    precision.  The engine is a deterministic simulator, so the text is
+    exact: [test/golden/baseline.txt] pins it byte for byte (quick scale,
+    {!default_block}), and [vcilk bench] prints it through the same
+    printer. *)
 
 type metrics = {
   cycles : float;  (** modeled cycles (hybrid re-expansion run) *)
   speedup : float;  (** over the same machine's sequential run *)
   domains_speedup : float;
       (** the {!Vc_core.Domain_sched} hybrid multicore × SIMD point at
-          2 domains, over the same sequential run — gates multicore
-          scaling alongside the single-core metrics (schema version 2) *)
+          2 domains, over the same sequential run *)
   lane_occupancy : float;
   compaction_passes : int;
   space_peak : int;  (** peak live frames *)
   occupancy_hist : int array;  (** 10 deciles of per-op lane occupancy *)
-  wall_tasks_per_sec : float;
-      (** host wall-clock throughput of the hybrid run (tasks /
-          {!Vc_core.Report.wall_seconds}); informational only — it is
-          host-dependent, so {!check} never gates on it (schema
-          version 3).  [0.0] when the run was served from the disk
-          cache, which stores no wall clock. *)
-}
-
-type serve_latency = {
-  profile : string;
-      (** the loadgen profile the latencies were captured under
-          (rps/duration/mix/engine/connections/quick folded into one
-          comparison string) *)
-  serve_p50_ms : float;
-  serve_p99_ms : float;
-}
-(** Serving-path latency columns (schema version 4), captured by
-    [vcilk loadgen --latency-json] and merged into an entry with
-    {!with_serve}. *)
-
-type entry = {
-  label : string;  (** build provenance ({!Vc_core.Version.describe}) *)
-  quick : bool;  (** workload scale the metrics were collected at *)
-  block : int;  (** hybrid block size used for every point *)
-  benchmarks : (string * metrics) list;
-      (** keyed ["bench/machine"], sorted by key *)
-  serve : serve_latency option;
-      (** serving latency under a fixed loadgen profile; [None] when the
-          entry was collected without a loadgen artifact *)
 }
 
 val default_block : int
 (** Block size used by {!collect} unless overridden (256). *)
 
-val collect : ?block:int -> Sweep.ctx -> entry
-(** Run (or reuse from cache) the hybrid re-expansion point at [block]
-    plus the sequential baseline for every registry benchmark on every
-    machine, and summarize them as one history entry ([serve = None]). *)
+val collect : ?block:int -> Sweep.ctx -> (string * metrics) list
+(** Run (or reuse from cache) the hybrid re-expansion point at [block],
+    its 2-domain counterpart and the sequential baseline for every
+    registry benchmark on every machine.  Keyed ["bench/machine"],
+    sorted by key. *)
 
-val with_serve : entry -> serve:serve_latency -> entry
-
-val serve_of_artifact : Jsonx.t -> serve_latency
-(** Extract the latency columns from a parsed [BENCH_serve.json] body
-    ({!Vc_serve.Loadgen.latency_json} shape).  Raises {!Jsonx.Decode} on
-    a malformed artifact. *)
-
-(** {2 History file} *)
-
-val load : path:string -> (entry list, string) result
-(** Read a history file.  A missing file is [Ok []]; an unreadable,
-    unparseable, or version-mismatched file is [Error msg]. *)
-
-val last : entry list -> entry option
-(** The most recently appended entry. *)
-
-val write : ?faults:Vc_core.Fault.plan -> path:string -> entry list -> unit
-(** Replace the history crash-safely ({!Run_cache.save_atomic}). *)
-
-val append : ?faults:Vc_core.Fault.plan -> path:string -> entry -> unit
-(** [load] then [write] with [entry] at the end.  If the existing file is
-    corrupt the append is dropped with a warning — history is never
-    silently overwritten. *)
-
-val json_of_entry : entry -> Jsonx.t
-
-val entry_of_json : Jsonx.t -> entry
-(** Raises {!Jsonx.Decode} on malformed input (callers go through {!load},
-    which converts to [Error]). *)
-
-(** {2 Regression check} *)
-
-type verdict = {
-  key : string;  (** ["bench/machine"] *)
-  metric : string;
-      (** one of cycles / speedup / lane_occupancy / compaction_passes /
-          space_peak / occupancy_hist / present, or (key ["serve"])
-          serve_p50_ms / serve_p99_ms *)
-  baseline_v : float;
-  current_v : float;
-  delta : float;
-      (** relative drift in the metric's {e bad} direction (positive =
-          worse); for [occupancy_hist], the L1 distance between the
-          normalized histograms *)
-  threshold : float;  (** effective threshold after [tolerance] scaling *)
-  regressed : bool;
-}
-
-val check :
-  ?tolerance:float -> baseline:entry -> current:entry -> unit -> (verdict list, string) result
-(** One verdict per baseline benchmark per metric.  Directions: cycles,
-    compaction passes, and space peak regress {e upward}; speedup and
-    lane occupancy regress {e downward}; the occupancy histogram regresses
-    when the normalized L1 distance exceeds its threshold.  Improvements
-    never regress.  A benchmark present in [baseline] but missing from
-    [current] yields a single regressed ["present"] verdict.
-    [tolerance] (default 1.0) scales every threshold.
-    When {e both} entries carry {!serve_latency} columns under the same
-    profile, serve_p50_ms/serve_p99_ms regress upward with coarse
-    thresholds (75%/100% — host wall clock is noisy; the gate catches
-    structural blowups, not jitter); a serve block on only one side is
-    skipped.  [Error] when the entries are not comparable (quick/full,
-    block-size, or loadgen-profile mismatch) — that is a harness misuse,
-    not a perf regression. *)
-
-val regressions : verdict list -> verdict list
-
-val pp_verdicts : Format.formatter -> verdict list -> unit
-(** Table of regressed checks plus a one-line summary. *)
+val pp : Format.formatter -> (string * metrics) list -> unit
+(** A header line, then one row per key: floats with [%.17g] (so they
+    round-trip), ints exact, all 10 histogram bins.  No label, version
+    or wall clock, so equal metrics always render equal text. *)

@@ -21,7 +21,7 @@ val to_string : t -> string
 
 val to_pretty_string : t -> string
 (** Human-readable rendering (2-space indent, trailing newline) for
-    committed artifacts like the baseline bench history.  Scalars render
+    artifacts like [bench --compiled-json].  Scalars render
     exactly as in {!to_string}, so values round-trip through {!parse}
     identically in both forms. *)
 

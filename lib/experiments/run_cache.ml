@@ -175,11 +175,10 @@ let entries t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
 
 let max_persist_attempts = 3
 
-(* Crash-safe write, shared by the run cache and the baseline history: a
-   pid-unique temp file in the destination's directory (rename is only
-   atomic within a filesystem), flushed and fsynced before the rename,
-   and removed if anything goes wrong — a reader never observes a
-   partial file.  Injected cache-I/O faults with a Retry hint are
+(* Crash-safe write: a pid-unique temp file in the destination's
+   directory (rename is only atomic within a filesystem), flushed and
+   fsynced before the rename, and removed if anything goes wrong — a
+   reader never observes a partial file.  Injected cache-I/O faults with a Retry hint are
    retried up to {!max_persist_attempts} times. *)
 let save_atomic ?(faults = Vc_core.Fault.none) ~path payload =
   let dir = Filename.dirname path in

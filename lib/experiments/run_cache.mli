@@ -47,8 +47,7 @@ val save_atomic : ?faults:Vc_core.Fault.plan -> path:string -> string -> unit
     the bytes go to a pid-unique temp file in the same directory, are
     flushed and fsynced, then renamed over the target — readers never
     observe a partial file, and a failed write removes its temp file.
-    The parent directory is created if missing (one level).  Shared by
-    the run cache and the baseline bench history ({!Baseline}).
+    The parent directory is created if missing (one level).
     [faults] arms the [Cache] injection site; injected persist faults
     with a [Retry] hint are retried up to 3 attempts before the typed
     error propagates. *)

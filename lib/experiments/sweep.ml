@@ -35,6 +35,7 @@ let point entry =
 let validate p =
   let scalar = p.strategy = Seq || p.strategy = Strawman in
   match p.domains with
+  | _ when p.block < 1 -> Error "block must be >= 1"
   | Some d when d < 1 -> Error "--domains must be positive"
   | Some _ when scalar ->
       Error "--domains applies to the engine strategies (bfs|noreexp|reexp)"

@@ -46,8 +46,8 @@ val point : Vc_bench.Registry.entry -> point
     override with [{ (point e) with ... }]. *)
 
 val validate : point -> (unit, string) result
-(** Rejects a non-positive domain count, and [Seq]/[Strawman] with
-    [domains] or a wall engine.  Messages name the [vcilk run] flags. *)
+(** Rejects a block size below 1, a non-positive domain count, and
+    [Seq]/[Strawman] with [domains] or a wall engine.  Messages name the [vcilk run] flags. *)
 
 type result =
   | Report of Vc_core.Report.t * Vc_core.Domain_sched.result option

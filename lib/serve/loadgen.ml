@@ -104,7 +104,7 @@ type agg = {
   mutable a_rejected : int;
   mutable a_lost : int;
   mutable a_divergences : (string * string) list;
-  hist : Histogram.t;  (* exact counts: every percentile and --latency-json *)
+  hist : Histogram.t;  (* exact counts: every percentile *)
 }
 
 let with_agg agg f = Mutex.protect agg.lock (fun () -> f agg)
@@ -260,79 +260,10 @@ let fetch_metrics ~connect =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       body
 
-(* One summary shape for both the end-of-run path and the signal-flush
-   partial path, so an interrupted run's artifact has the same schema. *)
-let summarize agg ~stats_line =
-  let count = Histogram.count agg.hist in
-  {
-    sent = agg.a_sent;
-    ok = agg.a_ok;
-    overloaded = agg.a_overloaded;
-    budget_exceeded = agg.a_budget;
-    rejected = agg.a_rejected;
-    lost = agg.a_lost;
-    divergences = List.rev agg.a_divergences;
-    p50_ms = Histogram.quantile agg.hist 0.5;
-    p99_ms = Histogram.quantile agg.hist 0.99;
-    p999_ms = Histogram.quantile agg.hist 0.999;
-    mean_ms =
-      (if count = 0 then 0.0
-       else Histogram.sum agg.hist /. float_of_int count);
-    max_ms = Histogram.max_value agg.hist;
-    latency = agg.hist;
-    stats_line;
-  }
-
-type profile = {
-  pr_rps : float;
-  pr_duration : float;
-  pr_mix : string;
-  pr_engine : string;
-  pr_connections : int;
-  pr_quick : bool;
-}
-
-(* The BENCH_serve.json artifact: the loadgen profile (so a baseline
-   comparison can refuse apples-to-oranges), headline percentiles from
-   the client-side histogram, and the histogram itself. *)
-let latency_json ~(profile : profile) (s : summary) =
-  let hist =
-    match J.parse (Histogram.to_json_string s.latency) with
-    | Ok j -> j
-    | Error msg -> J.decode_error "loadgen histogram JSON: %s" msg
-  in
-  J.Obj
-    [
-      ("version", J.Int 1);
-      ( "profile",
-        J.Obj
-          [
-            ("rps", J.Float profile.pr_rps);
-            ("duration_s", J.Float profile.pr_duration);
-            ("mix", J.String profile.pr_mix);
-            ("engine", J.String profile.pr_engine);
-            ("connections", J.Int profile.pr_connections);
-            ("quick", J.Bool profile.pr_quick);
-          ] );
-      ("sent", J.Int s.sent);
-      ("ok", J.Int s.ok);
-      ("overloaded", J.Int s.overloaded);
-      ("budget_exceeded", J.Int s.budget_exceeded);
-      ("rejected", J.Int s.rejected);
-      ("lost", J.Int s.lost);
-      ("divergences", J.Int (List.length s.divergences));
-      ("p50_ms", J.Float s.p50_ms);
-      ("p99_ms", J.Float s.p99_ms);
-      ("p999_ms", J.Float s.p999_ms);
-      ("mean_ms", J.Float s.mean_ms);
-      ("max_ms", J.Float s.max_ms);
-      ("histogram", hist);
-    ]
-
 let run ~connect ~rps ~duration ~mix ?(engine = "engine")
     ?(strategy = "reexp") ?(block = 4096) ?deadline_frac ?(delay_ms = 0)
     ?(connections = 4) ?(seed = 1) ?(grace = 30.0)
-    ?(workload_dirs = [ "examples/dsl"; "test/corpus" ]) ?on_snapshot ~quick
+    ?(workload_dirs = [ "examples/dsl"; "test/corpus" ]) ~quick
     () =
   if rps <= 0.0 then invalid_arg "Loadgen.run: rps must be positive";
   if duration <= 0.0 then invalid_arg "Loadgen.run: duration must be positive";
@@ -381,11 +312,6 @@ let run ~connect ~rps ~duration ~mix ?(engine = "engine")
           hist = Histogram.create ();
         }
       in
-      (* hand the caller a live partial-summary thunk before any thread
-         starts, so a signal handler can flush whatever has completed *)
-      (match on_snapshot with
-      | Some register -> register (fun () -> summarize agg ~stats_line:None)
-      | None -> ());
       let t0 = Unix.gettimeofday () in
       let t_grace = t0 +. (float_of_int n /. rps) +. grace in
       let choose i k =
@@ -406,4 +332,23 @@ let run ~connect ~rps ~duration ~mix ?(engine = "engine")
       in
       List.iter Thread.join threads;
       let stats_line = fetch_stats ~connect in
-      Ok (summarize agg ~stats_line)
+      let count = Histogram.count agg.hist in
+      Ok
+        {
+          sent = agg.a_sent;
+          ok = agg.a_ok;
+          overloaded = agg.a_overloaded;
+          budget_exceeded = agg.a_budget;
+          rejected = agg.a_rejected;
+          lost = agg.a_lost;
+          divergences = List.rev agg.a_divergences;
+          p50_ms = Histogram.quantile agg.hist 0.5;
+          p99_ms = Histogram.quantile agg.hist 0.99;
+          p999_ms = Histogram.quantile agg.hist 0.999;
+          mean_ms =
+            (if count = 0 then 0.0
+             else Histogram.sum agg.hist /. float_of_int count);
+          max_ms = Histogram.max_value agg.hist;
+          latency = agg.hist;
+          stats_line;
+        }

@@ -37,8 +37,8 @@ type summary = {
   mean_ms : float;
   max_ms : float;
   latency : Vc_core.Metrics.Histogram.t;
-      (** every round-trip sample, mergeable and JSON-renderable — the
-          store behind [--latency-json] *)
+      (** every round-trip sample, exact and mergeable — the store behind
+          every percentile above *)
   stats_line : string option;  (** the daemon's final [/stats] line *)
 }
 
@@ -48,21 +48,6 @@ val passed : summary -> bool
 
 val pp_summary : Format.formatter -> summary -> unit
 (** One greppable line: [loadgen sent=... ok=... divergences=...]. *)
-
-type profile = {
-  pr_rps : float;
-  pr_duration : float;
-  pr_mix : string;  (** the mix argument as given, e.g. ["fib:4,uts:1"] *)
-  pr_engine : string;
-  pr_connections : int;
-  pr_quick : bool;
-}
-(** The knobs that shape a latency distribution; recorded in the
-    artifact so baseline comparisons can refuse mismatched profiles. *)
-
-val latency_json : profile:profile -> summary -> Vc_exp.Jsonx.t
-(** The [BENCH_serve.json] artifact body (version 1): the profile,
-    outcome counts, p50/p99/p99.9/mean/max, and the full histogram. *)
 
 val fetch_stats : connect:(unit -> Unix.file_descr) -> string option
 (** Probe [/stats] on a fresh connection: the one-line [key=value] body
@@ -87,7 +72,6 @@ val run :
   ?seed:int ->
   ?grace:float ->
   ?workload_dirs:string list ->
-  ?on_snapshot:((unit -> summary) -> unit) ->
   quick:bool ->
   unit ->
   (summary, Vc_core.Vc_error.t) result
@@ -99,9 +83,6 @@ val run :
     backpressure lever).  After the send window closes, replies are
     awaited for [grace] seconds (default 30) before the remainder counts
     as [lost]; a final [/stats] probe is captured on a fresh connection.
-    [on_snapshot register] is called once before any request is sent
-    with a thread-safe thunk producing a partial {!summary} of whatever
-    has completed so far — the SIGINT/SIGTERM flush hook behind
-    [--latency-json].  Typed errors cover mix resolution and
+    Typed errors cover mix resolution and
     reference-computation failures; connection failures during the run
     count as [lost], not errors. *)

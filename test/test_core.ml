@@ -1303,18 +1303,9 @@ let test_histogram_buckets () =
     (H.quantile h 1.0);
   (* layout mismatches refuse to merge *)
   let other = H.create ~shards:1 ~buckets:8 ~lo:1.0 ~hi:1000.0 () in
-  (match H.merge h other with
+  match H.merge h other with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "layout mismatch must not merge");
-  (* the JSON rendering carries the exact counts *)
-  let js = H.to_json_string h in
-  check_bool "json has count" true
-    (let needle = "\"count\":5" in
-     let nl = String.length needle and ll = String.length js in
-     let rec go i =
-       i + nl <= ll && (String.sub js i nl = needle || go (i + 1))
-     in
-     go 0)
+  | _ -> Alcotest.fail "layout mismatch must not merge"
 
 (* every sample list used by the properties: positive, spanning below lo
    through past hi so the overflow path is exercised *)

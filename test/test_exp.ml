@@ -51,6 +51,22 @@ let test_key_normalization () =
   in
   check_bool "sequential compaction is a distinct point" true (not (h == nosc))
 
+(* The one point check every caller shares (run, bench, the daemon's
+   protocol applies the same block rule): non-positive block sizes and
+   domain counts are refused before anything executes. *)
+let test_validate () =
+  let p = Vc_exp.Sweep.point fib in
+  let rejected what p =
+    check_bool what true (Result.is_error (Vc_exp.Sweep.validate p))
+  in
+  rejected "block 0" { p with Vc_exp.Sweep.block = 0 };
+  rejected "block -1" { p with Vc_exp.Sweep.block = -1 };
+  rejected "domains 0" { p with Vc_exp.Sweep.domains = Some 0 };
+  check_bool "block message matches the daemon's" true
+    (Vc_exp.Sweep.validate { p with Vc_exp.Sweep.block = 0 }
+    = Error "block must be >= 1");
+  check_bool "default point accepted" true (Vc_exp.Sweep.validate p = Ok ())
+
 let reports_equal a b =
   List.length a = List.length b
   && List.for_all2
@@ -360,12 +376,7 @@ let test_jsonx_typed_decode () =
   rejects "list of obj" (fun () -> to_list (Obj []));
   rejects "fields of int" (fun () -> obj_fields (Int 1));
   (* member is total by design: Null when absent or not an object *)
-  check_bool "member of non-obj is Null" true (member "k" (Int 1) = Null);
-  (* and the decoders built on them turn Decode into (Error _) rather
-     than letting it escape *)
-  match Vc_exp.Baseline.entry_of_json (Obj [ ("label", Int 3) ]) with
-  | exception Decode _ -> ()
-  | _ -> Alcotest.fail "malformed baseline entry should raise Decode"
+  check_bool "member of non-obj is Null" true (member "k" (Int 1) = Null)
 
 let test_jsonx_bad_escapes () =
   let open Vc_exp.Jsonx in
@@ -448,187 +459,6 @@ let test_save_atomic () =
   Sys.remove path;
   Unix.rmdir dir
 
-(* ------------------------------------------------------------------ *)
-(* Baseline history + regression gate *)
-
-let sample_metrics () =
-  {
-    Vc_exp.Baseline.cycles = 131072.0;
-    speedup = 3.5;
-    domains_speedup = 5.0;
-    lane_occupancy = 0.82;
-    compaction_passes = 40;
-    space_peak = 750;
-    occupancy_hist = [| 0; 0; 1; 2; 4; 8; 16; 32; 64; 128 |];
-    wall_tasks_per_sec = 2.0e6;
-  }
-
-let sample_entry () =
-  {
-    Vc_exp.Baseline.label = "test";
-    quick = true;
-    block = 256;
-    benchmarks = [ ("fib/e5", sample_metrics ()); ("uts/phi", sample_metrics ()) ];
-    serve = None;
-  }
-
-let check_ok = function
-  | Ok v -> v
-  | Error msg -> Alcotest.failf "expected Ok, got Error %S" msg
-
-let test_baseline_history_roundtrip () =
-  let dir = temp_dir "vc-baseline" in
-  let path = Filename.concat dir "hist.json" in
-  check_bool "missing file is an empty history" true
-    (Vc_exp.Baseline.load ~path = Ok []);
-  let e1 = sample_entry () in
-  let e2 = { e1 with Vc_exp.Baseline.label = "later" } in
-  Vc_exp.Baseline.append ~path e1;
-  Vc_exp.Baseline.append ~path e2;
-  (match Vc_exp.Baseline.load ~path with
-  | Ok [ a; b ] ->
-      check_bool "entries round-trip in order" true (a = e1 && b = e2);
-      check_bool "last is the newest" true
-        (Vc_exp.Baseline.last [ a; b ] = Some e2)
-  | Ok es -> Alcotest.failf "expected 2 entries, got %d" (List.length es)
-  | Error m -> Alcotest.fail m);
-  (* a corrupt history refuses to load — and append never overwrites it *)
-  let oc = open_out path in
-  output_string oc "{not json";
-  close_out oc;
-  check_bool "corrupt history is an Error" true
-    (match Vc_exp.Baseline.load ~path with Error _ -> true | Ok _ -> false);
-  Vc_exp.Baseline.append ~path e1;
-  Alcotest.(check string) "append dropped, file untouched" "{not json"
-    (read_file path);
-  Sys.remove path;
-  Unix.rmdir dir
-
-let test_baseline_check_verdicts () =
-  let base = sample_entry () in
-  let with_fib f =
-    {
-      base with
-      Vc_exp.Baseline.benchmarks =
-        [ ("fib/e5", f (sample_metrics ())); ("uts/phi", sample_metrics ()) ];
-    }
-  in
-  let regressed ~baseline ~current =
-    Vc_exp.Baseline.regressions
-      (check_ok (Vc_exp.Baseline.check ~baseline ~current ()))
-  in
-  (* identical entries: every check passes, 6 metrics per benchmark *)
-  let verdicts = check_ok (Vc_exp.Baseline.check ~baseline:base ~current:base ()) in
-  check_int "seven checks per benchmark" 14 (List.length verdicts);
-  check_int "identical entries never regress" 0
-    (List.length (Vc_exp.Baseline.regressions verdicts));
-  (* cycles +5% > 2% threshold: regression on exactly that metric *)
-  let slow =
-    with_fib (fun m -> { m with Vc_exp.Baseline.cycles = m.Vc_exp.Baseline.cycles *. 1.05 })
-  in
-  (match regressed ~baseline:base ~current:slow with
-  | [ v ] ->
-      check_bool "cycles metric" true (v.Vc_exp.Baseline.metric = "cycles");
-      check_bool "on fib/e5" true (v.Vc_exp.Baseline.key = "fib/e5")
-  | vs -> Alcotest.failf "expected 1 regression, got %d" (List.length vs));
-  (* ...and a 10x tolerance absorbs it *)
-  check_int "tolerance scales thresholds" 0
-    (List.length
-       (Vc_exp.Baseline.regressions
-          (check_ok (Vc_exp.Baseline.check ~tolerance:10.0 ~baseline:base ~current:slow ()))));
-  (* improvements (cycles down, speedup up) never regress *)
-  let better =
-    with_fib (fun m ->
-        {
-          m with
-          Vc_exp.Baseline.cycles = m.Vc_exp.Baseline.cycles *. 0.5;
-          speedup = m.Vc_exp.Baseline.speedup *. 2.0;
-        })
-  in
-  check_int "improvements never regress" 0
-    (List.length (regressed ~baseline:base ~current:better));
-  (* speedup -5% regresses (downward-bad direction) *)
-  let slower =
-    with_fib (fun m -> { m with Vc_exp.Baseline.speedup = m.Vc_exp.Baseline.speedup *. 0.95 })
-  in
-  (match regressed ~baseline:base ~current:slower with
-  | [ v ] -> check_bool "speedup metric" true (v.Vc_exp.Baseline.metric = "speedup")
-  | vs -> Alcotest.failf "expected 1 regression, got %d" (List.length vs));
-  (* occupancy-histogram shape drift: same total, mass moved to low deciles *)
-  let shifted =
-    with_fib (fun m ->
-        { m with Vc_exp.Baseline.occupancy_hist = [| 128; 64; 32; 16; 8; 4; 2; 1; 0; 0 |] })
-  in
-  (match regressed ~baseline:base ~current:shifted with
-  | [ v ] ->
-      check_bool "hist metric" true (v.Vc_exp.Baseline.metric = "occupancy_hist")
-  | vs -> Alcotest.failf "expected 1 regression, got %d" (List.length vs));
-  (* a benchmark missing from current is a single "present" regression *)
-  let missing =
-    { base with Vc_exp.Baseline.benchmarks = [ ("fib/e5", sample_metrics ()) ] }
-  in
-  (match regressed ~baseline:base ~current:missing with
-  | [ v ] ->
-      check_bool "present metric" true (v.Vc_exp.Baseline.metric = "present");
-      check_bool "on uts/phi" true (v.Vc_exp.Baseline.key = "uts/phi")
-  | vs -> Alcotest.failf "expected 1 regression, got %d" (List.length vs));
-  (* incomparable entries are harness errors, not regressions *)
-  check_bool "quick/full mismatch is an Error" true
-    (match
-       Vc_exp.Baseline.check ~baseline:base
-         ~current:{ base with Vc_exp.Baseline.quick = false }
-         ()
-     with
-    | Error _ -> true
-    | Ok _ -> false);
-  check_bool "block mismatch is an Error" true
-    (match
-       Vc_exp.Baseline.check ~baseline:base
-         ~current:{ base with Vc_exp.Baseline.block = 64 }
-         ()
-     with
-    | Error _ -> true
-    | Ok _ -> false)
-
-(* End-to-end: collect real quick-mode metrics, write them as a baseline,
-   and gate a second collection from the same (memoized) context against
-   it — the determinism contract behind [vcilk bench --check-baseline]. *)
-let test_baseline_collect_and_gate () =
-  let ctx = Vc_exp.Sweep.create ~quick:true ~cache_dir:None () in
-  let current = Vc_exp.Baseline.collect ~block:64 ctx in
-  check_bool "quick scale recorded" true current.Vc_exp.Baseline.quick;
-  check_int "block recorded" 64 current.Vc_exp.Baseline.block;
-  check_int "every benchmark x machine present"
-    (List.length Vc_bench.Registry.all * List.length Vc_exp.Sweep.machines)
-    (List.length current.Vc_exp.Baseline.benchmarks);
-  List.iter
-    (fun (key, (m : Vc_exp.Baseline.metrics)) ->
-      check_bool (key ^ " cycles positive") true (m.Vc_exp.Baseline.cycles > 0.0);
-      check_bool (key ^ " speedup positive") true (m.Vc_exp.Baseline.speedup > 0.0);
-      (* informational, never gated — but a fresh (uncached) collection
-         must measure a real wall clock *)
-      check_bool (key ^ " wall throughput positive") true
-        (m.Vc_exp.Baseline.wall_tasks_per_sec > 0.0))
-    current.Vc_exp.Baseline.benchmarks;
-  let dir = temp_dir "vc-baseline" in
-  let path = Filename.concat dir "baseline.json" in
-  Vc_exp.Baseline.write ~path [ current ];
-  let baseline =
-    match Vc_exp.Baseline.last (check_ok (Vc_exp.Baseline.load ~path)) with
-    | Some e -> e
-    | None -> Alcotest.fail "written baseline should load"
-  in
-  let verdicts =
-    check_ok
-      (Vc_exp.Baseline.check ~baseline
-         ~current:(Vc_exp.Baseline.collect ~block:64 ctx)
-         ())
-  in
-  check_int "self-gate has no regressions" 0
-    (List.length (Vc_exp.Baseline.regressions verdicts));
-  Sys.remove path;
-  Unix.rmdir dir
-
 let lines s = String.split_on_char '\n' (String.trim s)
 
 let test_csv_table1 () =
@@ -701,6 +531,8 @@ let () =
           Alcotest.test_case "caching" `Quick test_sweep_caching;
           Alcotest.test_case "quick mode" `Quick test_sweep_quick_mode;
           Alcotest.test_case "key normalization" `Quick test_key_normalization;
+          Alcotest.test_case "validate rejects bad block/domains" `Quick
+            test_validate;
           Alcotest.test_case "parallel determinism + run cache" `Slow
             test_parallel_determinism_and_cache;
         ] );
@@ -727,14 +559,6 @@ let () =
           Alcotest.test_case "failed persist never corrupts the file" `Quick
             test_run_cache_crash_safe_persist;
           Alcotest.test_case "save_atomic crash safety" `Quick test_save_atomic;
-        ] );
-      ( "baseline",
-        [
-          Alcotest.test_case "history roundtrip + corrupt refusal" `Quick
-            test_baseline_history_roundtrip;
-          Alcotest.test_case "check verdicts" `Quick test_baseline_check_verdicts;
-          Alcotest.test_case "collect + self-gate" `Slow
-            test_baseline_collect_and_gate;
         ] );
       ( "pool",
         [

@@ -81,7 +81,34 @@ let artifacts =
     ("figure15", Vc_exp.Figures.figure15);
     ("figure16", Vc_exp.Figures.figure16);
     ("figure17", Vc_exp.Figures.figure17);
+    ("baseline", fun ctx fmt -> Vc_exp.Baseline.pp fmt (Vc_exp.Baseline.collect ctx));
   ]
+
+(* Calibration: the ledger is only exact if its printer is.  Nudge each
+   of fib/e5's seven fields by the smallest representable step (one ulp,
+   or one count) and require the rendered ledger to move off the
+   unperturbed text (which the "baseline" case pins to the golden), so
+   rounding the printer fails here even after a re-promotion. *)
+let check_ledger_calibration () =
+  let rows = Vc_exp.Baseline.collect ctx in
+  let golden = Format.asprintf "%a" Vc_exp.Baseline.pp rows in
+  let fib = List.assoc "fib/e5" rows in
+  let bump_bin h = Array.mapi (fun i n -> if i = 0 then n + 1 else n) h in
+  List.iter
+    (fun (field, (m : Vc_exp.Baseline.metrics)) ->
+      let rows = List.map (fun (k, v) -> (k, if k = "fib/e5" then m else v)) rows in
+      if Format.asprintf "%a" Vc_exp.Baseline.pp rows = golden then
+        Alcotest.failf "a one-step drift in fib/e5 %s renders as the golden" field)
+    Vc_exp.Baseline.
+      [
+        ("cycles", { fib with cycles = Float.succ fib.cycles });
+        ("speedup", { fib with speedup = Float.succ fib.speedup });
+        ("domains_speedup", { fib with domains_speedup = Float.succ fib.domains_speedup });
+        ("lane_occupancy", { fib with lane_occupancy = Float.succ fib.lane_occupancy });
+        ("compaction_passes", { fib with compaction_passes = fib.compaction_passes + 1 });
+        ("space_peak", { fib with space_peak = fib.space_peak + 1 });
+        ("occupancy_hist", { fib with occupancy_hist = bump_bin fib.occupancy_hist });
+      ]
 
 let () =
   Alcotest.run "vc_golden"
@@ -90,5 +117,9 @@ let () =
         List.map
           (fun (name, artifact) ->
             Alcotest.test_case name `Slow (check name artifact))
-          artifacts );
+          artifacts
+        @ [
+            Alcotest.test_case "baseline catches a one-ulp drift" `Slow
+              check_ledger_calibration;
+          ] );
     ]
