@@ -25,7 +25,7 @@
      verify                      - the paper's claims as checks
      chaos                       - fault-injection campaign: every
                                    benchmark must recover to exact
-                                   results via scalar fallback
+                                   fault-free results
      serve                       - fault-contained job daemon: JSON
                                    requests over Unix/TCP sockets with
                                    admission control, backpressure,
@@ -299,7 +299,7 @@ let run_cmd =
       | Ok o -> o
     in
     if o.faults_seen > 0 then
-      Format.eprintf "[supervisor] %d faults contained, %d scalar fallbacks@."
+      Format.eprintf "[supervisor] %d faults contained, %d fallbacks@."
         o.faults_seen o.fallbacks;
     let report =
       match o.value with
@@ -947,8 +947,9 @@ let chaos_cmd =
       (if Sweep.quick ctx then "quick" else "full");
     (* Campaign: for every benchmark, a supervised run under the fault
        plan must reproduce the fault-free single-context run's reducers
-       and task counts exactly — scalar fallback (engine block quarantine,
-       backend level quarantine) is a correctness-preserving degradation.
+       and task counts exactly — the engine re-runs a quarantined block on
+       the scalar path, the backends re-run a tripped level with its fault
+       site disarmed.
        With --domains > 1 the same must hold across the chunked runs
        (fault plans are split per chunk). *)
     let project ~faults point telemetry =
@@ -1069,8 +1070,7 @@ let chaos_cmd =
     (Cmd.info "chaos"
        ~doc:
          "Deterministic fault-injection campaign: every benchmark runs under \
-          an armed fault plan and must recover to exact fault-free results \
-          via scalar fallback.")
+          an armed fault plan and must recover to exact fault-free results.")
     Term.(const run $ quick_flag $ jobs_flag $ workloads_flag $ seed $ sites
           $ rate $ block $ machine $ domains_flag $ engine_flag)
 

@@ -7,8 +7,7 @@
    OCaml speed and report wall-clock throughput.
 
    The scheduler is written once, generic over a [stepper] — the object
-   that knows how to execute one whole level and how to re-execute one
-   frame's subtree on a scalar path.  Three steppers exist:
+   that knows how to execute one whole level.  Three steppers exist:
 
    - the SoA compiled stepper ({!Codegen.Soa}): per-spawn-site specialized
      kernels over unboxed structure-of-arrays frames — the "compiled"
@@ -18,6 +17,10 @@
    - the native stepper: [Spec.t] callbacks over ThreadBlocks — both
      backends use it for native sources (a native spec is already
      compiled OCaml; there is nothing further to specialize).
+
+   A level step is also the fault recovery: a level whose fault site
+   trips is still intact, so the scheduler re-runs it through the same
+   stepper with the site disarmed for its subtree.
 
    Compiled-vs-blocked is therefore a pure dispatch comparison with
    bit-equal results: both run over the same levels and level pool, under
@@ -45,7 +48,6 @@ type opts = {
   max_tasks : int;
   telemetry : Telemetry.t option;
   faults : Fault.plan;
-  recover : bool;
   budgets : Supervisor.budgets;
   domains : int option;
 }
@@ -56,7 +58,6 @@ let default_opts =
     max_tasks = 20_000_000;
     telemetry = None;
     faults = Fault.none;
-    recover = true;
     budgets = Supervisor.no_budgets;
     domains = None;
   }
@@ -77,8 +78,6 @@ type 'lvl stepper = {
   of_frames : int array list -> 'lvl;
   frames : 'lvl -> int array list;
   step : src:'lvl -> blocked:bool -> next:'lvl -> sites:'lvl array -> int;
-  scalar :
-    on_task:(depth:int -> base:bool -> unit) -> depth:int -> int array -> unit;
   num_spawns : int;
 }
 
@@ -93,7 +92,6 @@ let ir_stepper (inst : Codegen.Soa.inst) : Codegen.Soa.buf stepper =
     of_frames = Codegen.Soa.of_frames ~nfields;
     frames = Codegen.Soa.frames;
     step = inst.Codegen.Soa.step;
-    scalar = inst.Codegen.Soa.scalar;
     num_spawns = inst.Codegen.Soa.num_spawns;
   }
 
@@ -145,37 +143,6 @@ let native_stepper (spec : Spec.t) ~(reducers : Vc_lang.Reducer.set) :
     end;
     !nbase
   in
-  (* Scalar subtree execution over one-frame scratch blocks (the fault
-     quarantine fallback), stack-driven; children are copied out before
-     the scratch is reused. *)
-  let parent = create 1 in
-  let childbuf = create (max 1 e) in
-  let scalar ~on_task ~depth frame =
-    let stack = ref [ (frame, depth) ] in
-    let running = ref true in
-    while !running do
-      match !stack with
-      | [] -> running := false
-      | (fr, d) :: rest ->
-          stack := rest;
-          Block.clear parent.blk;
-          Block.push parent.blk fr;
-          if spec.Spec.is_base parent.blk 0 then begin
-            on_task ~depth:d ~base:true;
-            spec.Spec.exec_base reducers parent.blk 0
-          end
-          else begin
-            on_task ~depth:d ~base:false;
-            Block.clear childbuf.blk;
-            for site = 0 to e - 1 do
-              ignore (spec.Spec.spawn parent.blk 0 ~site ~dst:childbuf.blk : bool)
-            done;
-            for r = Block.size childbuf.blk - 1 downto 0 do
-              stack := (frame_of childbuf.blk r, d + 1) :: !stack
-            done
-          end
-    done
-  in
   {
     size = (fun l -> Block.size l.blk);
     new_level = create;
@@ -189,13 +156,12 @@ let native_stepper (spec : Spec.t) ~(reducers : Vc_lang.Reducer.set) :
     frames =
       (fun l -> List.init (Block.size l.blk) (fun r -> frame_of l.blk r));
     step;
-    scalar;
     num_spawns = max 1 e;
   }
 
 (* ------------------------------------------------------------------ *)
 (* The generic scheduler: Fig. 6's switch / re-expansion decisions plus
-   cooperative budgets and per-level fault quarantine, over whole-level
+   cooperative budgets and per-level fault recovery, over whole-level
    steps. *)
 
 type cstate = {
@@ -217,7 +183,7 @@ let new_cstate () =
     live = 0;
   }
 
-let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
+let run_tree (type l) (st : l stepper) ~tel ~faults ~strategy
     ~max_tasks ~wall_start ~(budgets : Supervisor.budgets) ~label (s : cstate)
     roots depth0 =
   let max_block, reexpand =
@@ -280,119 +246,99 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~recover ~strategy
   let release l = free := l :: !free in
   let dummy = st.new_level 1 in
   let no_sites = [||] in
-  (* Faults trip per level, before any of its rows execute, so a
-     recoverable fault quarantines a still-intact level: every frame is
-     re-executed on the scalar path with exact reducer values and task
-     counts (switch/re-expansion counters legitimately differ, as under
-     the engine's quarantine). *)
-  let trip_guard ~depth ~size =
+  (* Faults trip per level, before any of its rows execute, so a tripped
+     level is still intact: it re-runs through the same stepper with the
+     fault site disarmed for its whole subtree.  The result is exactly the
+     fault-free run's, and the plan sees the same call sequence as if the
+     subtree had never been instrumented. *)
+  let tripped ~depth ~size =
     match
       Fault.trip faults Fault.Alloc ~phase:Vc_error.Execute
         ~hint:Vc_error.Fallback_scalar
         ~detail:(fun () ->
           Printf.sprintf "%s: level buffer at depth %d (%d frames)" label depth size)
     with
-    | () -> None
-    | exception Vc_error.Error err
-      when recover
-           && (match err.Vc_error.kind with
-              | Vc_error.Fault { hint = Vc_error.Fallback_scalar; _ } -> true
-              | _ -> false) ->
-        Some err
+    | () -> false
+    | exception Vc_error.Error err ->
+        let site =
+          match Vc_error.site_of err with
+          | Some site -> Vc_error.site_name site
+          | None -> "scheduler"
+        in
+        Telemetry.emit tel (Telemetry.Fault { site; detail = err.Vc_error.detail });
+        Telemetry.emit tel (Telemetry.Fallback { depth; size });
+        true
   in
-  let quarantine src n depth (err : Vc_error.t) =
-    let site =
-      match Vc_error.site_of err with
-      | Some site -> Vc_error.site_name site
-      | None -> "scheduler"
-    in
-    Telemetry.emit tel (Telemetry.Fault { site; detail = err.Vc_error.detail });
-    Telemetry.emit tel (Telemetry.Fallback { depth; size = n });
-    s.live <- s.live - n;
-    let frames = st.frames src in
-    release src;
-    with_span "fallback" @@ fun () ->
-    List.iter
-      (st.scalar ~depth ~on_task:(fun ~depth:d ~base ->
-           s.tasks <- s.tasks + 1;
-           if s.tasks > max_tasks then
-             Vc_error.budget ~phase:Vc_error.Execute Vc_error.Task_budget
-               ~detail:"backend task limit (scalar fallback)"
-               ~limit:(float_of_int max_tasks)
-               ~actual:(float_of_int s.tasks)
-               ();
-           if d > s.max_depth then s.max_depth <- d;
-           if base then s.base_tasks <- s.base_tasks + 1))
-      frames
-  in
-  let rec bfs src n depth =
+  let rec bfs ~armed src n depth =
     budget_check ();
     if depth > s.max_depth then s.max_depth <- depth;
-    match trip_guard ~depth ~size:n with
-    | Some err -> quarantine src n depth err
-    | None ->
-        check_tasks n;
-        s.tasks <- s.tasks + n;
-        let next = acquire n in
-        let nbase =
-          with_span "expand" @@ fun () ->
-          st.step ~src ~blocked:false ~next ~sites:no_sites
-        in
-        release src;
-        s.base_tasks <- s.base_tasks + nbase;
-        Telemetry.emit tel
-          (Telemetry.Level { phase = Telemetry.Bfs; depth; size = n; base = nbase });
-        let ln = st.size next in
-        s.live <- s.live + ln - n;
-        if ln = 0 then release next
-        else if ln < max_block then bfs next ln (depth + 1)
+    if armed && tripped ~depth ~size:n then
+      with_span "fallback" (fun () -> bfs ~armed:false src n depth)
+    else begin
+      check_tasks n;
+      s.tasks <- s.tasks + n;
+      let next = acquire n in
+      let nbase =
+        with_span "expand" @@ fun () ->
+        st.step ~src ~blocked:false ~next ~sites:no_sites
+      in
+      release src;
+      s.base_tasks <- s.base_tasks + nbase;
+      Telemetry.emit tel
+        (Telemetry.Level { phase = Telemetry.Bfs; depth; size = n; base = nbase });
+      let ln = st.size next in
+      s.live <- s.live + ln - n;
+      if ln = 0 then release next
+      else if ln < max_block then bfs ~armed next ln (depth + 1)
+      else begin
+        s.switches <- s.switches + 1;
+        Telemetry.emit tel (Telemetry.Switch { depth = depth + 1; size = ln });
+        blocked ~armed next ln (depth + 1)
+      end
+    end
+  and blocked ~armed src n depth =
+    budget_check ();
+    if depth > s.max_depth then s.max_depth <- depth;
+    if armed && tripped ~depth ~size:n then
+      with_span "fallback" (fun () -> blocked ~armed:false src n depth)
+    else begin
+      check_tasks n;
+      s.tasks <- s.tasks + n;
+      let cap = n / max 1 e in
+      let sites = Array.init e (fun _ -> acquire cap) in
+      let nbase =
+        with_span "blocked" @@ fun () ->
+        st.step ~src ~blocked:true ~next:dummy ~sites
+      in
+      release src;
+      s.base_tasks <- s.base_tasks + nbase;
+      Telemetry.emit tel
+        (Telemetry.Level { phase = Telemetry.Blocked; depth; size = n; base = nbase });
+      let total = Array.fold_left (fun acc l -> acc + st.size l) 0 sites in
+      s.live <- s.live + total - n;
+      for site = 0 to e - 1 do
+        let blk = sites.(site) in
+        let bn = st.size blk in
+        if bn = 0 then release blk
+        else if bn >= max_block || not reexpand then blocked ~armed blk bn (depth + 1)
         else begin
-          s.switches <- s.switches + 1;
-          Telemetry.emit tel (Telemetry.Switch { depth = depth + 1; size = ln });
-          blocked next ln (depth + 1)
+          s.reexpansions <- s.reexpansions + 1;
+          Telemetry.emit tel
+            (Telemetry.Reexpand
+               {
+                 depth = depth + 1;
+                 size = bn;
+                 shrink = float_of_int bn /. float_of_int (max 1 max_block);
+               });
+          bfs ~armed blk bn (depth + 1)
         end
-  and blocked src n depth =
-    budget_check ();
-    if depth > s.max_depth then s.max_depth <- depth;
-    match trip_guard ~depth ~size:n with
-    | Some err -> quarantine src n depth err
-    | None ->
-        check_tasks n;
-        s.tasks <- s.tasks + n;
-        let cap = n / max 1 e in
-        let sites = Array.init e (fun _ -> acquire cap) in
-        let nbase =
-          with_span "blocked" @@ fun () ->
-          st.step ~src ~blocked:true ~next:dummy ~sites
-        in
-        release src;
-        s.base_tasks <- s.base_tasks + nbase;
-        Telemetry.emit tel
-          (Telemetry.Level { phase = Telemetry.Blocked; depth; size = n; base = nbase });
-        let total = Array.fold_left (fun acc l -> acc + st.size l) 0 sites in
-        s.live <- s.live + total - n;
-        Array.iter
-          (fun blk ->
-            let bn = st.size blk in
-            if bn = 0 then release blk
-            else if bn >= max_block || not reexpand then blocked blk bn (depth + 1)
-            else begin
-              s.reexpansions <- s.reexpansions + 1;
-              Telemetry.emit tel
-                (Telemetry.Reexpand
-                   {
-                     depth = depth + 1;
-                     size = bn;
-                     shrink = float_of_int bn /. float_of_int (max 1 max_block);
-                   });
-              bfs blk bn (depth + 1)
-            end)
-          sites
+      done
+    end
   in
   let root = st.of_frames roots in
   let n = st.size root in
   s.live <- s.live + n;
-  if n > 0 then bfs root n depth0
+  if n > 0 then bfs ~armed:true root n depth0
 
 (* ------------------------------------------------------------------ *)
 (* Frontier expansion for the domains mode: serial bfs steps until the
@@ -484,7 +430,7 @@ let exec_single ~compiled opts source roots =
   Fun.protect
     ~finally:(fun () -> Telemetry.emit tel (Telemetry.Span_close { frame = label }))
     (fun () ->
-      run_tree st ~tel ~faults:opts.faults ~recover:opts.recover
+      run_tree st ~tel ~faults:opts.faults
         ~strategy:opts.strategy ~max_tasks:opts.max_tasks ~wall_start
         ~budgets:opts.budgets ~label s roots 0);
   finish ~reducers s ~wall_start
@@ -529,7 +475,7 @@ let exec_domains ~compiled opts source roots ~domains =
     let cfaults = Fault.split opts.faults ~salt:ci in
     let error =
       try
-        run_tree st ~tel:ctel ~faults:cfaults ~recover:opts.recover
+        run_tree st ~tel:ctel ~faults:cfaults
           ~strategy:opts.strategy ~max_tasks:opts.max_tasks ~wall_start
           ~budgets:opts.budgets ~label cs frames fdepth;
         None

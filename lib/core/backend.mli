@@ -24,7 +24,7 @@
     dispatch measurement.
 
     The scheduler is shared and generic over a level-stepper: budgets,
-    per-level fault quarantine, wall-clock timing and the chunked-domains
+    per-level fault recovery, wall-clock timing and the chunked-domains
     mode ({!Domain_sched.run_chunks}) are the same for every source and
     backend, so a future C-stub or FPGA-style backend is a third {!t}
     value, not a rewrite. *)
@@ -46,9 +46,10 @@ type opts = {
   max_tasks : int;
   telemetry : Telemetry.t option;
   faults : Fault.plan;
-  recover : bool;
-      (** re-run faulted levels on the scalar path (bit-equal reducers and
-          task counts; switch/re-expansion counters legitimately differ) *)
+      (** [Alloc] trips once per level, before any of its rows run; a
+          tripped level re-runs through the same stepper with the site
+          disarmed for its subtree, so a faulted run returns exactly the
+          fault-free result *)
   budgets : Supervisor.budgets;
       (** [wall_deadline] and [max_live_frames], checked at level
           boundaries; [deadline] (modeled cycles) does not apply *)
@@ -64,7 +65,7 @@ type opts = {
 
 val default_opts : opts
 (** [Hybrid { max_block = 256; reexpand = true }], 20M tasks, no
-    telemetry, no faults, [recover = true], no budgets, [domains = None]. *)
+    telemetry, no faults, no budgets, [domains = None]. *)
 
 type t = {
   name : string;  (** CLI name: ["blocked"] or ["compiled"] *)
@@ -80,8 +81,7 @@ val find : string -> t option
 val run : ?opts:opts -> t -> source -> roots:int array list -> result
 (** Execute from the given root frames (each one frame per program
     parameter / spec field).  Raises {!Vc_error.Error} on budget
-    violations and on unrecovered faults, [Invalid_argument] on malformed
-    roots. *)
+    violations, [Invalid_argument] on malformed roots. *)
 
 val roots_of : source -> int array list
 (** The root frames a native spec carries.  Raises [Invalid_argument] for

@@ -7,11 +7,9 @@ let instantiate (t : Blocked_ast.t) ~(reducers : Reducer.set) : Soa.inst =
   let program = t.Blocked_ast.source in
   let layout = Codegen.layout_of program in
   let nparams = Array.length (Codegen.params layout) in
-  (* [scalar]'s child buffer, reused for every frame it expands *)
-  let children = Soa.make_buf ~nfields:nparams 1 in
-  (* Enqueue sinks write through these cells; [step] and [scalar] point
-     them at their destination levels. *)
-  let sink_next = ref children in
+  (* Enqueue sinks write through these cells; [step] points them at its
+     destination levels. *)
+  let sink_next = ref (Soa.make_buf ~nfields:nparams 1) in
   let sink_sites = ref [||] in
   let reduce name v = Reducer.reduce reducers name v in
   (* A push evaluates every child argument into a per-site scratch frame,
@@ -89,32 +87,4 @@ let instantiate (t : Blocked_ast.t) ~(reducers : Reducer.set) : Soa.inst =
     done;
     !nbase
   in
-  (* Scalar subtree execution (the fault-quarantine fallback): the bfs
-     flavor, depth-first over an explicit stack, one frame at a time. *)
-  let scalar ~on_task ~depth frame =
-    sink_next := children;
-    let rec go = function
-      | [] -> ()
-      | (fr, d) :: rest ->
-          Array.blit fr 0 rt.Codegen.frame 0 nparams;
-          Codegen.reset_locals rt;
-          if is_base rt <> 0 then begin
-            on_task ~depth:d ~base:true;
-            bfs_base rt;
-            go rest
-          end
-          else begin
-            on_task ~depth:d ~base:false;
-            Soa.clear children;
-            bfs_ind rt;
-            (* the first child ends on top *)
-            let st = ref rest in
-            for r = Soa.size children - 1 downto 0 do
-              st := (Soa.frame children r, d + 1) :: !st
-            done;
-            go !st
-          end
-    in
-    go [ (frame, depth) ]
-  in
-  { Soa.nparams; num_spawns = t.Blocked_ast.num_spawns; step; scalar }
+  { Soa.nparams; num_spawns = t.Blocked_ast.num_spawns; step }

@@ -9,7 +9,7 @@
     to the destination buffers, so a thread allocates nothing.  The Fig. 6
     schedule (bfs levels, the switch to per-site blocked execution at
     [max_block], re-expansion), the level pool, budgets and fault
-    quarantine belong to {!Backend}, which drives this stepper and
+    recovery belong to {!Backend}, which drives this stepper and
     {!Codegen.Soa}'s compiled one through the same scheduler.
 
     This interpreter is the semantic half of the reproduction: the test
@@ -19,6 +19,5 @@
 val instantiate : Blocked_ast.t -> reducers:Vc_lang.Reducer.set -> Codegen.Soa.inst
 (** Compile [t]'s flavors into closures that reduce into [reducers].  The
     instance's [step] runs every thread of a level in the bfs or blocked
-    flavor; its [scalar] runs one frame's whole subtree depth-first in the
-    bfs flavor.  The instance owns mutable scratch: use it from one domain
-    at a time. *)
+    flavor.  The instance owns mutable scratch: use it from one domain at
+    a time. *)

@@ -152,10 +152,9 @@ let compile_stmt l ~reduce ~spawn stmt =
    single mutable cursor, spawn sites write evaluated arguments column-wise
    into destination buffers, and the only per-row work is a locals reset
    plus the compiled body — no per-thread [rt] allocation, no frame
-   blitting, no list churn.  The instance also carries a classic scalar
-   executor over the same reducer set for fault-quarantine fallback.
+   blitting, no list churn.
 
-   An instance owns mutable scratch (cursor, sink cells, scalar rt), so it
+   An instance owns mutable scratch (cursor, sink cells), so it
    is single-domain: parallel schedulers instantiate once per domain. *)
 
 module Soa = struct
@@ -245,8 +244,6 @@ module Soa = struct
     nparams : int;
     num_spawns : int;
     step : src:buf -> blocked:bool -> next:buf -> sites:buf array -> int;
-    scalar :
-      on_task:(depth:int -> base:bool -> unit) -> depth:int -> int array -> unit;
   }
 
   exception Continue_row
@@ -760,48 +757,5 @@ module Soa = struct
       sink_sites := [||];
       !nbase
     in
-    (* Scalar fallback: classic per-thread codegen over the source program,
-       driven by an explicit stack — used to re-execute quarantined levels
-       after a fault with exact reducer values and task counts. *)
-    let m = program.Ast.mth in
-    let rt = make_rt layout in
-    let sc_children : int array list ref = ref [] in
-    let sc_is_base = compile_expr layout m.Ast.is_base in
-    let sc_reduce name v = Reducer.reduce reducers name v in
-    let sc_base =
-      compile_stmt layout ~reduce:sc_reduce ~spawn:(fun ~site:_ _ -> ()) m.Ast.base
-    in
-    let sc_ind =
-      compile_stmt layout ~reduce:sc_reduce
-        ~spawn:(fun ~site:_ args -> sc_children := args :: !sc_children)
-        m.Ast.inductive
-    in
-    let scalar ~on_task ~depth frame =
-      let stack = ref [ (frame, depth) ] in
-      let running = ref true in
-      while !running do
-        match !stack with
-        | [] -> running := false
-        | (fr, d) :: rest ->
-            stack := rest;
-            Array.blit fr 0 rt.frame 0 nparams;
-            reset_locals rt;
-            if sc_is_base rt <> 0 then begin
-              on_task ~depth:d ~base:true;
-              sc_base rt
-            end
-            else begin
-              on_task ~depth:d ~base:false;
-              sc_children := [];
-              sc_ind rt;
-              List.iter (fun ch -> stack := (ch, d + 1) :: !stack) !sc_children
-            end
-      done
-    in
-    {
-      nparams;
-      num_spawns = t.Blocked_ast.num_spawns;
-      step;
-      scalar;
-    }
+    { nparams; num_spawns = t.Blocked_ast.num_spawns; step }
 end

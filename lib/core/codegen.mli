@@ -71,7 +71,7 @@ module Soa : sig
   (** Copy row [i] out as a fresh frame array. *)
 
   val frames : buf -> int array list
-  (** All rows, in order, as fresh frame arrays (quarantine extraction). *)
+  (** All rows, in order, as fresh frame arrays (frontier extraction). *)
 
   val of_frames : nfields:int -> int array list -> buf
   (** A buffer holding the given root frames.  Raises [Invalid_argument]
@@ -87,11 +87,6 @@ module Soa : sig
             the number of base rows.  [sites] must have [num_spawns]
             entries when [blocked].  [src]'s rows are consumed: the caller
             may clear and reuse it afterwards. *)
-    scalar :
-      on_task:(depth:int -> base:bool -> unit) -> depth:int -> int array -> unit;
-        (** Execute one frame's whole subtree on the classic per-thread
-            scalar path (fault-quarantine fallback), calling [on_task]
-            once per node. *)
   }
 
   val instantiate : Blocked_ast.t -> reducers:Vc_lang.Reducer.set -> inst

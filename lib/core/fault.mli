@@ -3,9 +3,8 @@
     A {!plan} decides, purely as a function of its seed and each site's
     call count, which calls to instrumented runtime operations fail with a
     typed {!Vc_error.Error}.  Instrumented sites call {!trip} at their
-    entry point — {e before} any semantic side effect — so a supervisor
-    can quarantine the affected block and re-run its tasks on the scalar
-    path with exact results.
+    entry point — {e before} any semantic side effect — so the affected
+    block is still intact and can be re-run with exact results.
 
     Plans are domain-safe (per-site atomic counters) and replayable: the
     same plan over the same call sequence fires the same faults. *)

@@ -104,7 +104,7 @@ let observe t ({ ts; ev; _ } : Telemetry.stamped) =
   | Telemetry.Convert _ -> (current_node t).converts <- (current_node t).converts + 1
   | Telemetry.Fault _ -> (current_node t).faults <- (current_node t).faults + 1
   | Telemetry.Level _ | Telemetry.Switch _ | Telemetry.Reexpand _
-  | Telemetry.Cache _ | Telemetry.Fallback _ | Telemetry.Retry _
+  | Telemetry.Cache _ | Telemetry.Fallback _
   | Telemetry.Deadline _ | Telemetry.Steal _ | Telemetry.Mark _ -> ()
 
 (* Clearing the hub (the engine does between its warm and measured

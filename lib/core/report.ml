@@ -193,10 +193,7 @@ let merge ~reducers ~strategy ~cycles ~space_peak ~wall_seconds parts =
           wall_seconds;
         }
 
-let equal ?(ignore_wall = true) a b =
-  if ignore_wall then
-    { a with wall_seconds = 0.0 } = { b with wall_seconds = 0.0 }
-  else a = b
+let equal a b = { a with wall_seconds = 0.0 } = { b with wall_seconds = 0.0 }
 
 let speedup ~baseline t =
   if t.oom || t.cycles <= 0.0 then 0.0 else baseline.cycles /. t.cycles

@@ -51,10 +51,9 @@ val merge :
     count may change.  If any part is an OOM report the merge is the OOM
     placeholder.  Raises [Invalid_argument] on an empty list. *)
 
-val equal : ?ignore_wall:bool -> t -> t -> bool
-(** Structural equality of two reports.  [ignore_wall] (default [true])
-    excludes the host wall-clock field, which is the only nondeterministic
-    field of a report — model quantities are bit-identical across reruns,
+val equal : t -> t -> bool
+(** Structural equality of two reports, excluding the host wall-clock
+    field, which is the only nondeterministic field of a report — model quantities are bit-identical across reruns,
     parallel schedules, and run-cache round-trips. *)
 
 val speedup : baseline:t -> t -> float

@@ -4,8 +4,8 @@
     and the wall-clock {!Backend}s — takes its budgets as one {!budgets}
     record and reports every exceeded budget (task limits included) as a
     typed [Budget_exceeded] {!Vc_error.Error}.  {!run} wraps any of them
-    so that a run either completes — possibly degraded, with quarantined
-    blocks re-executed on the scalar path — or returns a typed
+    so that a run either completes — with faulted blocks recovered — or
+    returns a typed
     {!Vc_error.t} instead of raising, and the caller can apply the
     exit-code convention uniformly: 0 ok, 1 fault/verification failure,
     2 budget exceeded ({!Vc_error.exit_code}).
@@ -36,7 +36,9 @@ val clamp_budgets : ceiling:budgets -> budgets -> budgets
 
 type 'a outcome = {
   value : 'a;
-  fallbacks : int;  (** quarantined blocks re-run on the scalar path *)
+  fallbacks : int;
+      (** faulted blocks recovered: re-run on the scalar path (engine) or
+          re-stepped with the fault site disarmed (backends) *)
   faults_seen : int;  (** faults surfaced (injected or organic) *)
 }
 

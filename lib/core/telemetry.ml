@@ -11,7 +11,6 @@ type event =
   | Cache of { level : string; depth : int; accesses : int; misses : int }
   | Fault of { site : string; detail : string }
   | Fallback of { depth : int; size : int }
-  | Retry of { what : string; attempt : int }
   | Deadline of { resource : string; limit : float; actual : float }
   | Steal of { thief : int; victim : int; chunk : int }
   | Span_open of { frame : string }
@@ -57,8 +56,8 @@ let ring_events = function
 
 let nop () = ()
 
-let callback_sink ?(on_flush = nop) ?(on_clear = nop) f =
-  Stream { write = f; stream_flush = on_flush; stream_clear = on_clear; dead = false }
+let callback_sink ?(on_clear = nop) f =
+  Stream { write = f; stream_flush = nop; stream_clear = on_clear; dead = false }
 
 type counts = { faults : int; fallbacks : int; deadlines : int }
 
@@ -111,7 +110,6 @@ let event_name = function
   | Cache { level; _ } -> "cache:" ^ level
   | Fault { site; _ } -> "fault:" ^ site
   | Fallback _ -> "fallback:scalar"
-  | Retry { what; _ } -> "retry:" ^ what
   | Deadline { resource; _ } -> "deadline:" ^ resource
   | Steal _ -> "steal"
   (* open and close share the name so Chrome "B"/"E" pairs match up *)
@@ -141,8 +139,6 @@ let args_fields = function
         ("detail", Printf.sprintf "%S" (escape detail)) ]
   | Fallback { depth; size } ->
       [ ("depth", string_of_int depth); ("size", string_of_int size) ]
-  | Retry { what; attempt } ->
-      [ ("what", Printf.sprintf "%S" (escape what)); ("attempt", string_of_int attempt) ]
   | Deadline { resource; limit; actual } ->
       [ ("resource", Printf.sprintf "%S" (escape resource)); ("limit", num limit);
         ("actual", num actual) ]
@@ -197,7 +193,7 @@ let chrome_of_event { ts; dur; ev; _ } =
         "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%s,\"pid\":1,\"args\":{\"accesses\":%d,\"misses\":%d}}"
         (escape ("cache:" ^ level)) (num ts) accesses misses
   | Switch _ | Reexpand _ | Compaction _ | Convert _ | Fault _ | Fallback _
-  | Retry _ | Deadline _ | Steal _ | Mark _ ->
+  | Deadline _ | Steal _ | Mark _ ->
       Printf.sprintf
         "{\"name\":\"%s\",\"ph\":\"i\",\"ts\":%s,\"s\":\"t\",\"pid\":1,\"tid\":1,\"args\":%s}"
         name (num ts) (args_json ev)

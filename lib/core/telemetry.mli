@@ -43,10 +43,9 @@ type event =
   | Fault of { site : string; detail : string }
       (** A fault (injected or organic) surfaced at a runtime site. *)
   | Fallback of { depth : int; size : int }
-      (** A quarantined block of [size] frames at [depth] was re-executed
-          on the scalar path. *)
-  | Retry of { what : string; attempt : int }
-      (** A failed operation was retried ([attempt] starts at 1). *)
+      (** A faulted block of [size] frames at [depth] was recovered: the
+          modeled engine re-executes it on the scalar path, the wall-clock
+          backends re-run the intact level with its fault site disarmed. *)
   | Deadline of { resource : string; limit : float; actual : float }
       (** A budget or deadline was exceeded. *)
   | Steal of { thief : int; victim : int; chunk : int }
@@ -93,10 +92,9 @@ val chrome_sink : out_channel -> sink
     nestable begin/end ("B"/"E") pairs, cache deltas as counter ("C")
     samples, everything else as instants ("i"). *)
 
-val callback_sink :
-  ?on_flush:(unit -> unit) -> ?on_clear:(unit -> unit) -> (stamped -> unit) -> sink
-(** Invokes the callback on every event; [on_flush] / [on_clear] (both
-    no-ops by default) run on hub {!flush} / {!clear}.  Used by the
+val callback_sink : ?on_clear:(unit -> unit) -> (stamped -> unit) -> sink
+(** Invokes the callback on every event; [on_clear] (a no-op by default)
+    runs on hub {!clear}.  Used by the
     supervisor to count faults and fallbacks, and by [Profile] to build
     cycle attributions, without threading extra state through the
     engine. *)

@@ -4,11 +4,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-type failure = { index : int; attempts : int; error : Vc_core.Vc_error.t }
-
-let is_budget_exn = function
-  | Vc_core.Vc_error.Error e -> Vc_core.Vc_error.is_budget e
-  | _ -> false
+type failure = { index : int; error : Vc_core.Vc_error.t }
 
 (* Which budget violations abort a whole queue?  Time-like budgets
    (modeled or wall deadlines, the live-frame cap): they exist to stop a
@@ -32,67 +28,10 @@ let is_fatal_budget_exn = function
       true
   | _ -> false
 
-(* Deterministic per-task uniform stream for the retry jitter: xorshift64*
-   seeded from (jitter_seed, task index), so reruns of the same queue
-   replay the same sleep pattern while different tasks stay decorrelated. *)
-let jitter_stream ~seed ~index =
-  let state =
-    ref
-      (Int64.logor
-         (Int64.of_int (((seed * 0x9e3779b9) lxor (index * 0x85ebca6b)) land max_int))
-         1L)
-  in
-  fun () ->
-    let x = !state in
-    let x = Int64.logxor x (Int64.shift_left x 13) in
-    let x = Int64.logxor x (Int64.shift_right_logical x 7) in
-    let x = Int64.logxor x (Int64.shift_left x 17) in
-    state := x;
-    Int64.to_float (Int64.shift_right_logical x 11) /. 9007199254740992.0
-
-(* Decorrelated-jitter retry sleeps: attempt n sleeps uniform(base,
-   min(cap, 3 * previous sleep)) instead of the old deterministic
-   base * 2^(n-1).  Deterministic backoff synchronized retries across
-   pool workers under chaos — every worker that faulted on the same
-   injected pattern woke at the same instant and collided again; jitter
-   spreads the herd while the seed keeps tests reproducible. *)
-let backoff_cap_factor = 16.0
-
-let try_task ?(jitter_seed = 0) ~retries ~backoff index f :
-    (unit, exn * int) result =
-  let next_u = jitter_stream ~seed:jitter_seed ~index in
-  let cap = backoff *. backoff_cap_factor in
-  let prev_sleep = ref backoff in
-  let rec go attempt =
-    match f () with
-    | () -> Ok ()
-    | exception exn when is_budget_exn exn -> raise exn
-    | exception exn ->
-        if attempt <= retries then begin
-          Log.info (fun m ->
-              m "task %d failed (%s); retry %d/%d" index (Printexc.to_string exn)
-                attempt retries);
-          if backoff > 0.0 then begin
-            let hi = Float.min cap (Float.max backoff (!prev_sleep *. 3.0)) in
-            let sleep = backoff +. ((hi -. backoff) *. next_u ()) in
-            prev_sleep := sleep;
-            Unix.sleepf sleep
-          end;
-          go (attempt + 1)
-        end
-        else Error (exn, attempt)
-  in
-  go 1
-
-let run ?(retries = 0) ?(backoff = 0.0) ?jitter_seed ~jobs tasks =
+let run ~jobs tasks =
   let n = List.length tasks in
   if jobs <= 1 || n < 2 then
-    List.iteri
-      (fun i f ->
-        match try_task ?jitter_seed ~retries ~backoff i f with
-        | Ok () -> ()
-        | Error (exn, _) -> raise exn)
-      tasks
+    List.iter (fun f -> f ()) tasks
   else begin
     let tasks = Array.of_list tasks in
     let next = Atomic.make 0 in
@@ -103,14 +42,11 @@ let run ?(retries = 0) ?(backoff = 0.0) ?jitter_seed ~jobs tasks =
         let i = Atomic.fetch_and_add next 1 in
         if i >= n || Atomic.get failure <> None then continue := false
         else
-          match try_task ?jitter_seed ~retries ~backoff i tasks.(i) with
-          | Ok () -> ()
-          | Error (exn, _) ->
+          match tasks.(i) () with
+          | () -> ()
+          | exception exn ->
               (* keep the first failure; losing later ones is fine — the
                  sweep aborts on any *)
-              ignore (Atomic.compare_and_set failure None (Some exn))
-          | exception exn ->
-              (* budget violation: deterministic, abort the whole queue *)
               ignore (Atomic.compare_and_set failure None (Some exn))
       done
     in
@@ -120,12 +56,12 @@ let run ?(retries = 0) ?(backoff = 0.0) ?jitter_seed ~jobs tasks =
     match Atomic.get failure with Some e -> raise e | None -> ()
   end
 
-let run_collect ?(retries = 0) ?(backoff = 0.0) ?jitter_seed ~jobs tasks =
+let run_collect ~jobs tasks =
   let n = List.length tasks in
   let lock = Mutex.create () in
   let failures = ref [] in
   let fatal : exn option Atomic.t = Atomic.make None in
-  let contain i exn attempts =
+  let contain i exn =
     if is_fatal_budget_exn exn then
       (* deadline-like budgets abort the queue — containing them would let
          a sweep keep burning time the user explicitly capped *)
@@ -133,19 +69,11 @@ let run_collect ?(retries = 0) ?(backoff = 0.0) ?jitter_seed ~jobs tasks =
     else begin
       let error = Vc_core.Vc_error.of_exn ~phase:Vc_core.Vc_error.Execute exn in
       Log.warn (fun m ->
-          m "task %d failed permanently after %d attempt%s: %s" i attempts
-            (if attempts = 1 then "" else "s")
-            (Vc_core.Vc_error.to_string error));
-      Mutex.protect lock (fun () ->
-          failures := { index = i; attempts; error } :: !failures)
+          m "task %d failed: %s" i (Vc_core.Vc_error.to_string error));
+      Mutex.protect lock (fun () -> failures := { index = i; error } :: !failures)
     end
   in
-  let exec i f =
-    match try_task ?jitter_seed ~retries ~backoff i f with
-    | Ok () -> ()
-    | Error (exn, attempts) -> contain i exn attempts
-    | exception exn -> contain i exn 1
-  in
+  let exec i f = match f () with () -> () | exception exn -> contain i exn in
   if jobs <= 1 || n < 2 then
     List.iteri (fun i f -> if Atomic.get fatal = None then exec i f) tasks
   else begin

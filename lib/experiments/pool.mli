@@ -7,11 +7,8 @@
     claim the next index.  Tasks must do their own synchronization around
     shared state (the sweep memo table is mutex-guarded).
 
-    Both entry points support supervised execution: failed tasks retry
-    with decorrelated-jitter backoff.  Budget violations (typed
-    [Budget_exceeded] {!Vc_core.Vc_error.Error}s) are deterministic, so
-    they are never retried; whether one aborts the queue depends on its
-    resource — see {!run_collect}.
+    {!run} aborts the queue on the first failure; {!run_collect} contains
+    per-task failures, except the budget violations that abort it.
 
     For a long-lived stream of independently submitted jobs (the serve
     daemon), use the persistent {!worker_pool} instead: its domains stay
@@ -23,48 +20,26 @@ val default_jobs : unit -> int
 
 type failure = {
   index : int;  (** position of the task in the submitted list *)
-  attempts : int;  (** attempts made, including the first *)
-  error : Vc_core.Vc_error.t;  (** classified final error *)
+  error : Vc_core.Vc_error.t;  (** classified error *)
 }
 
-val run :
-  ?retries:int ->
-  ?backoff:float ->
-  ?jitter_seed:int ->
-  jobs:int ->
-  (unit -> unit) list ->
-  unit
+val run : jobs:int -> (unit -> unit) list -> unit
 (** Execute every task.  With [jobs <= 1] (or fewer than two tasks) the
     tasks run in the calling domain, in order, spawning nothing — the
     [--jobs 1] reference schedule.  Otherwise [min jobs (length tasks)]
-    domains drain the queue.  Each failing task is retried up to
-    [retries] times (default 0); between attempts it sleeps a
-    decorrelated-jitter interval — uniform in [[backoff,
-    min(16 * backoff, 3 * previous sleep)]] seconds (no sleep when
-    [backoff] is 0) — so workers that hit the same fault pattern do not
-    wake in lock-step and collide again.  The jitter stream is a pure
-    function of [(jitter_seed, task index, attempt)] (seed default 0),
-    keeping retry schedules reproducible.  The first exhausted failure
-    aborts the queue and is re-raised verbatim in the caller after all
-    domains have joined. *)
+    domains drain the queue.  The first failure aborts the queue and is
+    re-raised verbatim in the caller after all domains have joined. *)
 
-val run_collect :
-  ?retries:int ->
-  ?backoff:float ->
-  ?jitter_seed:int ->
-  jobs:int ->
-  (unit -> unit) list ->
-  failure list
+val run_collect : jobs:int -> (unit -> unit) list -> failure list
 (** Like {!run}, but contains per-task failures instead of aborting: a
-    task that still fails after its retries is recorded (worker-death
-    containment — the rest of the queue keeps draining) and the failures
-    are returned sorted by task index, [[]] when everything succeeded.
-    Deadline-like budget violations ([Deadline_cycles], [Deadline_wall],
-    [Live_frames]) are still fatal and re-raise in the caller: every
-    remaining task shares those caps.  Per-run resource exhaustion
-    ([Task_budget], [Memory]) is contained like any other failure — one
-    oversized point must not kill the sweep — though, being
-    deterministic, it is never retried. *)
+    failing task is recorded (worker-death containment — the rest of the
+    queue keeps draining) and the failures are returned sorted by task
+    index, [[]] when everything succeeded.  Deadline-like budget
+    violations ([Deadline_cycles], [Deadline_wall], [Live_frames]) are
+    still fatal and re-raise in the caller: every remaining task shares
+    those caps.  Per-run resource exhaustion ([Task_budget], [Memory]) is
+    contained like any other failure — one oversized point must not kill
+    the sweep. *)
 
 (** {1 Persistent worker pool}
 

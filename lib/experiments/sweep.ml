@@ -64,7 +64,6 @@ type ctx = {
   jobs : int;
   budgets : Vc_core.Supervisor.budgets;
   faults : Vc_core.Fault.plan;
-  retries : int;
   specs : (string, Vc_core.Spec.t) Hashtbl.t;
   runs : (string, result) Hashtbl.t;  (* keyed by [key_string] *)
   lock : Mutex.t;
@@ -75,8 +74,7 @@ type ctx = {
 }
 
 let create ?quick ?(jobs = 1) ?(cache_dir = None)
-    ?(budgets = Vc_core.Supervisor.no_budgets) ?(faults = Vc_core.Fault.none)
-    ?(retries = 0) () =
+    ?(budgets = Vc_core.Supervisor.no_budgets) ?(faults = Vc_core.Fault.none) () =
   let quick =
     match quick with
     | Some q -> q
@@ -90,7 +88,6 @@ let create ?quick ?(jobs = 1) ?(cache_dir = None)
     jobs = max 1 jobs;
     budgets;
     faults;
-    retries;
     specs = Hashtbl.create 16;
     runs = Hashtbl.create 256;
     lock = Mutex.create ();
@@ -238,11 +235,12 @@ let exec ctx ?telemetry ?(faults = Vc_core.Fault.none)
       Report (d.report, Some d)
   | (Blocked | Compiled), _, _ ->
       let source, roots = backend_source ctx p.entry in
-      let d = Vc_core.Backend.default_opts in
-      let max_tasks = Option.value max_tasks ~default:d.max_tasks in
+      let max_tasks =
+        Option.value max_tasks ~default:Vc_core.Backend.default_opts.max_tasks
+      in
       let opts =
-        { d with strategy = policy; max_tasks; telemetry; faults; budgets;
-                 domains = p.domains }
+        { Vc_core.Backend.strategy = policy; max_tasks; telemetry; faults;
+          budgets; domains = p.domains }
       in
       let backend =
         if p.engine = Blocked then Vc_core.Backend.interp else Vc_core.Backend.compiled
@@ -363,11 +361,11 @@ let prewarm ?(scope = `Full) ctx =
   (* build every spec in the calling domain so pool workers (and their
      closures) only read the spec table *)
   List.iter (fun e -> ignore (spec_of ctx e : Vc_core.Spec.t)) Registry.all;
-  (* Containment boundary: a point that still fails after [retries] is
-     recorded and the rest of the sweep proceeds; budget violations stay
-     fatal and propagate out of Pool.run_collect immediately. *)
+  (* Containment boundary: a point that fails is recorded and the rest of
+     the sweep proceeds; deadline-like budget violations stay fatal and
+     propagate out of Pool.run_collect immediately. *)
   let submit tasks =
-    let fs = Pool.run_collect ~retries:ctx.retries ~jobs:ctx.jobs tasks in
+    let fs = Pool.run_collect ~jobs:ctx.jobs tasks in
     if fs <> [] then
       Mutex.protect ctx.lock (fun () -> ctx.failed <- List.rev_append fs ctx.failed)
   in

@@ -68,7 +68,6 @@ val create :
   ?cache_dir:string option ->
   ?budgets:Vc_core.Supervisor.budgets ->
   ?faults:Vc_core.Fault.plan ->
-  ?retries:int ->
   unit ->
   ctx
 (** [quick] defaults to the [VC_BENCH_QUICK] environment variable.
@@ -81,8 +80,7 @@ val create :
     a violation is fatal and propagates (exit-code 2 convention).
     [faults] arms fault injection in every engine point and the disk
     cache; fault-armed contexts never write the persistent cache (their
-    recovered runs carry degraded cost numbers).  [retries] (default 0)
-    is the per-task retry count {!prewarm} hands to the pool. *)
+    recovered runs carry degraded cost numbers). *)
 
 val quick : ctx -> bool
 val jobs : ctx -> int
@@ -95,7 +93,7 @@ val cache_hits : ctx -> int
 (** Points served from the persistent disk cache. *)
 
 val failures : ctx -> Pool.failure list
-(** Sweep points contained by {!prewarm} after exhausting their retries
+(** Sweep points that failed and were contained by {!prewarm}
     (chronological).  Empty on a healthy sweep.  A contained point is
     re-attempted on demand if a generator later reads it. *)
 

@@ -147,6 +147,13 @@ let check ?plant ?(domains = [ 1; 4 ]) ?(fault_seeds = [ 1 ])
         in
         let roots = [ Array.of_list args ] in
         let compiled_ref = ref None in
+        (* the six deterministic result fields *)
+        let scrub (r : Backend.result) = { r with Backend.wall_seconds = 0.0 } in
+        let show (r : Backend.result) =
+          Printf.sprintf "%d/%d tasks depth %d sw %d re %d" r.Backend.tasks
+            r.Backend.base_tasks r.Backend.max_depth r.Backend.switches
+            r.Backend.reexpansions
+        in
         List.iter
           (fun (strategy, sname) ->
             let opts =
@@ -170,19 +177,12 @@ let check ?plant ?(domains = [ 1; 4 ]) ?(fault_seeds = [ 1 ])
                     agree
                       (Printf.sprintf "compiled[%s]" sname)
                       c.Backend.reducers c.Backend.tasks;
-                    let scrub (r : Backend.result) =
-                      { r with Backend.wall_seconds = 0.0 }
-                    in
                     if scrub c <> scrub b then
                       fail
                         (Printf.sprintf "compiled[%s]" sname)
-                        "six-field report differs from blocked: compiled \
-                         %d/%d tasks depth %d sw %d re %d, blocked %d/%d \
-                         tasks depth %d sw %d re %d"
-                        c.Backend.tasks c.Backend.base_tasks c.Backend.max_depth
-                        c.Backend.switches c.Backend.reexpansions
-                        b.Backend.tasks b.Backend.base_tasks b.Backend.max_depth
-                        b.Backend.switches b.Backend.reexpansions;
+                        "six-field report differs from blocked: compiled %s, \
+                         blocked %s"
+                        (show c) (show b);
                     incr checks;
                     if strategy = hybrid then compiled_ref := Some c))
           strategies;
@@ -273,16 +273,14 @@ let check ?plant ?(domains = [ 1; 4 ]) ?(fault_seeds = [ 1 ])
                       "did not recover: %s" (Vc_error.to_string e)
                 | Ok o ->
                     let r = o.Supervisor.value in
-                    if
-                      r.Backend.reducers <> reference.Backend.reducers
-                      || r.Backend.tasks <> reference.Backend.tasks
-                      || r.Backend.base_tasks <> reference.Backend.base_tasks
-                    then
+                    if scrub r <> scrub reference then
                       fail
                         (Printf.sprintf "fault-compiled[seed %d]" seed)
-                        "recovered run diverges: got %s / %d tasks"
-                        (show_reducers r.Backend.reducers)
-                        r.Backend.tasks;
+                        "recovered run diverges from the fault-free run: got \
+                         %s %s, expected %s %s"
+                        (show_reducers r.Backend.reducers) (show r)
+                        (show_reducers reference.Backend.reducers)
+                        (show reference);
                     incr checks)
               fault_seeds);
         Agree { checks = !checks }

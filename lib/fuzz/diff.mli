@@ -5,8 +5,9 @@
     compiled wall-clock {!Vc_core.Backend}s (six-field report equality
     between them), the hybrid {!Vc_core.Domain_sched} at domains {1, 4},
     and fault-armed {!Vc_core.Supervisor} recovery on both the engine and
-    the compiled backend.  Any mismatch is a {!outcome.Diverge}; runs the
-    oracle itself cannot complete (runtime error, task budget) are
+    the compiled backend (whose recovered run must equal its fault-free
+    run on all six fields).  Any mismatch is a {!outcome.Diverge}; runs
+    the oracle itself cannot complete (runtime error, task budget) are
     {!outcome.Skip}ped, as are OOM/budget candidates.
 
     [plant] arms a deliberate mutation of the program fed to the {e

@@ -1,29 +1,17 @@
 open Vc_lang
 
-type knobs = {
-  max_arity : int;
-  max_fanout : int;
-  reducer_ops : Reducer.op list;
-  max_reducers : int;
-  max_guard_depth : int;
-  max_base_depth : int;
-  edge_operands : bool;
-  max_cutoff : int;
-  max_root : int;
-}
-
-let default =
-  {
-    max_arity = 3;
-    max_fanout = 3;
-    reducer_ops = [ Reducer.Sum; Reducer.Sum; Reducer.Min; Reducer.Max ];
-    max_reducers = 2;
-    max_guard_depth = 2;
-    max_base_depth = 3;
-    edge_operands = true;
-    max_cutoff = 2;
-    max_root = 6;
-  }
+(* Shape of the generated space.  The first parameter ranks; spawn
+   sites may be nested in guards; edge operands (shift counts at and past
+   the 63-bit saturation point, variable shift counts, guarded divisions
+   by variables) are always on. *)
+let max_arity = 3
+let max_fanout = 3
+let reducer_ops = [ Reducer.Sum; Reducer.Sum; Reducer.Min; Reducer.Max ]
+let max_reducers = 2
+let max_guard_depth = 2
+let max_base_depth = 3
+let max_cutoff = 2
+let max_root = 6
 
 (* ---- plain Random.State combinators (QCheck.Gen.t compatible) ---- *)
 
@@ -49,14 +37,14 @@ let reducer_names = [ "acc"; "aux" ]
    land-63 wrap boundary, and the >62 saturation plateau. *)
 let edge_shift_counts = [ 0; 1; 2; 3; 31; 62; 63; 64; 100 ]
 
-let rec gen_int_expr knobs vars depth st =
+let rec gen_int_expr vars depth st =
   let leaf () =
     if Random.State.bool st then Ast.Int (int_range st 0 9)
     else Ast.Var (choose st vars)
   in
   if depth <= 0 then leaf ()
   else
-    let sub () = gen_int_expr knobs vars (depth - 1) st in
+    let sub () = gen_int_expr vars (depth - 1) st in
     let arith () =
       Ast.Binop (choose st [ Ast.Add; Ast.Sub; Ast.Mul ], sub (), sub ())
     in
@@ -82,27 +70,26 @@ let rec gen_int_expr knobs vars depth st =
       | _ -> Ast.Call ("bit", [ sub (); Ast.Int (int_range st 0 6) ])
     in
     freq st
-      ([
-         (4, leaf);
-         (3, arith);
-         (1, fun () -> Ast.Unop (Ast.Neg, sub ()));
-         (1, call);
-       ]
-      @
-      if knobs.edge_operands then
-        [ (2, shift); (1, bits); (1, safe_div) ]
-      else [ (1, bits) ])
+      [
+        (4, leaf);
+        (3, arith);
+        (1, fun () -> Ast.Unop (Ast.Neg, sub ()));
+        (1, call);
+        (2, shift);
+        (1, bits);
+        (1, safe_div);
+      ]
 
-let gen_cmp knobs vars depth st =
+let gen_cmp vars depth st =
   Ast.Binop
     ( choose st [ Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge; Ast.Eq; Ast.Ne ],
-      gen_int_expr knobs vars depth st,
-      gen_int_expr knobs vars depth st )
+      gen_int_expr vars depth st,
+      gen_int_expr vars depth st )
 
-let rec gen_bool_expr knobs vars depth st =
-  if depth <= 0 then gen_cmp knobs vars 1 st
+let rec gen_bool_expr vars depth st =
+  if depth <= 0 then gen_cmp vars 1 st
   else
-    let sub () = gen_bool_expr knobs vars (depth - 1) st in
+    let sub () = gen_bool_expr vars (depth - 1) st in
     let guarded_div () =
       (* division by a variable that may be zero, protected by the
          short-circuit operators every engine must honor *)
@@ -112,31 +99,31 @@ let rec gen_bool_expr knobs vars depth st =
           ( choose st [ Ast.Lt; Ast.Le; Ast.Gt; Ast.Ge ],
             Ast.Binop
               ( choose st [ Ast.Div; Ast.Mod ],
-                gen_int_expr knobs vars 1 st,
+                gen_int_expr vars 1 st,
                 Ast.Var v ),
-            gen_int_expr knobs vars 1 st )
+            gen_int_expr vars 1 st )
       in
       if Random.State.bool st then
         Ast.Binop (Ast.Or, Ast.Binop (Ast.Eq, Ast.Var v, Ast.Int 0), q)
       else Ast.Binop (Ast.And, Ast.Binop (Ast.Ne, Ast.Var v, Ast.Int 0), q)
     in
     freq st
-      ([
-         (4, fun () -> gen_cmp knobs vars 2 st);
-         (2, fun () -> Ast.Binop (choose st [ Ast.And; Ast.Or ], sub (), sub ()));
-         (1, fun () -> Ast.Unop (Ast.Not, sub ()));
-       ]
-      @ if knobs.edge_operands then [ (2, guarded_div) ] else [])
+      [
+        (4, fun () -> gen_cmp vars 2 st);
+        (2, fun () -> Ast.Binop (choose st [ Ast.And; Ast.Or ], sub (), sub ()));
+        (1, fun () -> Ast.Unop (Ast.Not, sub ()));
+        (2, guarded_div);
+      ]
 
 (* ---- base case ---- *)
 
-let rec gen_base_stmt knobs ~fresh vars reducers depth st =
+let rec gen_base_stmt ~fresh vars reducers depth st =
   let reduce depth () =
-    Ast.Reduce (choose st reducers, gen_int_expr knobs vars depth st)
+    Ast.Reduce (choose st reducers, gen_int_expr vars depth st)
   in
   if depth <= 0 then reduce 1 ()
   else
-    let recur vars () = gen_base_stmt knobs ~fresh vars reducers (depth - 1) st in
+    let recur vars () = gen_base_stmt ~fresh vars reducers (depth - 1) st in
     freq st
       [
         (3, reduce 2);
@@ -145,14 +132,14 @@ let rec gen_base_stmt knobs ~fresh vars reducers depth st =
             (* assign a fresh local, then a continuation that can read it *)
             let t = Printf.sprintf "t%d" (fresh ()) in
             Ast.Seq
-              ( Ast.Assign (t, gen_int_expr knobs vars 2 st),
+              ( Ast.Assign (t, gen_int_expr vars 2 st),
                 recur (t :: vars) () ) );
         ( 2,
           fun () ->
-            Ast.If (gen_bool_expr knobs vars 1 st, recur vars (), recur vars ()) );
+            Ast.If (gen_bool_expr vars 1 st, recur vars (), recur vars ()) );
         ( 1,
           fun () ->
-            Ast.If (gen_bool_expr knobs vars 1 st, recur vars (), Ast.Skip) );
+            Ast.If (gen_bool_expr vars 1 st, recur vars (), Ast.Skip) );
         ( 1,
           fun () ->
             (* canonical bounded loop: i := 0; while i < c { body; i := i + 1; } *)
@@ -173,13 +160,13 @@ let rec gen_base_stmt knobs ~fresh vars reducers depth st =
 
 (* ---- inductive case ---- *)
 
-let gen_spawn knobs vars params st =
+let gen_spawn vars params st =
   (* ranking position gets a - c syntactically so Termination certifies;
      ids are placeholders until the final renumber pass *)
   let rank = List.hd params in
   let decrement = int_range st 1 2 in
   let rest =
-    List.map (fun _ -> gen_int_expr knobs vars 2 st) (List.tl params)
+    List.map (fun _ -> gen_int_expr vars 2 st) (List.tl params)
   in
   Ast.Spawn
     {
@@ -187,34 +174,34 @@ let gen_spawn knobs vars params st =
       spawn_args = Ast.Binop (Ast.Sub, Ast.Var rank, Ast.Int decrement) :: rest;
     }
 
-let rec guard knobs vars depth site st =
+let rec guard vars depth site st =
   if depth <= 0 then site
   else
-    let c = gen_bool_expr knobs vars 1 st in
+    let c = gen_bool_expr vars 1 st in
     let wrapped =
       if Random.State.bool st then Ast.If (c, site, Ast.Skip)
       else Ast.If (c, Ast.Skip, site)
     in
-    guard knobs vars (depth - 1) wrapped st
+    guard vars (depth - 1) wrapped st
 
-let gen_inductive knobs ~fresh vars params st =
-  let n = int_range st 1 knobs.max_fanout in
+let gen_inductive ~fresh vars params st =
+  let n = int_range st 1 max_fanout in
   (* optional straight-line locals the spawn arguments may read *)
   let prefix, vars =
     if Random.State.int st 3 = 0 then
       let t = Printf.sprintf "t%d" (fresh ()) in
-      ([ Ast.Assign (t, gen_int_expr knobs vars 2 st) ], t :: vars)
+      ([ Ast.Assign (t, gen_int_expr vars 2 st) ], t :: vars)
     else ([], vars)
   in
-  let sites = List.init n (fun _ -> gen_spawn knobs vars params st) in
+  let sites = List.init n (fun _ -> gen_spawn vars params st) in
   let rec wrap = function
     | [] -> []
     | s1 :: s2 :: rest when Random.State.int st 4 = 0 ->
         (* both-branch conditional: one site per branch, ids stay
            consecutive because renumbering is syntactic *)
-        Ast.If (gen_bool_expr knobs vars 1 st, s1, s2) :: wrap rest
+        Ast.If (gen_bool_expr vars 1 st, s1, s2) :: wrap rest
     | s :: rest ->
-        guard knobs vars (int_range st 0 knobs.max_guard_depth) s st :: wrap rest
+        guard vars (int_range st 0 max_guard_depth) s st :: wrap rest
   in
   Ast.seq (prefix @ wrap sites)
 
@@ -265,14 +252,14 @@ let size (p : Ast.program) =
 
 (* ---- whole programs ---- *)
 
-let program ?(knobs = default) st =
-  let arity = int_range st 1 knobs.max_arity in
+let program st =
+  let arity = int_range st 1 max_arity in
   let params = List.filteri (fun i _ -> i < arity) param_names in
-  let n_reducers = int_range st 1 knobs.max_reducers in
+  let n_reducers = int_range st 1 max_reducers in
   let reducers =
     List.filteri (fun i _ -> i < n_reducers) reducer_names
     |> List.map (fun name ->
-           { Ast.red_name = name; red_op = choose st knobs.reducer_ops })
+           { Ast.red_name = name; red_op = choose st reducer_ops })
   in
   let reducer_names = List.map (fun r -> r.Ast.red_name) reducers in
   let counter = ref 0 in
@@ -281,34 +268,34 @@ let program ?(knobs = default) st =
     incr counter;
     v
   in
-  let cutoff = int_range st 1 knobs.max_cutoff in
+  let cutoff = int_range st 1 max_cutoff in
   let rank = List.hd params in
   let main_disjunct = Ast.Binop (Ast.Lt, Ast.Var rank, Ast.Int cutoff) in
   let is_base =
     (* an extra disjunct keeps the ranking certificate and diversifies the
        base/inductive split *)
     if Random.State.int st 4 = 0 then
-      Ast.Binop (Ast.Or, main_disjunct, gen_cmp knobs params 1 st)
+      Ast.Binop (Ast.Or, main_disjunct, gen_cmp params 1 st)
     else main_disjunct
   in
   let base =
     normalize
-      (gen_base_stmt knobs ~fresh params reducer_names
-         (int_range st 0 knobs.max_base_depth)
+      (gen_base_stmt ~fresh params reducer_names
+         (int_range st 0 max_base_depth)
          st)
   in
-  let inductive = renumber (normalize (gen_inductive knobs ~fresh params params st)) in
+  let inductive = renumber (normalize (gen_inductive ~fresh params params st)) in
   { Ast.reducers; mth = { Ast.name = "m"; params; is_base; base; inductive } }
 
-let args ?(knobs = default) (p : Ast.program) st =
+let args (p : Ast.program) st =
   List.mapi
-    (fun i _ -> if i = 0 then int_range st 0 knobs.max_root else int_range st (-3) 5)
+    (fun i _ -> if i = 0 then int_range st 0 max_root else int_range st (-3) 5)
     p.Ast.mth.Ast.params
 
-let program_and_args ?knobs st =
-  let p = program ?knobs st in
-  (p, args ?knobs p st)
+let program_and_args st =
+  let p = program st in
+  (p, args p st)
 
-let case ?knobs ~seed ~index () =
+let case ~seed ~index () =
   let st = Random.State.make [| 0x5eed; seed; index |] in
-  program_and_args ?knobs st
+  program_and_args st

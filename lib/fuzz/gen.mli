@@ -11,38 +11,18 @@
     shape as [QCheck.Gen.t]), so property tests wrap it directly and the
     CLI fuzzer seeds one state per case for reproducibility.
 
-    Shape knobs widen the space beyond the old two-parameter generator:
-    method arity, spawn fan-out, reducer kinds, guard nesting around
-    spawn sites, and shift/division edge operands (counts at and past
-    the 63-bit saturation point, guarded divisions by in-scope
-    variables that may be zero). *)
+    The space covers method arity and spawn fan-out up to 3, one or two
+    reducers over sum/min/max, guards nested up to 2 deep around spawn
+    sites, base-case statements nested up to 3 deep, base thresholds up to
+    2, ranking root arguments up to 6, and shift/division edge operands
+    (counts at and past the 63-bit saturation point, guarded divisions by
+    in-scope variables that may be zero). *)
 
-type knobs = {
-  max_arity : int;  (** method parameters, 1..3; the first is ranking *)
-  max_fanout : int;  (** spawn sites per inductive case, 1..3 *)
-  reducer_ops : Vc_lang.Reducer.op list;  (** drawn per reducer decl *)
-  max_reducers : int;  (** declared reducers, 1..2 *)
-  max_guard_depth : int;  (** nested conditionals around spawn sites *)
-  max_base_depth : int;  (** statement nesting in the base case *)
-  edge_operands : bool;
-      (** emit shift counts {0,1,2,3,31,62,63,64,100}, variable shift
-          counts, and short-circuit-guarded divisions by variables *)
-  max_cutoff : int;  (** base threshold in [a < cutoff], >= 1 *)
-  max_root : int;  (** ranking root argument range 0..max_root *)
-}
+val program : Random.State.t -> Vc_lang.Ast.program
+val args : Vc_lang.Ast.program -> Random.State.t -> int list
+val program_and_args : Random.State.t -> Vc_lang.Ast.program * int list
 
-val default : knobs
-(** arity/fan-out up to 3, two reducers over sum/min/max, guard depth 2,
-    base depth 3, edge operands on, cutoff up to 2, roots up to 6. *)
-
-val program : ?knobs:knobs -> Random.State.t -> Vc_lang.Ast.program
-val args : ?knobs:knobs -> Vc_lang.Ast.program -> Random.State.t -> int list
-
-val program_and_args :
-  ?knobs:knobs -> Random.State.t -> Vc_lang.Ast.program * int list
-
-val case :
-  ?knobs:knobs -> seed:int -> index:int -> unit -> Vc_lang.Ast.program * int list
+val case : seed:int -> index:int -> unit -> Vc_lang.Ast.program * int list
 (** The [index]-th case of stream [seed]: each case owns an independent
     [Random.State], so a reproducer needs only (seed, index). *)
 

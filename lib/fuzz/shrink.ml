@@ -252,7 +252,11 @@ let candidates (p : Ast.program) (args : int list) :
   base_to_skip @ single_site @ arg_shrinks @ param_drops @ reducer_drops
   @ inductive_edits @ base_edits @ is_base_edits
 
-let minimize ?(max_steps = 10_000) ~keep p args =
+(* Accepted edits are capped as a safety net; the measure already
+   guarantees termination. *)
+let max_steps = 10_000
+
+let minimize ~keep p args =
   let rec loop steps p args m =
     if steps >= max_steps then (p, args)
     else

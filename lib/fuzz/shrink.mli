@@ -18,11 +18,10 @@ val valid : Vc_lang.Ast.program -> bool
     one spawn site remains (the generator's contract). *)
 
 val minimize :
-  ?max_steps:int ->
   keep:(Vc_lang.Ast.program -> int list -> bool) ->
   Vc_lang.Ast.program ->
   int list ->
   Vc_lang.Ast.program * int list
 (** [minimize ~keep p args] assumes [keep p args = true] (the original
-    case fails) and returns the smallest reachable failing case.
-    [max_steps] (default 10_000) caps accepted edits as a safety net. *)
+    case fails) and returns the smallest reachable failing case, after
+    at most 10,000 accepted edits (a safety net). *)

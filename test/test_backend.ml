@@ -121,10 +121,13 @@ let supervised ?(opts = Backend.default_opts) backend source ~roots =
       Backend.run ~opts:{ opts with telemetry = Some telemetry } backend source
         ~roots)
 
-(* Fault-armed supervised runs must recover to the fault-free results on
-   both backends; the fired-fallback assertions keep it non-vacuous — in
-   particular the interp backend on the IR source fib, whose levels run on
-   the closure stepper under the shared scheduler's fault site. *)
+(* Fault-armed supervised runs must recover to exactly the fault-free
+   result — all six deterministic fields — on both backends, and every
+   executed task must still appear in exactly one traced level (the
+   re-run of a tripped level is traced, the tripped attempt is not).  The
+   fired-fallback assertions keep it non-vacuous — in particular the
+   interp backend on the IR source fib, whose levels run on the closure
+   stepper under the shared scheduler's fault site. *)
 let check_fault_recovery () =
   let fallbacks = ref 0 in
   let interp_ir_fallbacks = ref 0 in
@@ -139,8 +142,17 @@ let check_fault_recovery () =
               let plan =
                 Fault.make ~rate:0.25 ~seed ~sites:[ Fault.Alloc ] ()
               in
-              let opts = { Backend.default_opts with faults = plan } in
-              match supervised ~opts backend source ~roots with
+              let sink, levels = Telemetry.level_sink () in
+              let outcome =
+                Supervisor.run (fun telemetry ->
+                    Telemetry.attach telemetry sink;
+                    let opts =
+                      { Backend.default_opts with
+                        faults = plan; telemetry = Some telemetry }
+                    in
+                    Backend.run ~opts backend source ~roots)
+              in
+              match outcome with
               | Error e ->
                   Alcotest.failf "%s on %s seed %d did not recover (%s)"
                     backend.Backend.name name seed (Vc_error.to_string e)
@@ -152,19 +164,31 @@ let check_fault_recovery () =
                         !interp_ir_fallbacks + o.Supervisor.fallbacks
                   | _ -> ());
                   let r = o.Supervisor.value in
-                  if
-                    r.Backend.reducers <> reference.Backend.reducers
-                    || r.Backend.tasks <> reference.Backend.tasks
-                    || r.Backend.base_tasks <> reference.Backend.base_tasks
-                  then
+                  if scrub r <> scrub reference then
                     Alcotest.failf
-                      "%s on %s seed %d recovers to wrong results: %s / %d, \
-                       want %s / %d"
+                      "%s on %s seed %d recovers to a different result: %s / \
+                       %d tasks (%d base) depth %d sw %d re %d, want %s / %d \
+                       tasks (%d base) depth %d sw %d re %d"
                       backend.Backend.name name seed
                       (reducer_str r.Backend.reducers)
-                      r.Backend.tasks
+                      r.Backend.tasks r.Backend.base_tasks r.Backend.max_depth
+                      r.Backend.switches r.Backend.reexpansions
                       (reducer_str reference.Backend.reducers)
-                      reference.Backend.tasks)
+                      reference.Backend.tasks reference.Backend.base_tasks
+                      reference.Backend.max_depth reference.Backend.switches
+                      reference.Backend.reexpansions;
+                  let traced =
+                    List.fold_left
+                      (fun acc (st : Telemetry.stamped) ->
+                        match st.Telemetry.ev with
+                        | Telemetry.Level { size; _ } -> acc + size
+                        | _ -> acc)
+                      0 (levels ())
+                  in
+                  Alcotest.(check int)
+                    (Printf.sprintf "%s on %s seed %d: levels sum to tasks"
+                       backend.Backend.name name seed)
+                    r.Backend.tasks traced)
             [ 1; 2; 3 ])
         Backend.all)
     [ "fib"; "nqueens" ];

@@ -342,9 +342,9 @@ let check_compiled_backend () =
       !checked (count * 4)
 
 (* Fault-armed compiled backend: an [Alloc]-site fault plan under the
-   supervisor must recover — level quarantine + scalar re-execution — to
-   the fault-free compiled results, bit-equal on reducers and task
-   counts. *)
+   supervisor must recover — the tripped level re-runs with the site
+   disarmed — to the fault-free compiled results, bit-equal on reducers
+   and task counts. *)
 let check_compiled_fault_recovery () =
   let strategy = Policy.Hybrid { max_block = 8; reexpand = true } in
   let fallbacks = ref 0 in
@@ -382,13 +382,13 @@ let check_compiled_fault_recovery () =
                     || r.Backend.base_tasks <> reference.Backend.base_tasks
                   then
                     Alcotest.failf
-                      "compiled scalar fallback diverges under seed %d on %s"
+                      "compiled fault recovery diverges under seed %d on %s"
                       fault_seed (describe i p args))
             [ 1; 2; 3 ])
     (List.filteri (fun i _ -> i < 10) cases);
   if !faults_seen = 0 then Alcotest.fail "compiled fault matrix injected nothing";
   if !fallbacks = 0 then
-    Alcotest.fail "compiled fault matrix never took the scalar fallback"
+    Alcotest.fail "compiled fault matrix never took the fallback"
 
 (* Fault-armed domains: per-chunk fault plans (Fault.split) must still
    recover to the fault-free single-context results via per-domain scalar

@@ -288,20 +288,6 @@ let test_run_cache_crash_safe_persist () =
   Sys.remove path;
   Unix.rmdir dir
 
-let test_pool_retry () =
-  (* a task that fails its first two attempts succeeds with retries 2 *)
-  let attempts = Atomic.make 0 in
-  let flaky () =
-    if Atomic.fetch_and_add attempts 1 < 2 then failwith "transient"
-  in
-  Vc_exp.Pool.run ~retries:2 ~jobs:1 [ flaky ];
-  check_int "two failures + one success" 3 (Atomic.get attempts);
-  (* with only one retry the failure propagates verbatim *)
-  Atomic.set attempts 0;
-  (match Vc_exp.Pool.run ~retries:1 ~jobs:1 [ flaky ] with
-  | () -> Alcotest.fail "retries 1 should not be enough"
-  | exception Failure msg -> Alcotest.(check string) "verbatim" "transient" msg)
-
 let test_pool_run_collect () =
   let ran = Array.make 4 false in
   let tasks =
@@ -315,7 +301,6 @@ let test_pool_run_collect () =
   (match Vc_exp.Pool.run_collect ~jobs:1 tasks with
   | [ f ] ->
       check_int "failed index" 1 f.Vc_exp.Pool.index;
-      check_int "attempts" 1 f.Vc_exp.Pool.attempts;
       check_bool "classified" true
         (not (Vc_core.Vc_error.is_budget f.Vc_exp.Pool.error))
   | fs -> Alcotest.failf "expected exactly one contained failure, got %d" (List.length fs));
@@ -332,8 +317,8 @@ let test_pool_run_collect () =
 
 let test_pool_contains_exhaustion () =
   (* per-run exhaustion (Memory, Task_budget) is contained by run_collect
-     as a recorded per-run failure — never retried, never aborting the
-     queue — unlike the deadline budgets checked above *)
+     as a recorded per-run failure — run once, never aborting the queue —
+     unlike the deadline budgets checked above *)
   List.iter
     (fun resource ->
       let attempts = Atomic.make 0 in
@@ -344,8 +329,7 @@ let test_pool_contains_exhaustion () =
       in
       let ran = ref false in
       match
-        Vc_exp.Pool.run_collect ~retries:2 ~jobs:1
-          [ exhaust; (fun () -> ran := true) ]
+        Vc_exp.Pool.run_collect ~jobs:1 [ exhaust; (fun () -> ran := true) ]
       with
       | [ f ] ->
           check_int "failed index" 0 f.Vc_exp.Pool.index;
@@ -562,7 +546,6 @@ let () =
         ] );
       ( "pool",
         [
-          Alcotest.test_case "retry with backoff" `Quick test_pool_retry;
           Alcotest.test_case "run_collect contains failures" `Quick
             test_pool_run_collect;
           Alcotest.test_case "exhaustion budgets are contained, not fatal"

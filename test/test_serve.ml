@@ -183,25 +183,6 @@ let check_worker_pool () =
   Alcotest.(check int) "post-drain job never ran" 17 (Atomic.get counter);
   Pool.drain_pool pool (* idempotent *)
 
-let check_jitter_retries () =
-  (* a task that fails twice then succeeds is healed by seeded
-     decorrelated-jitter retries, deterministically *)
-  let attempts = ref 0 in
-  Pool.run ~retries:3 ~backoff:0.001 ~jitter_seed:42 ~jobs:1
-    [
-      (fun () ->
-        incr attempts;
-        if !attempts < 3 then failwith "transient");
-    ];
-  Alcotest.(check int) "healed on the third attempt" 3 !attempts;
-  (* exhausted retries still raise the original error *)
-  match
-    Pool.run ~retries:1 ~backoff:0.001 ~jitter_seed:42 ~jobs:1
-      [ (fun () -> failwith "permanent") ]
-  with
-  | () -> Alcotest.fail "exhausted retries must raise"
-  | exception Failure _ -> ()
-
 let check_trace_tagging () =
   let st =
     { Vc_core.Telemetry.seq = 0; ts = 0.0; dur = 0.0;
@@ -743,8 +724,6 @@ let () =
             check_windowed_percentiles;
           Alcotest.test_case "worker pool containment and drain" `Quick
             check_worker_pool;
-          Alcotest.test_case "seeded jitter retries heal transients" `Quick
-            check_jitter_retries;
           Alcotest.test_case "telemetry lines carry trace ids" `Quick
             check_trace_tagging;
         ] );
