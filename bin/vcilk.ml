@@ -946,15 +946,19 @@ let chaos_cmd =
       (if domains = 1 then "" else "s")
       (if Sweep.quick ctx then "quick" else "full");
     (* Campaign: for every benchmark, a supervised run under the fault
-       plan must reproduce the fault-free single-context run's reducers
-       and task counts exactly — the engine re-runs a quarantined block on
-       the scalar path, the backends re-run a tripped level with its fault
-       site disarmed.
-       With --domains > 1 the same must hold across the chunked runs
-       (fault plans are split per chunk). *)
+       plan must reproduce a fault-free run exactly.  The engine re-runs a
+       quarantined block on the scalar path, which charges cycles, so it
+       must match the single-context run's reducers and task counts (with
+       --domains > 1 across the chunked runs; fault plans are split per
+       chunk).  The backends re-run a tripped level with its fault site
+       disarmed, so they must match the same point's fault-free run on
+       every result field but wall time. *)
     let project ~faults point telemetry =
-      let c = Sweep.counts (Sweep.exec ctx ~telemetry ~faults point) in
-      (c.reducers, c.tasks, c.base_tasks)
+      match Sweep.exec ctx ~telemetry ~faults point with
+      | Sweep.Wall r -> Either.Right { r with Vc_core.Backend.wall_seconds = 0.0 }
+      | res ->
+          let c = Sweep.counts res in
+          Either.Left (c.reducers, c.tasks, c.base_tasks)
     in
     let domains = if domains = 1 then None else Some domains in
     let entries = Array.of_list all_entries in
@@ -963,7 +967,8 @@ let chaos_cmd =
       let name = entry.Vc_bench.Registry.name in
       let point = { (Sweep.point entry) with Sweep.engine; machine; block; domains } in
       let reference =
-        project ~faults:Vc_core.Fault.none { point with domains = None }
+        project ~faults:Vc_core.Fault.none
+          (if engine = Sweep.Model then { point with domains = None } else point)
           (Vc_core.Telemetry.create ())
       in
       let plan = Vc_core.Fault.make ~rate ~seed ~sites () in

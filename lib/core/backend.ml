@@ -23,7 +23,7 @@
    stepper with the site disarmed for its subtree.
 
    Compiled-vs-blocked is therefore a pure dispatch comparison with
-   bit-equal results: both run over the same levels and level pool, under
+   bit-equal results: both run over the same levels and segment pool, under
    the same scheduler, budgets, fault sites and chunked-domains driver,
    and the differential suite holds all six result fields equal.
 
@@ -73,7 +73,7 @@ type t = {
 
 type 'lvl stepper = {
   size : 'lvl -> int;
-  new_level : int -> 'lvl;
+  new_level : unit -> 'lvl;
   clear : 'lvl -> unit;
   of_frames : int array list -> 'lvl;
   frames : 'lvl -> int array list;
@@ -82,14 +82,15 @@ type 'lvl stepper = {
 }
 
 (* Both IR steppers (compiled kernels and the closure interpreter) run
-   over the same SoA levels, so they share one set of level operations. *)
+   over the same SoA levels, so they share one set of level operations.
+   Every level of the stepper's run takes its segments from one pool. *)
 let ir_stepper (inst : Codegen.Soa.inst) : Codegen.Soa.buf stepper =
-  let nfields = inst.Codegen.Soa.nparams in
+  let pool = Codegen.Soa.pool ~nfields:inst.Codegen.Soa.nparams in
   {
     size = Codegen.Soa.size;
-    new_level = Codegen.Soa.make_buf ~nfields;
+    new_level = (fun () -> Codegen.Soa.make_buf pool);
     clear = Codegen.Soa.clear;
-    of_frames = Codegen.Soa.of_frames ~nfields;
+    of_frames = Codegen.Soa.of_frames pool;
     frames = Codegen.Soa.frames;
     step = inst.Codegen.Soa.step;
     num_spawns = inst.Codegen.Soa.num_spawns;
@@ -145,7 +146,7 @@ let native_stepper (spec : Spec.t) ~(reducers : Vc_lang.Reducer.set) :
   in
   {
     size = (fun l -> Block.size l.blk);
-    new_level = create;
+    new_level = (fun () -> create 1);
     clear = (fun l -> Block.clear l.blk);
     of_frames =
       (fun fs ->
@@ -229,22 +230,23 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~strategy
     end
     else f ()
   in
-  (* Level-buffer pool: a LIFO free list.  A level goes back as soon as it
-     has been stepped (or comes back empty), so the buffers alive at any
-     time are the unconsumed frontier plus the spares — never a buffer per
-     depth at that depth's high-water mark.  A fresh buffer starts at the
-     given capacity and grows geometrically when pushed past it. *)
+  (* Levels are released as soon as they have been stepped (or come back
+     empty): [clear] hands an IR level's segments back to the run's pool
+     at once, so the storage alive at any time is the unconsumed frontier
+     plus the spare segments.  The emptied headers are reused LIFO. *)
   let free = ref [] in
-  let acquire cap =
+  let acquire () =
     match !free with
     | l :: rest ->
         free := rest;
-        st.clear l;
         l
-    | [] -> st.new_level cap
+    | [] -> st.new_level ()
   in
-  let release l = free := l :: !free in
-  let dummy = st.new_level 1 in
+  let release l =
+    st.clear l;
+    free := l :: !free
+  in
+  let dummy = st.new_level () in
   let no_sites = [||] in
   (* Faults trip per level, before any of its rows execute, so a tripped
      level is still intact: it re-runs through the same stepper with the
@@ -277,7 +279,7 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~strategy
     else begin
       check_tasks n;
       s.tasks <- s.tasks + n;
-      let next = acquire n in
+      let next = acquire () in
       let nbase =
         with_span "expand" @@ fun () ->
         st.step ~src ~blocked:false ~next ~sites:no_sites
@@ -304,8 +306,7 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~strategy
     else begin
       check_tasks n;
       s.tasks <- s.tasks + n;
-      let cap = n / max 1 e in
-      let sites = Array.init e (fun _ -> acquire cap) in
+      let sites = Array.init e (fun _ -> acquire ()) in
       let nbase =
         with_span "blocked" @@ fun () ->
         st.step ~src ~blocked:true ~next:dummy ~sites
@@ -335,10 +336,17 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~strategy
       done
     end
   in
+  (* The engine's root rule: a root level that already fills a block
+     starts blocked. *)
   let root = st.of_frames roots in
   let n = st.size root in
   s.live <- s.live + n;
-  if n > 0 then bfs ~armed:true root n depth0
+  if n >= max_block then begin
+    s.switches <- s.switches + 1;
+    Telemetry.emit tel (Telemetry.Switch { depth = depth0; size = n });
+    blocked ~armed:true root n depth0
+  end
+  else if n > 0 then bfs ~armed:true root n depth0
 
 (* ------------------------------------------------------------------ *)
 (* Frontier expansion for the domains mode: serial bfs steps until the
@@ -348,7 +356,6 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~strategy
 
 let expand_frontier (type l) (st : l stepper) ~tel ~max_tasks (s : cstate) roots
     ~target =
-  let e = st.num_spawns in
   let src = ref (st.of_frames roots) in
   let depth = ref 0 in
   let continue_ = ref true in
@@ -364,8 +371,9 @@ let expand_frontier (type l) (st : l stepper) ~tel ~max_tasks (s : cstate) roots
           ();
       s.tasks <- s.tasks + n;
       if !depth > s.max_depth then s.max_depth <- !depth;
-      let next = st.new_level (n * e) in
+      let next = st.new_level () in
       let nbase = st.step ~src:!src ~blocked:false ~next ~sites:[||] in
+      st.clear !src;
       s.base_tasks <- s.base_tasks + nbase;
       Telemetry.emit tel
         (Telemetry.Level { phase = Telemetry.Bfs; depth = !depth; size = n; base = nbase });
@@ -437,9 +445,9 @@ let exec_single ~compiled opts source roots =
 
 (* Chunked run across real domains (domains = Some n): serial frontier
    expansion, then {!Domain_sched.run_chunks}' fixed chunk deal and
-   stealing workers, each chunk on its own stepper instance, reducer set
-   and fault slice, merged in chunk-index order — results are bit-equal
-   across domain counts. *)
+   stealing workers, each chunk on its own fault slice and a stepper
+   instance and reducer set no other chunk is using at the time, merged
+   in chunk-index order — results are bit-equal across domain counts. *)
 type chunk_out = {
   co_state : cstate;
   co_reducers : (string * int) list;
@@ -467,9 +475,27 @@ let exec_domains ~compiled opts source roots ~domains =
         expand_frontier st0 ~tel ~max_tasks:opts.max_tasks s0 roots
           ~target:Domain_sched.default_chunks)
   in
+  (* A chunk takes a stepper (with its reducer set, reset, and its
+     segment pool) that an earlier chunk finished with, so at most one is
+     built per worker domain; a chunk that fails drops its stepper. *)
+  let spare = ref [] and lock = Mutex.create () in
   let run_chunk ci frames =
-    let cred = Vc_lang.Reducer.make_set decls in
-    let (Any st) = stepper_of ~compiled source ~reducers:cred in
+    let (Any st as any), cred =
+      match
+        Mutex.protect lock (fun () ->
+            match !spare with
+            | x :: rest ->
+                spare := rest;
+                Some x
+            | [] -> None)
+      with
+      | Some (any, cred) ->
+          Vc_lang.Reducer.reset_set cred;
+          (any, cred)
+      | None ->
+          let cred = Vc_lang.Reducer.make_set decls in
+          (stepper_of ~compiled source ~reducers:cred, cred)
+    in
     let cs = new_cstate () in
     let ctel, replay = Telemetry.chunk_hub tel in
     let cfaults = Fault.split opts.faults ~salt:ci in
@@ -483,12 +509,10 @@ let exec_domains ~compiled opts source roots ~domains =
       | Vc_error.Error e -> Some e
       | exn -> Some (Vc_error.of_exn ~phase:Vc_error.Execute exn)
     in
-    {
-      co_state = cs;
-      co_reducers = Vc_lang.Reducer.values cred;
-      co_error = error;
-      co_replay = replay;
-    }
+    let co_reducers = Vc_lang.Reducer.values cred in
+    if Option.is_none error then
+      Mutex.protect lock (fun () -> spare := (any, cred) :: !spare);
+    { co_state = cs; co_reducers; co_error = error; co_replay = replay }
   in
   let outs, _observed_steals =
     Domain_sched.run_chunks ~domains ~chunks:Domain_sched.default_chunks frontier

@@ -12,9 +12,15 @@
       over the same SoA levels for IR sources (native sources use the same
       callback path — a native spec is already compiled OCaml).
 
-    Both IR steppers step {!Codegen.Soa.buf} levels taken from one LIFO
-    free-list pool per run: a level returns to it as soon as it has been
-    stepped, so backend memory follows the live frontier.
+    Both IR steppers step {!Codegen.Soa.buf} levels built from the
+    fixed-size segments of one pool per run (per worker domain in the
+    domains mode): a level hands its segments back as soon as it has been
+    stepped and never copies a row as it grows, so backend memory follows
+    the live frontier.
+
+    The schedule is the engine's, root included: a root level that
+    already holds [max_block] frames starts blocked (one [Switch]), so
+    the backends emit the engine's [Level] stream.
 
     Both produce bit-equal reducers, task counts and scheduler counters
     for the same source and strategy; the differential suite enforces

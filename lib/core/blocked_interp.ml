@@ -9,7 +9,7 @@ let instantiate (t : Blocked_ast.t) ~(reducers : Reducer.set) : Soa.inst =
   let nparams = Array.length (Codegen.params layout) in
   (* Enqueue sinks write through these cells; [step] points them at its
      destination levels. *)
-  let sink_next = ref (Soa.make_buf ~nfields:nparams 1) in
+  let sink_next = ref (Soa.make_buf (Soa.pool ~nfields:nparams)) in
   let sink_sites = ref [||] in
   let reduce name v = Reducer.reduce reducers name v in
   (* A push evaluates every child argument into a per-site scratch frame,
@@ -76,15 +76,19 @@ let instantiate (t : Blocked_ast.t) ~(reducers : Reducer.set) : Soa.inst =
     let nbase = ref 0 in
     (* each thread runs on a private copy of its row: param assignments
        write [rt.frame], never the level being stepped *)
-    for r = 0 to Soa.size src - 1 do
-      Soa.load_row src r rt.Codegen.frame;
-      Codegen.reset_locals rt;
-      if is_base rt <> 0 then begin
-        incr nbase;
-        fbase rt
-      end
-      else find rt
-    done;
+    let frame = rt.Codegen.frame in
+    Soa.iter_segments src (fun cols rows ->
+        for r = 0 to rows - 1 do
+          for f = 0 to nparams - 1 do
+            frame.(f) <- cols.(f).(r)
+          done;
+          Codegen.reset_locals rt;
+          if is_base rt <> 0 then begin
+            incr nbase;
+            fbase rt
+          end
+          else find rt
+        done);
     !nbase
   in
   { Soa.nparams; num_spawns = t.Blocked_ast.num_spawns; step }

@@ -8,7 +8,7 @@
     private frame, runs the closures, and appends its children column-wise
     to the destination buffers, so a thread allocates nothing.  The Fig. 6
     schedule (bfs levels, the switch to per-site blocked execution at
-    [max_block], re-expansion), the level pool, budgets and fault
+    [max_block], re-expansion), the segment pool, budgets and fault
     recovery belong to {!Backend}, which drives this stepper and
     {!Codegen.Soa}'s compiled one through the same scheduler.
 

@@ -158,68 +158,96 @@ let compile_stmt l ~reduce ~spawn stmt =
    is single-domain: parallel schedulers instantiate once per domain. *)
 
 module Soa = struct
-  type buf = {
+  (* Segment rows: a level grows one segment at a time, so a full segment
+     is never copied and the storage a level holds is at most one partly
+     filled segment above its rows. *)
+  let seg_rows = 1024
+
+  type pool = {
     nfields : int;
-    mutable cols : int array array;
-    mutable n : int;
-    mutable cap : int;
+    mutable spare : int array array list;
+    mutable allocated : int;
   }
 
-  (* A level: one column per frame field, so a level is allocated and
-     freed as a whole and a push is one store per field (the paper's
-     ThreadBlocks, §5).  Both IR steppers run over these. *)
-  let make_buf ~nfields cap =
-    let cap = max cap 1 in
-    {
-      nfields;
-      cols = Array.init (max 1 nfields) (fun _ -> Array.make cap 0);
-      n = 0;
-      cap;
-    }
+  let pool ~nfields = { nfields; spare = []; allocated = 0 }
+  let allocated p = p.allocated
 
-  let size b = b.n
-  let clear b = b.n <- 0
+  (* A level: a run of SoA segments, oldest first, the last one being
+     filled ([cols], [n] rows used).  A level without a segment reads as
+     full ([n = seg_rows]), so [n = seg_rows] is the one test a push makes
+     before it stores (the paper's ThreadBlocks, §5).  Both IR steppers
+     run over these. *)
+  type buf = {
+    pool : pool;
+    mutable segs : int array array array;
+    mutable nsegs : int;
+    mutable cols : int array array;
+    mutable n : int;
+  }
 
-  let reserve b extra =
-    let need = b.n + extra in
-    if need > b.cap then begin
-      let cap = max need (2 * b.cap) in
-      b.cols <-
-        Array.map
-          (fun col ->
-            let c = Array.make cap 0 in
-            Array.blit col 0 c 0 b.n;
-            c)
-          b.cols;
-      b.cap <- cap
-    end
+  let make_buf pool = { pool; segs = [||]; nsegs = 0; cols = [||]; n = seg_rows }
+  let size b = ((b.nsegs - 1) * seg_rows) + b.n
+
+  let clear b =
+    for i = 0 to b.nsegs - 1 do
+      b.pool.spare <- b.segs.(i) :: b.pool.spare
+    done;
+    b.nsegs <- 0;
+    b.cols <- [||];
+    b.n <- seg_rows
+
+  (* The push found the last segment full (or none yet): take the next. *)
+  let next_segment b =
+    let p = b.pool in
+    let seg =
+      match p.spare with
+      | seg :: rest ->
+          p.spare <- rest;
+          seg
+      | [] ->
+          p.allocated <- p.allocated + 1;
+          Array.init p.nfields (fun _ -> Array.make seg_rows 0)
+    in
+    if b.nsegs = Array.length b.segs then begin
+      let segs = Array.make (max 4 (2 * b.nsegs)) seg in
+      Array.blit b.segs 0 segs 0 b.nsegs;
+      b.segs <- segs
+    end;
+    b.segs.(b.nsegs) <- seg;
+    b.nsegs <- b.nsegs + 1;
+    b.cols <- seg;
+    b.n <- 0
+
+  let iter_segments b f =
+    for i = 0 to b.nsegs - 1 do
+      f b.segs.(i) (if i = b.nsegs - 1 then b.n else seg_rows)
+    done
 
   let push b frame =
-    reserve b 1;
+    if b.n = seg_rows then next_segment b;
     let n = b.n in
-    for f = 0 to b.nfields - 1 do
+    for f = 0 to b.pool.nfields - 1 do
       b.cols.(f).(n) <- frame.(f)
     done;
     b.n <- n + 1
 
-  let load_row b row frame =
-    for f = 0 to b.nfields - 1 do
-      frame.(f) <- b.cols.(f).(row)
-    done
+  let frames b =
+    let acc = ref [] in
+    iter_segments b (fun cols rows ->
+        for r = 0 to rows - 1 do
+          acc := Array.init b.pool.nfields (fun f -> cols.(f).(r)) :: !acc
+        done);
+    List.rev !acc
 
-  let frame b row = Array.init b.nfields (fun f -> b.cols.(f).(row))
-
-  let frames b = List.init b.n (frame b)
-
-  let of_frames ~nfields fs =
-    let b = make_buf ~nfields (List.length fs) in
+  let of_frames pool fs =
+    let b = make_buf pool in
     List.iter
       (fun f ->
-        if Array.length f <> nfields then
+        if Array.length f <> pool.nfields then
           invalid_arg
             (Printf.sprintf
                "Codegen.Soa.of_frames: root frame has %d fields, %d expected"
-               (Array.length f) nfields);
+               (Array.length f) pool.nfields);
         push b f)
       fs;
     b
@@ -266,7 +294,7 @@ module Soa = struct
     let cur = { cur = [||]; row = 0; locals = Array.make (max 1 nlocals) 0 } in
     (* Sink cells: kernels are compiled once per instance, [step] points
        them at the per-call destination buffers before the row loop. *)
-    let dummy = make_buf ~nfields:nparams 1 in
+    let dummy = make_buf (pool ~nfields:nparams) in
     let sink_next = ref dummy in
     let sink_sites = ref ([||] : buf array) in
     (* Value-shaped compilation: every subexpression classifies as a
@@ -570,20 +598,20 @@ module Soa = struct
       match fs with
       | [| f0 |] ->
           fun (b : buf) ->
-            if b.n = b.cap then reserve b 1;
+            if b.n = seg_rows then next_segment b;
             let n = b.n in
             Array.unsafe_set (Array.unsafe_get b.cols 0) n (f0 ());
             b.n <- n + 1
       | [| f0; f1 |] ->
           fun (b : buf) ->
-            if b.n = b.cap then reserve b 1;
+            if b.n = seg_rows then next_segment b;
             let n = b.n in
             Array.unsafe_set (Array.unsafe_get b.cols 0) n (f0 ());
             Array.unsafe_set (Array.unsafe_get b.cols 1) n (f1 ());
             b.n <- n + 1
       | [| f0; f1; f2 |] ->
           fun (b : buf) ->
-            if b.n = b.cap then reserve b 1;
+            if b.n = seg_rows then next_segment b;
             let n = b.n in
             Array.unsafe_set (Array.unsafe_get b.cols 0) n (f0 ());
             Array.unsafe_set (Array.unsafe_get b.cols 1) n (f1 ());
@@ -592,7 +620,7 @@ module Soa = struct
       | fs ->
           let nf = Array.length fs in
           fun (b : buf) ->
-            if b.n = b.cap then reserve b 1;
+            if b.n = seg_rows then next_segment b;
             let n = b.n in
             let cols = b.cols in
             for f = 0 to nf - 1 do
@@ -660,14 +688,14 @@ module Soa = struct
           | [| f0 |] ->
               fun () ->
                 let b = !sink_next in
-                if b.n = b.cap then reserve b 1;
+                if b.n = seg_rows then next_segment b;
                 let n = b.n in
                 Array.unsafe_set (Array.unsafe_get b.cols 0) n (f0 ());
                 b.n <- n + 1
           | [| f0; f1 |] ->
               fun () ->
                 let b = !sink_next in
-                if b.n = b.cap then reserve b 1;
+                if b.n = seg_rows then next_segment b;
                 let n = b.n in
                 Array.unsafe_set (Array.unsafe_get b.cols 0) n (f0 ());
                 Array.unsafe_set (Array.unsafe_get b.cols 1) n (f1 ());
@@ -675,7 +703,7 @@ module Soa = struct
           | [| f0; f1; f2 |] ->
               fun () ->
                 let b = !sink_next in
-                if b.n = b.cap then reserve b 1;
+                if b.n = seg_rows then next_segment b;
                 let n = b.n in
                 Array.unsafe_set (Array.unsafe_get b.cols 0) n (f0 ());
                 Array.unsafe_set (Array.unsafe_get b.cols 1) n (f1 ());
@@ -689,14 +717,14 @@ module Soa = struct
           | [| f0 |] ->
               fun () ->
                 let b = Array.unsafe_get !sink_sites site in
-                if b.n = b.cap then reserve b 1;
+                if b.n = seg_rows then next_segment b;
                 let n = b.n in
                 Array.unsafe_set (Array.unsafe_get b.cols 0) n (f0 ());
                 b.n <- n + 1
           | [| f0; f1 |] ->
               fun () ->
                 let b = Array.unsafe_get !sink_sites site in
-                if b.n = b.cap then reserve b 1;
+                if b.n = seg_rows then next_segment b;
                 let n = b.n in
                 Array.unsafe_set (Array.unsafe_get b.cols 0) n (f0 ());
                 Array.unsafe_set (Array.unsafe_get b.cols 1) n (f1 ());
@@ -704,7 +732,7 @@ module Soa = struct
           | [| f0; f1; f2 |] ->
               fun () ->
                 let b = Array.unsafe_get !sink_sites site in
-                if b.n = b.cap then reserve b 1;
+                if b.n = seg_rows then next_segment b;
                 let n = b.n in
                 Array.unsafe_set (Array.unsafe_get b.cols 0) n (f0 ());
                 Array.unsafe_set (Array.unsafe_get b.cols 1) n (f1 ());
@@ -729,30 +757,30 @@ module Soa = struct
     let step ~src ~blocked ~next ~sites =
       sink_next := next;
       sink_sites := sites;
-      cur.cur <- src.cols;
       let base_k = if blocked then blk_base else bfs_base in
       let ind_k = if blocked then blk_ind else bfs_ind in
-      let n = src.n in
       let nbase = ref 0 in
-      if nlocals = 0 then
-        for r = 0 to n - 1 do
-          cur.row <- r;
-          if is_base_k () <> 0 then begin
-            incr nbase;
-            base_k ()
-          end
-          else ind_k ()
-        done
-      else
-        for r = 0 to n - 1 do
-          cur.row <- r;
-          Array.fill cur.locals 0 nlocals 0;
-          if is_base_k () <> 0 then begin
-            incr nbase;
-            base_k ()
-          end
-          else ind_k ()
-        done;
+      iter_segments src (fun cols n ->
+          cur.cur <- cols;
+          if nlocals = 0 then
+            for r = 0 to n - 1 do
+              cur.row <- r;
+              if is_base_k () <> 0 then begin
+                incr nbase;
+                base_k ()
+              end
+              else ind_k ()
+            done
+          else
+            for r = 0 to n - 1 do
+              cur.row <- r;
+              Array.fill cur.locals 0 nlocals 0;
+              if is_base_k () <> 0 then begin
+                incr nbase;
+                base_k ()
+              end
+              else ind_k ()
+            done);
       sink_next := dummy;
       sink_sites := [||];
       !nbase

@@ -48,37 +48,52 @@ val compile_stmt :
     no frame blitting.  {!Backend.compiled} drives these kernels with the
     Fig. 6 scheduling; see that module for the engine-level contract. *)
 module Soa : sig
-  type buf
-  (** A growable SoA level: one int-array column per frame field.  The
-      level representation of both IR steppers (this module's kernels and
-      {!Blocked_interp}'s closures). *)
+  type pool
+  (** A per-run store of fixed-size SoA segments: every level of a run
+      takes its segments from it and returns them when cleared. *)
 
-  val make_buf : nfields:int -> int -> buf
-  (** [make_buf ~nfields cap]: an empty buffer with initial capacity
-      [cap] (clamped to ≥ 1). *)
+  val pool : nfields:int -> pool
+  (** An empty pool of [nfields]-column segments. *)
+
+  val seg_rows : int
+  (** Rows per segment (a constant). *)
+
+  val allocated : pool -> int
+  (** Segments the pool has allocated so far; a segment returned by
+      {!clear} is handed out again before a new one is allocated. *)
+
+  type buf
+  (** An SoA level: a sequence of segments from one {!pool}, each one
+      int-array column per frame field.  The level representation of both
+      IR steppers (this module's kernels and {!Blocked_interp}'s
+      closures).  Growing a level never copies a row: a push into a full
+      segment takes the next one from the pool. *)
+
+  val make_buf : pool -> buf
+  (** An empty level holding no segment until its first push. *)
 
   val size : buf -> int
+
   val clear : buf -> unit
+  (** Empty the level and return its segments to its pool at once. *)
 
   val push : buf -> int array -> unit
-  (** Append one frame (length ≥ [nfields]); grows geometrically. *)
+  (** Append one frame (length ≥ the pool's [nfields]). *)
 
-  val load_row : buf -> int -> int array -> unit
-  (** [load_row b i frame] copies row [i] into [frame] (length ≥
-      [nfields]), allocating nothing. *)
-
-  val frame : buf -> int -> int array
-  (** Copy row [i] out as a fresh frame array. *)
+  val iter_segments : buf -> (int array array -> int -> unit) -> unit
+  (** [iter_segments b f] calls [f cols rows] on each segment, oldest
+      first: rows [0 .. rows - 1] of [cols.(field)] are the level's next
+      rows in push order. *)
 
   val frames : buf -> int array list
   (** All rows, in order, as fresh frame arrays (frontier extraction). *)
 
-  val of_frames : nfields:int -> int array list -> buf
-  (** A buffer holding the given root frames.  Raises [Invalid_argument]
-      unless every frame has exactly [nfields] fields. *)
+  val of_frames : pool -> int array list -> buf
+  (** A level holding the given root frames.  Raises [Invalid_argument]
+      unless every frame has exactly the pool's [nfields] fields. *)
 
   type inst = {
-    nparams : int;  (** fields per frame: [make_buf ~nfields:nparams] *)
+    nparams : int;  (** fields per frame: [pool ~nfields:nparams] *)
     num_spawns : int;
     step : src:buf -> blocked:bool -> next:buf -> sites:buf array -> int;
         (** Execute one whole level: base rows run their base kernel,

@@ -131,7 +131,7 @@ let run_chunks ~domains ~chunks frames run =
     (Array.map Option.get results, Atomic.get observed_steals)
 
 let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks) ?telemetry
-    ?(faults = Fault.none) ?recover ?budgets ~(spec : Spec.t)
+    ?(faults = Fault.none) ?budgets ~(spec : Spec.t)
     ~(machine : Vc_mem.Machine.t) ~(strategy : Policy.strategy) ~domains () =
   if domains < 1 then invalid_arg "Domain_sched.run: domains must be positive";
   if chunks < 1 then invalid_arg "Domain_sched.run: chunks must be positive";
@@ -139,7 +139,7 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks) ?telemetry
   let sname = strategy_name ~strategy ~domains in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   let make_engine_ctx ~telemetry ~faults () =
-    Engine.make_ctx ?compact ?max_tasks ?cutoff ~telemetry ~faults ?recover
+    Engine.make_ctx ?compact ?max_tasks ?cutoff ~telemetry ~faults
       ?budgets ~spec ~machine ~strategy ()
   in
   (* ---- Phase 1: serial measured frontier expansion ---- *)

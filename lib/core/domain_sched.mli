@@ -70,7 +70,6 @@ val run :
   ?chunks:int ->
   ?telemetry:Telemetry.t ->
   ?faults:Fault.plan ->
-  ?recover:bool ->
   ?budgets:Supervisor.budgets ->
   spec:Spec.t ->
   machine:Vc_mem.Machine.t ->

@@ -21,7 +21,6 @@ type ctx = {
   tel : Telemetry.t;
   site_frames : string array;  (** preformatted "spawn:siteN" span names *)
   faults : Fault.plan;
-  recover : bool;  (** quarantine faulted blocks and re-run them scalar *)
   budgets : Supervisor.budgets;  (** checked per level (typed errors) *)
   wall_start : float;
   mutable live : int;  (** current live threads, for space accounting *)
@@ -239,9 +238,7 @@ let scalar_subtrees ctx frames ~depth ~count_roots =
 
 (* Is [exn] a fault this engine may absorb by falling back to scalar
    execution?  Budget violations and abort-hinted faults never are. *)
-let recoverable ctx exn =
-  ctx.recover
-  &&
+let recoverable exn =
   match exn with
   | Vc_error.Error
       { Vc_error.kind = Vc_error.Fault { hint = Vc_error.Fallback_scalar; _ }; _ }
@@ -314,7 +311,7 @@ let process_level ctx blk ~depth ~phase =
   | () -> ()
   | exception Vc_simd.Compact.Unsupported { engine; isa; reason } ->
       (* an unsupported engine/ISA pairing is a compaction fault too:
-         degrade to scalar under supervision, typed error otherwise *)
+         it degrades to the scalar path *)
       let err =
         {
           Vc_error.kind =
@@ -325,8 +322,8 @@ let process_level ctx blk ~depth ~phase =
             Printf.sprintf "engine %s unsupported on %s: %s" engine isa reason;
         }
       in
-      if ctx.recover then quarantine err else raise (Vc_error.Error err)
-  | exception (Vc_error.Error err as exn) when recoverable ctx exn ->
+      quarantine err
+  | exception (Vc_error.Error err as exn) when recoverable exn ->
       quarantine err);
   let nb = base_rows.len in
   Metrics.base_at_level ctx.m.Measure.metrics ~depth ~n:nb;
@@ -436,7 +433,7 @@ let bfs_step ctx blk ~depth ~reexp_from =
       done;
       next
     with
-    | exception (Vc_error.Error err as exn) when recoverable ctx exn ->
+    | exception (Vc_error.Error err as exn) when recoverable exn ->
         (* the next-level block never materialized (the allocation trip
            fires before the pool mutates anything): the recursive frames
            are accounted but their subtrees are not — run them scalar *)
@@ -507,7 +504,7 @@ and blocked ctx blk ~depth =
                 spawned := dst :: !spawned)
           done
         with
-        | exception (Vc_error.Error err as exn) when recoverable ctx exn ->
+        | exception (Vc_error.Error err as exn) when recoverable exn ->
             (* roll back the sites spawned before the fault (their frames
                were never executed) and quarantine the whole recursive
                group: each rec frame's subtree re-runs scalar exactly once *)
@@ -570,7 +567,7 @@ let execute_frames ctx ~roots ~depth =
     pool_block ctx ~depth ~slot:ctx.spec.Spec.num_spawns
       ~room:(List.length roots)
   with
-  | exception (Vc_error.Error err as exn) when recoverable ctx exn ->
+  | exception (Vc_error.Error err as exn) when recoverable exn ->
       (* root block allocation faulted before anything was accounted:
          the entire subtree degrades to the scalar path *)
       note_fault ctx err;
@@ -599,7 +596,7 @@ let expand_frontier ctx ~roots ~target =
     pool_block ctx ~depth:0 ~slot:ctx.spec.Spec.num_spawns
       ~room:(List.length roots)
   with
-  | exception (Vc_error.Error err as exn) when recoverable ctx exn ->
+  | exception (Vc_error.Error err as exn) when recoverable exn ->
       note_fault ctx err;
       scalar_subtrees ctx roots ~depth:0 ~count_roots:true;
       ([], 0)
@@ -627,7 +624,7 @@ let expand_frontier ctx ~roots ~target =
       go root ~depth:0
 
 let make_ctx ?compact ?(max_tasks = 200_000_000) ?(cutoff = 0) ?telemetry
-    ?(faults = Fault.none) ?(recover = true) ?(budgets = Supervisor.no_budgets)
+    ?(faults = Fault.none) ?(budgets = Supervisor.no_budgets)
     ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t)
     ~(strategy : Policy.strategy) () =
   let m = Measure.create machine in
@@ -673,7 +670,6 @@ let make_ctx ?compact ?(max_tasks = 200_000_000) ?(cutoff = 0) ?telemetry
     site_frames =
       Array.init spec.Spec.num_spawns (fun i -> "spawn:site" ^ string_of_int i);
     faults;
-    recover;
     budgets;
     wall_start;
     live = 0;
@@ -689,10 +685,10 @@ let report_of ctx ~strategy ~wall_seconds =
     ~reducers:(Vc_lang.Reducer.values ctx.reducers) ~wall_seconds
 
 let run ?compact ?max_tasks ?cutoff ?(warm = false) ?telemetry
-    ?faults ?recover ?budgets ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t)
+    ?faults ?budgets ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t)
     ~(strategy : Policy.strategy) () =
   let ctx =
-    make_ctx ?compact ?max_tasks ?cutoff ?telemetry ?faults ?recover ?budgets
+    make_ctx ?compact ?max_tasks ?cutoff ?telemetry ?faults ?budgets
       ~spec ~machine ~strategy ()
   in
   let strategy_name = Policy.name strategy ^ if warm then "+warm" else "" in

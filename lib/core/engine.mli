@@ -27,7 +27,6 @@ val make_ctx :
   ?cutoff:int ->
   ?telemetry:Telemetry.t ->
   ?faults:Fault.plan ->
-  ?recover:bool ->
   ?budgets:Supervisor.budgets ->
   spec:Spec.t ->
   machine:Vc_mem.Machine.t ->
@@ -42,8 +41,8 @@ val execute_frames : ctx -> roots:int array list -> depth:int -> unit
     completion under the context's strategy (breadth-first expansion,
     blocked switch, re-expansion, task cut-off — exactly {!run}'s
     scheduling).  Raises {!Oom} or a typed budget {!Vc_error.Error}
-    like {!run}'s internals; with [recover:true]
-    vectorized-path faults degrade to the scalar path as usual. *)
+    like {!run}'s internals; vectorized-path faults degrade to the scalar
+    path as usual. *)
 
 val expand_frontier : ctx -> roots:int array list -> target:int -> int array list * int
 (** Breadth-first frontier expansion for a parallel scheduler: expand
@@ -67,7 +66,6 @@ val run :
   ?warm:bool ->
   ?telemetry:Telemetry.t ->
   ?faults:Fault.plan ->
-  ?recover:bool ->
   ?budgets:Supervisor.budgets ->
   spec:Spec.t ->
   machine:Vc_mem.Machine.t ->
@@ -102,14 +100,12 @@ val run :
     {2 Supervised execution}
 
     [faults] (default {!Fault.none}) arms deterministic fault injection at
-    the engine's compaction and block-allocation sites.  With
-    [recover:true] (the default) an injected — or organic, e.g.
-    {!Vc_simd.Compact.Unsupported} — fault on the vectorized path
-    quarantines the affected block and re-executes its outstanding frames
+    the engine's compaction and block-allocation sites.  An injected — or
+    organic, e.g. {!Vc_simd.Compact.Unsupported} — fault on the vectorized
+    path quarantines the affected block and re-executes its outstanding frames
     on the scalar path, yielding reducer values and task counts exactly
     equal to a fault-free run (a [Fallback] telemetry event records each
-    quarantine).  With [recover:false] the typed {!Vc_error.Error}
-    propagates to the caller.
+    quarantine).
 
     [budgets] (default {!Supervisor.no_budgets}) holds cooperative
     budgets — [deadline] (modeled cycles), [wall_deadline] (seconds) and

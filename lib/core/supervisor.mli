@@ -48,5 +48,5 @@ val run :
     absent), calls [f] with that hub — [f] passes it to the executor —
     and counts the [Fault] and [Fallback] events the run emits.  Any
     exception becomes [Error]: a {!Vc_error.Error} as itself (budget
-    violations, the fault itself under [recover:false]), anything else
+    violations, faults the executor does not recover), anything else
     through {!Vc_error.of_exn}. *)

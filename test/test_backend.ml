@@ -330,6 +330,202 @@ let check_multi_root () =
           both.Backend.tasks)
     Backend.all
 
+(* The level event stream (phase, depth, size, base) of a point, in
+   emission order. *)
+let level_stream ctx point =
+  let sink, levels = Telemetry.level_sink () in
+  let telemetry = Telemetry.with_sinks [ sink ] in
+  ignore (Vc_exp.Sweep.exec ctx ~telemetry point : Vc_exp.Sweep.result);
+  List.filter_map
+    (fun (st : Telemetry.stamped) ->
+      match st.Telemetry.ev with
+      | Telemetry.Level { phase; depth; size; base } -> Some (phase, depth, size, base)
+      | _ -> None)
+    (levels ())
+
+let first_difference a b =
+  let rec go i = function
+    | x :: xs, y :: ys when x = y -> go (i + 1) (xs, ys)
+    | _ -> i
+  in
+  go 0 (a, b)
+
+(* One Fig. 6 schedule: the backends make the engine's decisions, the
+   root's included — a root level that already fills a block starts
+   blocked.  These are the points where the root rule matters: block 1 on
+   every benchmark, and uts's 64 quick roots at blocks 3 and 16. *)
+let check_level_streams () =
+  let ctx = Lazy.force quick_ctx in
+  let points =
+    List.map (fun name -> (name, 1)) all_names @ [ ("uts", 3); ("uts", 16) ]
+  in
+  List.iter
+    (fun (name, block) ->
+      List.iter
+        (fun strategy ->
+          let point engine =
+            {
+              (Vc_exp.Sweep.point (Vc_bench.Registry.find name)) with
+              Vc_exp.Sweep.engine;
+              strategy;
+              block;
+            }
+          in
+          let want = level_stream ctx (point Vc_exp.Sweep.Model) in
+          List.iter
+            (fun engine ->
+              let got = level_stream ctx (point engine) in
+              if got <> want then
+                Alcotest.failf
+                  "%s on %s [%s/%d]: %d levels, the engine's %d; first \
+                   difference at level %d"
+                  (Vc_exp.Sweep.engine_name engine)
+                  name
+                  (Vc_exp.Sweep.strategy_name strategy)
+                  block (List.length got) (List.length want)
+                  (first_difference got want))
+            [ Vc_exp.Sweep.Blocked; Vc_exp.Sweep.Compiled ])
+        [ Vc_exp.Sweep.Noreexp; Vc_exp.Sweep.Reexp ])
+    points
+
+module Soa = Codegen.Soa
+
+let frame i = [| i; -i; i * 7 |]
+
+(* A level grows segment by segment: pushes across several segment
+   boundaries keep every row, in push order. *)
+let check_soa_segments () =
+  let pool = Soa.pool ~nfields:3 in
+  let rows = (2 * Soa.seg_rows) + (Soa.seg_rows / 2) + 3 in
+  let b = Soa.make_buf pool in
+  Alcotest.(check int) "an empty level holds no segment" 0 (Soa.allocated pool);
+  for i = 0 to rows - 1 do
+    Soa.push b (frame i)
+  done;
+  let want = List.init rows frame in
+  Alcotest.(check int) "size" rows (Soa.size b);
+  Alcotest.(check int) "segments" 3 (Soa.allocated pool);
+  Alcotest.(check bool) "frames in push order" true (Soa.frames b = want);
+  let seen = ref [] in
+  Soa.iter_segments b (fun cols n ->
+      for r = 0 to n - 1 do
+        seen := Array.init 3 (fun f -> cols.(f).(r)) :: !seen
+      done);
+  Alcotest.(check bool) "segments walk oldest first" true (List.rev !seen = want);
+  let c = Soa.of_frames pool want in
+  Alcotest.(check bool) "of_frames round trip" true (Soa.frames c = want);
+  Alcotest.check_raises "of_frames arity"
+    (Invalid_argument "Codegen.Soa.of_frames: root frame has 2 fields, 3 expected")
+    (fun () -> ignore (Soa.of_frames pool [ frame 0; [| 1; 2 |] ]))
+
+(* Clearing a level returns its segments to the pool at once, and the
+   next level takes them before the pool allocates another. *)
+let check_soa_reuse () =
+  let pool = Soa.pool ~nfields:3 in
+  let a = Soa.make_buf pool in
+  for i = 0 to (3 * Soa.seg_rows) - 1 do
+    Soa.push a (frame i)
+  done;
+  Alcotest.(check int) "three full segments" 3 (Soa.allocated pool);
+  Soa.clear a;
+  Alcotest.(check int) "cleared level is empty" 0 (Soa.size a);
+  let b = Soa.make_buf pool in
+  for i = 0 to (3 * Soa.seg_rows) - 1 do
+    Soa.push b (frame (i + 5))
+  done;
+  Alcotest.(check int) "the next level reuses them" 3 (Soa.allocated pool);
+  Alcotest.(check bool) "reused rows are the new ones" true
+    (Soa.frames b = List.init (3 * Soa.seg_rows) (fun i -> frame (i + 5)));
+  Soa.push a (frame 0);
+  Alcotest.(check int) "a fourth segment once the spares are taken" 4
+    (Soa.allocated pool)
+
+(* Levels spanning several segments: block 4096 and breadth-first-only
+   runs, where single levels hold thousands of rows.  Compiled and
+   blocked agree on every field, single-context and over 2 domains, and
+   the counts match the engine's. *)
+let check_multi_segment_levels () =
+  let ctx = Lazy.force quick_ctx in
+  List.iter
+    (fun name ->
+      let source, roots = source_of name in
+      let entry = Vc_bench.Registry.find name in
+      List.iter
+        (fun (strategy, sstrategy, block) ->
+          let reference =
+            match
+              Vc_exp.Sweep.exec ctx
+                { (Vc_exp.Sweep.point entry) with Vc_exp.Sweep.strategy = sstrategy; block }
+            with
+            | Vc_exp.Sweep.Report (r, _) -> r
+            | Vc_exp.Sweep.Wall _ -> Alcotest.fail "engine point ran a backend"
+          in
+          let sink, levels = Telemetry.level_sink () in
+          let widest = ref 0 in
+          List.iter
+            (fun domains ->
+              let opts = { Backend.default_opts with strategy; domains } in
+              let bc =
+                Backend.run
+                  ~opts:{ opts with telemetry = Some (Telemetry.with_sinks [ sink ]) }
+                  Backend.compiled source ~roots
+              in
+              List.iter
+                (fun (st : Telemetry.stamped) ->
+                  match st.Telemetry.ev with
+                  | Telemetry.Level { size; _ } -> widest := max !widest size
+                  | _ -> ())
+                (levels ());
+              let bi = Backend.run ~opts Backend.interp source ~roots in
+              let where =
+                Printf.sprintf "%s [%s, domains %s]" name
+                  (Policy.name strategy)
+                  (match domains with None -> "none" | Some n -> string_of_int n)
+              in
+              if scrub bc <> scrub bi then
+                Alcotest.failf "compiled differs from blocked on %s" where;
+              if
+                (not reference.Report.oom)
+                && (sorted bc.Backend.reducers <> sorted reference.Report.reducers
+                   || bc.Backend.tasks <> reference.Report.tasks
+                   || bc.Backend.base_tasks <> reference.Report.base_tasks)
+              then Alcotest.failf "%s diverges from the engine" where)
+            [ None; Some 2 ];
+          if !widest <= 2 * Codegen.Soa.seg_rows then
+            Alcotest.failf "%s [%s]: widest level %d spans fewer than three segments"
+              name (Policy.name strategy) !widest)
+        [
+          (Policy.Hybrid { max_block = 4096; reexpand = true }, Vc_exp.Sweep.Reexp, 4096);
+          (Policy.Bfs_only, Vc_exp.Sweep.Bfs, 256);
+        ])
+    [ "fib"; "nqueens" ]
+
+(* Level storage follows the live frontier.  At the widest point of a
+   full-scale nqueens run at block 4096 the live levels hold 69,708
+   three-field frames (209,124 words); the whole run, level storage and
+   everything else, must allocate at most 1.5x that on the major heap.
+   Doubling columns that are copied and dropped as a level grows
+   allocated about 957K words here. *)
+let check_level_storage_bound () =
+  let full = Vc_exp.Sweep.create ~quick:false ~cache_dir:None () in
+  let source, roots =
+    Vc_exp.Sweep.backend_source full (Vc_bench.Registry.find "nqueens")
+  in
+  let opts =
+    {
+      Backend.default_opts with
+      strategy = Policy.Hybrid { max_block = 4096; reexpand = true };
+    }
+  in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  ignore (Backend.run ~opts Backend.compiled source ~roots : Backend.result);
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  let bound = 1.5 *. 209_124.0 in
+  if words > bound then
+    Alcotest.failf "nqueens at block 4096 allocated %.0f major words (bound %.0f)"
+      words bound
+
 let () =
   Alcotest.run "vc_backend"
     [
@@ -349,5 +545,15 @@ let () =
             `Quick check_multi_root;
           Alcotest.test_case "malformed root arity is rejected alike"
             `Quick check_root_arity;
+          Alcotest.test_case "engine and backends emit one level stream"
+            `Quick check_level_streams;
+          Alcotest.test_case "segmented level keeps rows across segments"
+            `Quick check_soa_segments;
+          Alcotest.test_case "cleared level's segments are reused" `Quick
+            check_soa_reuse;
+          Alcotest.test_case "multi-segment levels agree on every field"
+            `Quick check_multi_segment_levels;
+          Alcotest.test_case "level storage follows the live frontier" `Quick
+            check_level_storage_bound;
         ] );
     ]

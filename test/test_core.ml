@@ -1142,9 +1142,9 @@ let test_report_speedup () =
 
 let hybrid8 = Policy.Hybrid { max_block = 8; reexpand = true }
 
-let supervised_engine ?faults ?recover ?budgets spec =
+let supervised_engine ?faults ?budgets spec =
   Supervisor.run (fun telemetry ->
-      Engine.run ~telemetry ?faults ?recover ?budgets ~spec ~machine:e5
+      Engine.run ~telemetry ?faults ?budgets ~spec ~machine:e5
         ~strategy:hybrid8 ())
 
 let test_supervisor_recovers () =
@@ -1162,16 +1162,6 @@ let test_supervisor_recovers () =
         o.Supervisor.value.Report.base_tasks;
       check_bool "faults were injected" true (o.Supervisor.faults_seen > 0);
       check_bool "scalar fallback fired" true (o.Supervisor.fallbacks > 0)
-
-let test_supervisor_no_recover () =
-  let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 12 } in
-  let plan = Fault.make ~rate:1.0 ~seed:7 ~sites:[ Fault.Alloc ] () in
-  match supervised_engine ~faults:plan ~recover:false spec with
-  | Ok _ -> Alcotest.fail "recover:false still recovered"
-  | Error e ->
-      check_bool "typed fault" true
-        (match e.Vc_error.kind with Vc_error.Fault _ -> true | _ -> false);
-      check_int "exit code 1" 1 (Vc_error.exit_code e)
 
 let test_supervisor_deadline () =
   let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 18 } in
@@ -1520,8 +1510,6 @@ let () =
         [
           Alcotest.test_case "fault recovery is exact" `Quick
             test_supervisor_recovers;
-          Alcotest.test_case "recover:false propagates the fault" `Quick
-            test_supervisor_no_recover;
           Alcotest.test_case "cycle deadline exits 2" `Quick
             test_supervisor_deadline;
           Alcotest.test_case "live-frame budget exits 2" `Quick
