@@ -18,12 +18,18 @@
      backends use it for native sources (a native spec is already
      compiled OCaml; there is nothing further to specialize).
 
+   IR levels are {!Codegen.Soa.buf} segments whose columns come from one
+   process-wide level store and go back to it as soon as a level has been
+   stepped, so a run holds only its live frontier and a steady-state run
+   (one after another, or on fresh worker domains) allocates no level
+   storage — the paper's ThreadBlock reuse (§5).
+
    A level step is also the fault recovery: a level whose fault site
    trips is still intact, so the scheduler re-runs it through the same
    stepper with the site disarmed for its subtree.
 
    Compiled-vs-blocked is therefore a pure dispatch comparison with
-   bit-equal results: both run over the same levels and segment pool, under
+   bit-equal results: both run over the same levels and level store, under
    the same scheduler, budgets, fault sites and chunked-domains driver,
    and the differential suite holds all six result fields equal.
 
@@ -83,14 +89,14 @@ type 'lvl stepper = {
 
 (* Both IR steppers (compiled kernels and the closure interpreter) run
    over the same SoA levels, so they share one set of level operations.
-   Every level of the stepper's run takes its segments from one pool. *)
+   Every level takes its columns from the process-wide level store. *)
 let ir_stepper (inst : Codegen.Soa.inst) : Codegen.Soa.buf stepper =
-  let pool = Codegen.Soa.pool ~nfields:inst.Codegen.Soa.nparams in
+  let nfields = inst.Codegen.Soa.nparams in
   {
     size = Codegen.Soa.size;
-    new_level = (fun () -> Codegen.Soa.make_buf pool);
+    new_level = (fun () -> Codegen.Soa.make_buf ~nfields);
     clear = Codegen.Soa.clear;
-    of_frames = Codegen.Soa.of_frames pool;
+    of_frames = Codegen.Soa.of_frames ~nfields;
     frames = Codegen.Soa.frames;
     step = inst.Codegen.Soa.step;
     num_spawns = inst.Codegen.Soa.num_spawns;
@@ -231,9 +237,9 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~strategy
     else f ()
   in
   (* Levels are released as soon as they have been stepped (or come back
-     empty): [clear] hands an IR level's segments back to the run's pool
-     at once, so the storage alive at any time is the unconsumed frontier
-     plus the spare segments.  The emptied headers are reused LIFO. *)
+     empty): [clear] hands an IR level's columns back to the level store
+     at once, so the storage a run holds at any time is its unconsumed
+     frontier.  The emptied headers are reused LIFO. *)
   let free = ref [] in
   let acquire () =
     match !free with
@@ -382,7 +388,9 @@ let expand_frontier (type l) (st : l stepper) ~tel ~max_tasks (s : cstate) roots
     end
   done;
   if st.size !src > 0 && !depth > s.max_depth then s.max_depth <- !depth;
-  (st.frames !src, !depth)
+  let frontier = st.frames !src in
+  st.clear !src;
+  (frontier, !depth)
 
 (* ------------------------------------------------------------------ *)
 (* Execution drivers *)
@@ -475,9 +483,9 @@ let exec_domains ~compiled opts source roots ~domains =
         expand_frontier st0 ~tel ~max_tasks:opts.max_tasks s0 roots
           ~target:Domain_sched.default_chunks)
   in
-  (* A chunk takes a stepper (with its reducer set, reset, and its
-     segment pool) that an earlier chunk finished with, so at most one is
-     built per worker domain; a chunk that fails drops its stepper. *)
+  (* A chunk takes a stepper (its kernels, with their reducer set, reset)
+     that an earlier chunk finished with, so at most one is built per
+     worker domain; a chunk that fails drops its stepper. *)
   let spare = ref [] and lock = Mutex.create () in
   let run_chunk ci frames =
     let (Any st as any), cred =

@@ -12,11 +12,11 @@
       over the same SoA levels for IR sources (native sources use the same
       callback path — a native spec is already compiled OCaml).
 
-    Both IR steppers step {!Codegen.Soa.buf} levels built from the
-    fixed-size segments of one pool per run (per worker domain in the
-    domains mode): a level hands its segments back as soon as it has been
-    stepped and never copies a row as it grows, so backend memory follows
-    the live frontier.
+    Both IR steppers step {!Codegen.Soa.buf} levels built from fixed-size
+    segments whose columns come from one process-wide level store: a
+    level hands its columns back as soon as it has been stepped and never
+    copies a row as it grows, so a run holds only its live frontier and a
+    steady-state run allocates no level storage.
 
     The schedule is the engine's, root included: a root level that
     already holds [max_block] frames starts blocked (one [Switch]), so

@@ -9,7 +9,7 @@ let instantiate (t : Blocked_ast.t) ~(reducers : Reducer.set) : Soa.inst =
   let nparams = Array.length (Codegen.params layout) in
   (* Enqueue sinks write through these cells; [step] points them at its
      destination levels. *)
-  let sink_next = ref (Soa.make_buf (Soa.pool ~nfields:nparams)) in
+  let sink_next = ref (Soa.make_buf ~nfields:nparams) in
   let sink_sites = ref [||] in
   let reduce name v = Reducer.reduce reducers name v in
   (* A push evaluates every child argument into a per-site scratch frame,

@@ -8,8 +8,8 @@
     private frame, runs the closures, and appends its children column-wise
     to the destination buffers, so a thread allocates nothing.  The Fig. 6
     schedule (bfs levels, the switch to per-site blocked execution at
-    [max_block], re-expansion), the segment pool, budgets and fault
-    recovery belong to {!Backend}, which drives this stepper and
+    [max_block], re-expansion), budgets and fault recovery belong to
+    {!Backend}, which drives this stepper and
     {!Codegen.Soa}'s compiled one through the same scheduler.
 
     This interpreter is the semantic half of the reproduction: the test

@@ -163,56 +163,88 @@ module Soa = struct
      filled segment above its rows. *)
   let seg_rows = 1024
 
-  type pool = {
-    nfields : int;
-    mutable spare : int array array list;
+  (* The level store: one process-wide stack of free [seg_rows]-row int
+     columns, shared by every level of every run on every domain.  A level
+     takes its columns from it and gives them back when cleared, so a
+     steady-state run allocates no level storage.  It is global rather
+     than per domain because the chunked-domains driver spawns fresh
+     worker domains each run; it keeps at most [store_cap] columns
+     (4 MiB), so a long-running process retains a bounded amount and
+     columns past the cap are left to the GC. *)
+  let store_cap = 512
+
+  type store = {
+    lock : Mutex.t;
+    free : int array array;  (* [free.(0 .. count - 1)] are free columns *)
+    mutable count : int;
     mutable allocated : int;
   }
 
-  let pool ~nfields = { nfields; spare = []; allocated = 0 }
-  let allocated p = p.allocated
+  let store =
+    { lock = Mutex.create (); free = Array.make store_cap [||]; count = 0; allocated = 0 }
+
+  let stored () = Mutex.protect store.lock (fun () -> store.count)
+  let allocated () = Mutex.protect store.lock (fun () -> store.allocated)
 
   (* A level: a run of SoA segments, oldest first, the last one being
      filled ([cols], [n] rows used).  A level without a segment reads as
      full ([n = seg_rows]), so [n = seg_rows] is the one test a push makes
      before it stores (the paper's ThreadBlocks, §5).  Both IR steppers
-     run over these. *)
+     run over these.  Rows at or above a segment's fill are stale data
+     from an earlier level and are never read. *)
   type buf = {
-    pool : pool;
+    nfields : int;
     mutable segs : int array array array;
     mutable nsegs : int;
     mutable cols : int array array;
     mutable n : int;
   }
 
-  let make_buf pool = { pool; segs = [||]; nsegs = 0; cols = [||]; n = seg_rows }
+  let make_buf ~nfields = { nfields; segs = [||]; nsegs = 0; cols = [||]; n = seg_rows }
   let size b = ((b.nsegs - 1) * seg_rows) + b.n
 
   let clear b =
-    for i = 0 to b.nsegs - 1 do
-      b.pool.spare <- b.segs.(i) :: b.pool.spare
-    done;
+    if b.nsegs > 0 then begin
+      Mutex.lock store.lock;
+      for i = 0 to b.nsegs - 1 do
+        Array.iter
+          (fun col ->
+            if store.count < store_cap then begin
+              store.free.(store.count) <- col;
+              store.count <- store.count + 1
+            end)
+          b.segs.(i);
+        b.segs.(i) <- [||]
+      done;
+      Mutex.unlock store.lock
+    end;
     b.nsegs <- 0;
     b.cols <- [||];
     b.n <- seg_rows
 
-  (* The push found the last segment full (or none yet): take the next. *)
+  (* The push found the last segment full (or none yet): take the next
+     segment's columns from the store, allocating (outside the lock) only
+     those it cannot supply. *)
   let next_segment b =
-    let p = b.pool in
-    let seg =
-      match p.spare with
-      | seg :: rest ->
-          p.spare <- rest;
-          seg
-      | [] ->
-          p.allocated <- p.allocated + 1;
-          Array.init p.nfields (fun _ -> Array.make seg_rows 0)
-    in
+    let nf = b.nfields in
+    let seg = Array.make nf [||] in
     if b.nsegs = Array.length b.segs then begin
       let segs = Array.make (max 4 (2 * b.nsegs)) seg in
       Array.blit b.segs 0 segs 0 b.nsegs;
       b.segs <- segs
     end;
+    Mutex.lock store.lock;
+    let taken = min nf store.count in
+    for f = 0 to taken - 1 do
+      store.count <- store.count - 1;
+      seg.(f) <- store.free.(store.count);
+      store.free.(store.count) <- [||]
+    done;
+    store.allocated <- store.allocated + (nf - taken);
+    Mutex.unlock store.lock;
+    for f = taken to nf - 1 do
+      seg.(f) <- Array.make seg_rows 0
+    done;
     b.segs.(b.nsegs) <- seg;
     b.nsegs <- b.nsegs + 1;
     b.cols <- seg;
@@ -226,7 +258,7 @@ module Soa = struct
   let push b frame =
     if b.n = seg_rows then next_segment b;
     let n = b.n in
-    for f = 0 to b.pool.nfields - 1 do
+    for f = 0 to b.nfields - 1 do
       b.cols.(f).(n) <- frame.(f)
     done;
     b.n <- n + 1
@@ -235,19 +267,19 @@ module Soa = struct
     let acc = ref [] in
     iter_segments b (fun cols rows ->
         for r = 0 to rows - 1 do
-          acc := Array.init b.pool.nfields (fun f -> cols.(f).(r)) :: !acc
+          acc := Array.init b.nfields (fun f -> cols.(f).(r)) :: !acc
         done);
     List.rev !acc
 
-  let of_frames pool fs =
-    let b = make_buf pool in
+  let of_frames ~nfields fs =
+    let b = make_buf ~nfields in
     List.iter
       (fun f ->
-        if Array.length f <> pool.nfields then
+        if Array.length f <> nfields then
           invalid_arg
             (Printf.sprintf
                "Codegen.Soa.of_frames: root frame has %d fields, %d expected"
-               (Array.length f) pool.nfields);
+               (Array.length f) nfields);
         push b f)
       fs;
     b
@@ -294,7 +326,7 @@ module Soa = struct
     let cur = { cur = [||]; row = 0; locals = Array.make (max 1 nlocals) 0 } in
     (* Sink cells: kernels are compiled once per instance, [step] points
        them at the per-call destination buffers before the row loop. *)
-    let dummy = make_buf (pool ~nfields:nparams) in
+    let dummy = make_buf ~nfields:nparams in
     let sink_next = ref dummy in
     let sink_sites = ref ([||] : buf array) in
     (* Value-shaped compilation: every subexpression classifies as a

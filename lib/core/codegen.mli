@@ -48,37 +48,41 @@ val compile_stmt :
     no frame blitting.  {!Backend.compiled} drives these kernels with the
     Fig. 6 scheduling; see that module for the engine-level contract. *)
 module Soa : sig
-  type pool
-  (** A per-run store of fixed-size SoA segments: every level of a run
-      takes its segments from it and returns them when cleared. *)
-
-  val pool : nfields:int -> pool
-  (** An empty pool of [nfields]-column segments. *)
-
   val seg_rows : int
   (** Rows per segment (a constant). *)
 
-  val allocated : pool -> int
-  (** Segments the pool has allocated so far; a segment returned by
-      {!clear} is handed out again before a new one is allocated. *)
+  val store_cap : int
+  (** The most free columns the level store keeps (512 columns of
+      {!seg_rows} ints, 4 MiB). *)
+
+  val stored : unit -> int
+  (** Free columns the process-wide level store holds now (at most
+      {!store_cap}). *)
+
+  val allocated : unit -> int
+  (** Columns allocated so far, process-wide: a push takes a segment's
+      columns from the store and allocates only those it cannot supply. *)
 
   type buf
-  (** An SoA level: a sequence of segments from one {!pool}, each one
-      int-array column per frame field.  The level representation of both
-      IR steppers (this module's kernels and {!Blocked_interp}'s
-      closures).  Growing a level never copies a row: a push into a full
-      segment takes the next one from the pool. *)
+  (** An SoA level: a sequence of segments, each one [seg_rows]-row int
+      column per frame field.  The level representation of both IR
+      steppers (this module's kernels and {!Blocked_interp}'s closures).
+      Growing a level never copies a row: a push into a full segment takes
+      the next segment's columns from the level store, which every level
+      of every run on every domain shares (mutex-guarded). *)
 
-  val make_buf : pool -> buf
-  (** An empty level holding no segment until its first push. *)
+  val make_buf : nfields:int -> buf
+  (** An empty level of [nfields]-field frames, holding no segment until
+      its first push. *)
 
   val size : buf -> int
 
   val clear : buf -> unit
-  (** Empty the level and return its segments to its pool at once. *)
+  (** Empty the level and return its columns to the store at once (the
+      store keeps at most {!store_cap}; the GC takes the rest). *)
 
   val push : buf -> int array -> unit
-  (** Append one frame (length ≥ the pool's [nfields]). *)
+  (** Append one frame (length ≥ the level's [nfields]). *)
 
   val iter_segments : buf -> (int array array -> int -> unit) -> unit
   (** [iter_segments b f] calls [f cols rows] on each segment, oldest
@@ -88,12 +92,12 @@ module Soa : sig
   val frames : buf -> int array list
   (** All rows, in order, as fresh frame arrays (frontier extraction). *)
 
-  val of_frames : pool -> int array list -> buf
+  val of_frames : nfields:int -> int array list -> buf
   (** A level holding the given root frames.  Raises [Invalid_argument]
-      unless every frame has exactly the pool's [nfields] fields. *)
+      unless every frame has exactly [nfields] fields. *)
 
   type inst = {
-    nparams : int;  (** fields per frame: [pool ~nfields:nparams] *)
+    nparams : int;  (** fields per frame: [make_buf ~nfields:nparams] *)
     num_spawns : int;
     step : src:buf -> blocked:bool -> next:buf -> sites:buf array -> int;
         (** Execute one whole level: base rows run their base kernel,

@@ -1,7 +1,8 @@
-(** A minimal JSON reader/writer for the run cache and the bench harness's
-    machine-readable output.
+(** A minimal JSON reader/writer for the run cache, the serve protocol
+    and the CLI's machine-readable output.
 
-    Deliberately tiny: only what [Run_cache] and [BENCH_sweep.json] need.
+    Deliberately tiny: only what [Run_cache], the serve wire format and
+    [--compiled-json] need.
     Floats are printed with 17 significant digits so IEEE doubles
     round-trip exactly (cached reports must compare equal to fresh ones),
     which also means non-finite floats are emitted as bare [inf]/[nan]

@@ -107,7 +107,7 @@ let persist ctx = Option.iter (Run_cache.persist ~faults:ctx.faults) ctx.disk
 
 let machines = [ Vc_mem.Machine.xeon_e5; Vc_mem.Machine.xeon_phi ]
 
-(* Small workloads for smoke runs and the bechamel harness. *)
+(* Small workloads for [--quick] smoke runs and the test suites. *)
 let quick_spec name =
   match name with
   | "knapsack" -> Knapsack.spec { Knapsack.n = 13; capacity_ratio = 0.5; seed = 1 }

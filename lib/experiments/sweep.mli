@@ -6,7 +6,7 @@
     it to one of the two; the engine family is a value the caller picks.
     One context computes each point once and the harness reuses it across
     Tables 1–3 and Figures 9–16.  [quick] mode substitutes small
-    workloads (for smoke runs and the bechamel timing harness).
+    workloads (for [--quick] smoke runs and the test suites).
 
     The context is domain-safe: the memo table is mutex-guarded, and
     {!prewarm} fans the independent simulations out over a

@@ -87,6 +87,17 @@ let render st ~queue_depth =
     "connections";
   gauge "vcilk_throughput_rps"
     "Completed requests per second over the last ~10s window" "rps_10s";
+  (* the backends' process-wide level store, for comparison with RSS *)
+  let store_gauge name help v =
+    header b ~name ~help ~kind:"gauge";
+    sample b ~name (string_of_int v)
+  in
+  store_gauge "vcilk_level_store_columns"
+    "Free 1024-int level-store columns the process retains now"
+    (Vc_core.Codegen.Soa.stored ());
+  store_gauge "vcilk_level_store_allocated_columns"
+    "Level-store columns ever allocated by this process"
+    (Vc_core.Codegen.Soa.allocated ());
   header b ~name:"vcilk_connections_opened_total"
     ~help:"Client connections ever accepted" ~kind:"counter";
   sample b ~name:"vcilk_connections_opened_total" (get "connections_total");

@@ -392,19 +392,33 @@ module Soa = Codegen.Soa
 
 let frame i = [| i; -i; i * 7 |]
 
+(* Run [f] with the process-wide level store empty: a holding level
+   first takes every free column, so [Soa.allocated] deltas inside [f]
+   count exactly the columns its levels could not reuse.  The holding
+   level gives them back afterwards. *)
+let with_empty_store f =
+  let hold = Soa.make_buf ~nfields:1 in
+  while Soa.stored () > 0 do
+    for _ = 1 to Soa.seg_rows do
+      Soa.push hold [| 0 |]
+    done
+  done;
+  Fun.protect ~finally:(fun () -> Soa.clear hold) f
+
 (* A level grows segment by segment: pushes across several segment
    boundaries keep every row, in push order. *)
 let check_soa_segments () =
-  let pool = Soa.pool ~nfields:3 in
+  with_empty_store @@ fun () ->
+  let a0 = Soa.allocated () in
   let rows = (2 * Soa.seg_rows) + (Soa.seg_rows / 2) + 3 in
-  let b = Soa.make_buf pool in
-  Alcotest.(check int) "an empty level holds no segment" 0 (Soa.allocated pool);
+  let b = Soa.make_buf ~nfields:3 in
+  Alcotest.(check int) "an empty level holds no segment" 0 (Soa.allocated () - a0);
   for i = 0 to rows - 1 do
     Soa.push b (frame i)
   done;
   let want = List.init rows frame in
   Alcotest.(check int) "size" rows (Soa.size b);
-  Alcotest.(check int) "segments" 3 (Soa.allocated pool);
+  Alcotest.(check int) "segments (three fields each)" (3 * 3) (Soa.allocated () - a0);
   Alcotest.(check bool) "frames in push order" true (Soa.frames b = want);
   let seen = ref [] in
   Soa.iter_segments b (fun cols n ->
@@ -412,33 +426,39 @@ let check_soa_segments () =
         seen := Array.init 3 (fun f -> cols.(f).(r)) :: !seen
       done);
   Alcotest.(check bool) "segments walk oldest first" true (List.rev !seen = want);
-  let c = Soa.of_frames pool want in
+  let c = Soa.of_frames ~nfields:3 want in
   Alcotest.(check bool) "of_frames round trip" true (Soa.frames c = want);
   Alcotest.check_raises "of_frames arity"
     (Invalid_argument "Codegen.Soa.of_frames: root frame has 2 fields, 3 expected")
-    (fun () -> ignore (Soa.of_frames pool [ frame 0; [| 1; 2 |] ]))
+    (fun () -> ignore (Soa.of_frames ~nfields:3 [ frame 0; [| 1; 2 |] ]));
+  Soa.clear b;
+  Soa.clear c
 
-(* Clearing a level returns its segments to the pool at once, and the
-   next level takes them before the pool allocates another. *)
+(* Clearing a level returns its columns to the store at once, and the
+   next level takes them before anything is allocated. *)
 let check_soa_reuse () =
-  let pool = Soa.pool ~nfields:3 in
-  let a = Soa.make_buf pool in
+  with_empty_store @@ fun () ->
+  let a0 = Soa.allocated () in
+  let a = Soa.make_buf ~nfields:3 in
   for i = 0 to (3 * Soa.seg_rows) - 1 do
     Soa.push a (frame i)
   done;
-  Alcotest.(check int) "three full segments" 3 (Soa.allocated pool);
+  Alcotest.(check int) "three full segments" (3 * 3) (Soa.allocated () - a0);
   Soa.clear a;
   Alcotest.(check int) "cleared level is empty" 0 (Soa.size a);
-  let b = Soa.make_buf pool in
+  Alcotest.(check int) "the store holds its columns" (3 * 3) (Soa.stored ());
+  let b = Soa.make_buf ~nfields:3 in
   for i = 0 to (3 * Soa.seg_rows) - 1 do
     Soa.push b (frame (i + 5))
   done;
-  Alcotest.(check int) "the next level reuses them" 3 (Soa.allocated pool);
+  Alcotest.(check int) "the next level reuses them" (3 * 3) (Soa.allocated () - a0);
   Alcotest.(check bool) "reused rows are the new ones" true
     (Soa.frames b = List.init (3 * Soa.seg_rows) (fun i -> frame (i + 5)));
   Soa.push a (frame 0);
-  Alcotest.(check int) "a fourth segment once the spares are taken" 4
-    (Soa.allocated pool)
+  Alcotest.(check int) "a fourth segment once the spares are taken" (4 * 3)
+    (Soa.allocated () - a0);
+  Soa.clear a;
+  Soa.clear b
 
 (* Levels spanning several segments: block 4096 and breadth-first-only
    runs, where single levels hold thousands of rows.  Compiled and
@@ -502,11 +522,12 @@ let check_multi_segment_levels () =
 
 (* Level storage follows the live frontier.  At the widest point of a
    full-scale nqueens run at block 4096 the live levels hold 69,708
-   three-field frames (209,124 words); the whole run, level storage and
-   everything else, must allocate at most 1.5x that on the major heap.
-   Doubling columns that are copied and dropped as a level grows
-   allocated about 957K words here. *)
+   three-field frames (209,124 words); a cold run (the level store
+   empty), level storage and everything else, must allocate at most 1.5x
+   that on the major heap.  Doubling columns that are copied and dropped
+   as a level grows allocated about 957K words here. *)
 let check_level_storage_bound () =
+  with_empty_store @@ fun () ->
   let full = Vc_exp.Sweep.create ~quick:false ~cache_dir:None () in
   let source, roots =
     Vc_exp.Sweep.backend_source full (Vc_bench.Registry.find "nqueens")
@@ -525,6 +546,113 @@ let check_level_storage_bound () =
   if words > bound then
     Alcotest.failf "nqueens at block 4096 allocated %.0f major words (bound %.0f)"
       words bound
+
+(* The level store is process-wide: a full-scale nqueens run at block
+   4096 right after a first one takes every column from the store, so
+   the second run allocates no level storage.  With a store per run it
+   allocated about 212K major words here. *)
+let check_steady_state () =
+  let full = Vc_exp.Sweep.create ~quick:false ~cache_dir:None () in
+  let source, roots =
+    Vc_exp.Sweep.backend_source full (Vc_bench.Registry.find "nqueens")
+  in
+  let opts =
+    {
+      Backend.default_opts with
+      strategy = Policy.Hybrid { max_block = 4096; reexpand = true };
+    }
+  in
+  let first = Backend.run ~opts Backend.compiled source ~roots in
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let second = Backend.run ~opts Backend.compiled source ~roots in
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  if scrub second <> scrub first then Alcotest.fail "the second run differs";
+  if words > 10_000.0 then
+    Alcotest.failf "the second nqueens run allocated %.0f major words (bound 10000)"
+      words
+
+(* Columns come back from the store holding another level's rows, from
+   programs of other arities.  Fill the store with poisoned columns, then
+   interleave fib (1 field), nqueens (3) and binomial (2) at block 4096:
+   every run must equal the same program's first run, on all six fields. *)
+let check_stale_columns () =
+  let poison = Soa.make_buf ~nfields:1 in
+  for _ = 1 to Soa.store_cap * Soa.seg_rows do
+    Soa.push poison [| min_int |]
+  done;
+  Soa.clear poison;
+  let opts =
+    {
+      Backend.default_opts with
+      strategy = Policy.Hybrid { max_block = 4096; reexpand = true };
+    }
+  in
+  let programs = [ "fib"; "nqueens"; "binomial" ] in
+  List.iter
+    (fun backend ->
+      let run name =
+        let source, roots = source_of name in
+        scrub (Backend.run ~opts backend source ~roots)
+      in
+      let first = List.map (fun name -> (name, run name)) programs in
+      List.iter
+        (fun name ->
+          if run name <> List.assoc name first then
+            Alcotest.failf "%s on %s differs after interleaving"
+              name backend.Backend.name)
+        [ "binomial"; "fib"; "nqueens"; "fib"; "binomial"; "nqueens"; "fib" ])
+    [ Backend.compiled; Backend.interp ]
+
+(* Two domains run compiled jobs at once over the one store: both results
+   equal the serial one, and the store stays within its cap. *)
+let check_store_concurrency () =
+  let source, roots = source_of "nqueens" in
+  let serial = scrub (Backend.run Backend.compiled source ~roots) in
+  let job () =
+    List.init 4 (fun _ -> scrub (Backend.run Backend.compiled source ~roots))
+  in
+  let a = Domain.spawn job and b = Domain.spawn job in
+  let results = Domain.join a @ Domain.join b in
+  List.iteri
+    (fun i r -> if r <> serial then Alcotest.failf "concurrent run %d differs" i)
+    results;
+  if Soa.stored () > Soa.store_cap then
+    Alcotest.failf "the store holds %d columns (cap %d)" (Soa.stored ())
+      Soa.store_cap
+
+(* A breadth-first run of full-scale nqueens has a level of 222,720
+   three-field frames, more columns than the store keeps: after the run
+   the store holds at most its cap, and the rest is left to the GC. *)
+let check_store_cap () =
+  let full = Vc_exp.Sweep.create ~quick:false ~cache_dir:None () in
+  let source, roots =
+    Vc_exp.Sweep.backend_source full (Vc_bench.Registry.find "nqueens")
+  in
+  let sink, levels = Telemetry.level_sink () in
+  let opts =
+    {
+      Backend.default_opts with
+      strategy = Policy.Bfs_only;
+      telemetry = Some (Telemetry.with_sinks [ sink ]);
+    }
+  in
+  ignore (Backend.run ~opts Backend.compiled source ~roots : Backend.result);
+  let widest =
+    List.fold_left
+      (fun acc (st : Telemetry.stamped) ->
+        match st.Telemetry.ev with
+        | Telemetry.Level { size; _ } -> max acc size
+        | _ -> acc)
+      0 (levels ())
+  in
+  let columns = 3 * ((widest + Soa.seg_rows - 1) / Soa.seg_rows) in
+  if columns <= Soa.store_cap then
+    Alcotest.failf "widest level %d needs only %d columns (cap %d)" widest
+      columns Soa.store_cap;
+  if Soa.stored () > Soa.store_cap then
+    Alcotest.failf "the store holds %d columns (cap %d)" (Soa.stored ())
+      Soa.store_cap
 
 let () =
   Alcotest.run "vc_backend"
@@ -555,5 +683,13 @@ let () =
             `Quick check_multi_segment_levels;
           Alcotest.test_case "level storage follows the live frontier" `Quick
             check_level_storage_bound;
+          Alcotest.test_case "a steady-state run allocates no level storage"
+            `Quick check_steady_state;
+          Alcotest.test_case "stale store columns never leak into results"
+            `Quick check_stale_columns;
+          Alcotest.test_case "two domains share the level store" `Quick
+            check_store_concurrency;
+          Alcotest.test_case "the level store keeps at most its cap" `Quick
+            check_store_cap;
         ] );
     ]

@@ -662,6 +662,42 @@ let check_metrics_endpoint () =
     (List.nth buckets (List.length buckets - 1));
   Alcotest.(check (float 0.0)) "two requests recorded" 2.0 count
 
+(* /metrics exports the backends' level store as two gauges; after a
+   compiled request the process has allocated store columns. *)
+let check_metrics_level_store () =
+  with_server @@ fun path _srv ->
+  let fd = connect path in
+  let reader = Protocol.reader fd in
+  let req =
+    { (Protocol.run_request ~bench:"fib") with id = "ls"; engine = "compiled" }
+  in
+  Protocol.write_line fd (Protocol.request_line req);
+  let r = read_reply reader in
+  Alcotest.check status "compiled request ok" Protocol.Ok_ r.Protocol.r_status;
+  Unix.close fd;
+  let body =
+    match Loadgen.fetch_metrics ~connect:(fun () -> connect path) with
+    | Some b -> b
+    | None -> Alcotest.fail "no /metrics body"
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is a gauge") true
+        (contains body ("# TYPE " ^ name ^ " gauge")))
+    [ "vcilk_level_store_columns"; "vcilk_level_store_allocated_columns" ];
+  let value name =
+    List.find_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ n; v ] when n = name -> Some (int_of_string v)
+        | _ -> None)
+      (String.split_on_char '\n' body)
+  in
+  match value "vcilk_level_store_allocated_columns" with
+  | Some n when n > 0 -> ()
+  | Some n -> Alcotest.failf "%d columns allocated after a compiled request" n
+  | None -> Alcotest.fail "no vcilk_level_store_allocated_columns sample"
+
 let check_loadgen_mix_parse () =
   (match Loadgen.parse_mix "fib:4,uts:1" with
   | Ok [ ("fib", 4); ("uts", 1) ] -> ()
@@ -762,6 +798,8 @@ let () =
             check_phase_accounting;
           Alcotest.test_case "/metrics Prometheus exposition" `Quick
             check_metrics_endpoint;
+          Alcotest.test_case "/metrics exports the level store" `Quick
+            check_metrics_level_store;
         ] );
       ( "loadgen",
         [
