@@ -11,7 +11,6 @@ let instantiate (t : Blocked_ast.t) ~(reducers : Reducer.set) : Soa.inst =
      destination levels. *)
   let sink_next = ref (Soa.make_buf ~nfields:nparams) in
   let sink_sites = ref [||] in
-  let reduce name v = Reducer.reduce reducers name v in
   (* A push evaluates every child argument into a per-site scratch frame,
      then appends it column-wise: nothing is allocated per child. *)
   let compile_push exprs =
@@ -51,8 +50,9 @@ let instantiate (t : Blocked_ast.t) ~(reducers : Reducer.set) : Soa.inst =
               fbody rt
             done
       | Blocked_ast.BReduce (name, expr) ->
+          let cell = Reducer.find reducers name in
           let f = Codegen.compile_expr layout expr in
-          fun rt -> reduce name (f rt)
+          fun rt -> Reducer.update cell (f rt)
       | Blocked_ast.NextAdd exprs ->
           let eval = compile_push exprs in
           fun rt -> Soa.push !sink_next (eval rt)

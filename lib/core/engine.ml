@@ -29,8 +29,11 @@ type ctx = {
      not enough because re-expansion nests; instead one reusable block per
      (tree depth, slot), in [pool.(depth).(slot)] ([[||]] = depth not yet
      reached).  Slot [0..e-1] holds blocked execution's per-site children;
-     breadth-first "next" blocks use slot [e]. *)
+     breadth-first "next" blocks use slot [e].  A block keeps its modeled
+     addresses for the whole run but holds host columns only while its
+     frames are live (see [retire]). *)
   mutable pool : Block.t option array array;
+  store : Block.Store.t;  (** host columns of the pool's blocks *)
   (* The current level's base and recursive rows, refilled by every
      [process_level]: a level's rows are consumed (base cases run, children
      spawned) before the next level is processed. *)
@@ -39,6 +42,7 @@ type ctx = {
 }
 
 let isa ctx = ctx.m.Measure.machine.Vc_mem.Machine.isa
+let store ctx = ctx.store
 
 let modeled_cycles ctx =
   Vc_simd.Vm.issue_cycles ctx.m.Measure.vm
@@ -116,7 +120,7 @@ let pool_block ctx ~depth ~slot ~room =
     ~hint:Vc_error.Fallback_scalar
     ~detail:(fun () -> Printf.sprintf "block d%d-s%d (room %d)" depth slot room);
   if depth >= Array.length ctx.pool then begin
-    let grown = Array.make (max (depth + 1) (2 * Array.length ctx.pool)) [||] in
+    let grown = Array.make (Int.max (depth + 1) (2 * Array.length ctx.pool)) [||] in
     Array.blit ctx.pool 0 grown 0 (Array.length ctx.pool);
     ctx.pool <- grown
   end;
@@ -129,8 +133,8 @@ let pool_block ctx ~depth ~slot ~room =
     | None ->
         Block.create
           ~label:(Printf.sprintf "blk-d%d-s%d" depth slot)
-          ctx.m.Measure.addr ~schema:ctx.spec.Spec.schema ~isa:(isa ctx)
-          ~capacity:(max room 16)
+          ~store:ctx.store ctx.m.Measure.addr ~schema:ctx.spec.Spec.schema
+          ~isa:(isa ctx) ~capacity:(Int.max room 16)
   in
   Block.clear blk;
   let fitted = Block.ensure_room blk ctx.m.Measure.addr ~extra:room in
@@ -175,7 +179,7 @@ let scalar_executor ctx =
   let scratch_child =
     Block.create ~label:"scalar-child" ctx.m.Measure.addr
       ~schema:ctx.spec.Spec.schema ~isa:(isa ctx)
-      ~capacity:(max 1 ctx.spec.Spec.num_spawns)
+      ~capacity:(Int.max 1 ctx.spec.Spec.num_spawns)
   in
   let rec go ~count frame d =
     if count then begin
@@ -208,6 +212,12 @@ let scalar_executor ctx =
   in
   go
 
+(* [blk]'s threads are done (their children, if any, are spawned): they
+   leave [live] and the block gives its host columns back to the store. *)
+let retire ctx blk =
+  ctx.live <- ctx.live - Block.size blk;
+  Block.release blk
+
 (* Task cut-off path: every thread of [blk] executes its whole subtree
    sequentially. *)
 let sequential_subtree ctx blk ~depth =
@@ -218,7 +228,7 @@ let sequential_subtree ctx blk ~depth =
   for row = 0 to Block.size blk - 1 do
     go ~count:true (frame_of ctx blk row) depth
   done;
-  ctx.live <- ctx.live - Block.size blk
+  retire ctx blk
 
 (* Quarantine recovery: re-run each listed frame's whole subtree on the
    scalar path after a fault on the vectorized one.  [count_roots:false]
@@ -399,7 +409,7 @@ let check_live ctx =
 (* Live-thread accounting rule: whoever fills a block adds its size to
    [ctx.live]; the function that receives the block as input subtracts it
    exactly once, as soon as its threads are done (after their children are
-   spawned).  BFS space then peaks at the widest level; blocked DFS space
+   spawned), with [retire], which also frees the block's host columns.  BFS space then peaks at the widest level; blocked DFS space
    is the O(T*D) sum of the blocks along the active path plus their
    sibling site blocks (§4.2). *)
 
@@ -418,7 +428,7 @@ let bfs_step ctx blk ~depth ~reexp_from =
   with_span ctx frame_expand @@ fun () ->
   let nr = process_level ctx blk ~depth ~phase:Telemetry.Bfs in
   if nr = 0 then begin
-    ctx.live <- ctx.live - Block.size blk;
+    retire ctx blk;
     None
   end
   else begin
@@ -439,7 +449,7 @@ let bfs_step ctx blk ~depth ~reexp_from =
            are accounted but their subtrees are not — run them scalar *)
         note_fault ctx err;
         scalar_subtrees ctx (rec_frames ctx blk) ~depth ~count_roots:false;
-        ctx.live <- ctx.live - Block.size blk;
+        retire ctx blk;
         None
     | next ->
         ctx.live <- ctx.live + Block.size next;
@@ -449,12 +459,12 @@ let bfs_step ctx blk ~depth ~reexp_from =
         | Some trigger_depth ->
             let factor =
               float_of_int (Block.size next)
-              /. float_of_int (max 1 (Block.size blk))
+              /. float_of_int (Int.max 1 (Block.size blk))
             in
             Metrics.reexpansion_growth ctx.m.Measure.metrics ~depth:trigger_depth
               ~factor
         | None -> ());
-        ctx.live <- ctx.live - Block.size blk;
+        retire ctx blk;
         Some next
   end
 
@@ -489,7 +499,7 @@ and blocked ctx blk ~depth =
       with_span ctx frame_blocked @@ fun () ->
       let nr = process_level ctx blk ~depth ~phase:Telemetry.Blocked in
       if nr = 0 then begin
-        ctx.live <- ctx.live - Block.size blk;
+        retire ctx blk;
         [||]
       end
       else begin
@@ -509,19 +519,15 @@ and blocked ctx blk ~depth =
                were never executed) and quarantine the whole recursive
                group: each rec frame's subtree re-runs scalar exactly once *)
             note_fault ctx err;
-            List.iter
-              (fun dst ->
-                ctx.live <- ctx.live - Block.size dst;
-                Block.clear dst)
-              !spawned;
+            List.iter (retire ctx) !spawned;
             scalar_subtrees ctx (rec_frames ctx blk) ~depth ~count_roots:false;
-            ctx.live <- ctx.live - Block.size blk;
+            retire ctx blk;
             [||]
         | () ->
             let children = Array.of_list (List.rev !spawned) in
             Metrics.live_threads ctx.m.Measure.metrics ctx.live;
             check_live ctx;
-            ctx.live <- ctx.live - Block.size blk;
+            retire ctx blk;
             children
       end
     in
@@ -549,7 +555,7 @@ and blocked ctx blk ~depth =
                      size = Block.size child;
                      shrink =
                        float_of_int (Block.size child)
-                       /. float_of_int (max 1 ctx.reexp_threshold);
+                       /. float_of_int (Int.max 1 ctx.reexp_threshold);
                    });
               bfs ctx child ~depth:(depth + 1) ~reexp_from:(Some (depth + 1))
             end
@@ -591,7 +597,7 @@ let execute_frames ctx ~roots ~depth =
    [([], depth)] when the tree completed (or degraded to the scalar
    path) before reaching [target]. *)
 let expand_frontier ctx ~roots ~target =
-  let target = max 1 target in
+  let target = Int.max 1 target in
   match
     pool_block ctx ~depth:0 ~slot:ctx.spec.Spec.num_spawns
       ~room:(List.length roots)
@@ -613,7 +619,7 @@ let expand_frontier ctx ~roots ~target =
           in
           (* the frontier leaves this context: its frames become other
              workers' roots, which account them from here on *)
-          ctx.live <- ctx.live - Block.size blk;
+          retire ctx blk;
           (frames, depth)
         end
         else
@@ -675,6 +681,7 @@ let make_ctx ?compact ?(max_tasks = 200_000_000) ?(cutoff = 0) ?telemetry
     live = 0;
     executed = 0;
     pool = [||];
+    store = Block.Store.create ();
     base_rows = Vc_simd.Compact.rows ();
     rec_rows = Vc_simd.Compact.rows ();
   }

@@ -52,6 +52,10 @@ val expand_frontier : ctx -> roots:int array list -> target:int -> int array lis
     are in the context's report).  Returns [([], depth)] when the whole
     tree completed before reaching [target]. *)
 
+val store : ctx -> Block.Store.t
+(** The context's host-column store: every pooled block's rows live in
+    columns taken from it (see {!Block}). *)
+
 val modeled_cycles : ctx -> float
 (** VM issue cycles plus memory-hierarchy penalty cycles so far. *)
 

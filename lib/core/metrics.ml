@@ -46,7 +46,7 @@ let reset t =
 let ensure t depth =
   let n = Array.length t.level_tasks in
   if depth >= n then begin
-    let n' = max (depth + 1) (2 * n) in
+    let n' = Int.max (depth + 1) (2 * n) in
     let grow a =
       let b = Array.make n' 0 in
       Array.blit a 0 b 0 n;
@@ -118,7 +118,7 @@ let occupancy_sample t ~n ~width =
   if n > 0 && width > 0 then begin
     let slots = (n + width - 1) / width * width in
     let occ = float_of_int n /. float_of_int slots in
-    let bucket = min 9 (int_of_float (occ *. 10.0)) in
+    let bucket = Int.min 9 (int_of_float (occ *. 10.0)) in
     t.occupancy.(bucket) <- t.occupancy.(bucket) + 1
   end
 
@@ -245,7 +245,7 @@ module Histogram = struct
     if total = 0 then 0.0
     else begin
       let q = Float.max 0.0 (Float.min 1.0 q) in
-      let rank = max 1 (int_of_float (ceil (q *. float_of_int total))) in
+      let rank = Int.max 1 (int_of_float (ceil (q *. float_of_int total))) in
       let acc = ref 0 and i = ref 0 in
       while !acc + c.(!i) < rank do
         acc := !acc + c.(!i);

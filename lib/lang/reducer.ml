@@ -34,7 +34,10 @@ let make_set decls =
   | None -> ());
   List.map (fun (name, op) -> (name, create op)) decls
 
-let find set name = List.assoc name set
+let rec find set name =
+  match set with
+  | [] -> raise Not_found
+  | (n, r) :: rest -> if String.equal n name then r else find rest name
 
 let reduce set name x = update (find set name) x
 

@@ -73,7 +73,7 @@ let access t ~addr =
   scan t line base (base + t.config.ways) base max_int
 
 let access_range t ~addr ~bytes =
-  let bytes = max bytes 1 in
+  let bytes = Int.max bytes 1 in
   let first = addr asr t.line_shift in
   let last = (addr + bytes - 1) asr t.line_shift in
   let misses = ref 0 in

@@ -39,7 +39,7 @@ let rec walk t line_addr i =
   end
 
 let access t ~addr ~bytes =
-  let bytes = max bytes 1 in
+  let bytes = Int.max bytes 1 in
   (* line sizes are powers of two: masking finds each line's start *)
   let line_mask = lnot (t.line_bytes - 1) in
   let last = (addr + bytes - 1) land line_mask in

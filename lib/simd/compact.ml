@@ -15,7 +15,7 @@ let name = function
 let default_for (isa : Isa.t) ~width =
   if isa.Isa.has_shuffle then
     if width <= 8 then Full_table else Factorized { sub_width = 8 }
-  else Prefix_scatter { sub_width = min width 8 }
+  else Prefix_scatter { sub_width = Int.min width 8 }
 
 let legal (isa : Isa.t) = function
   | Sequential -> true
@@ -81,7 +81,7 @@ let rows () = { idx = [||]; len = 0 }
 (* Empty [r], with room for [n] rows (grown geometrically, never shrunk:
    an engine's buffers settle at its widest block). *)
 let reset_rows r n =
-  if Array.length r.idx < n then r.idx <- Array.make (max n (2 * Array.length r.idx)) 0;
+  if Array.length r.idx < n then r.idx <- Array.make (Int.max n (2 * Array.length r.idx)) 0;
   r.len <- 0
 
 let push r i =
@@ -153,7 +153,7 @@ let chunked ~vm ~width ~sub_width tables ~n ~pred ~sel ~rest =
   let keep = Array.make groups 0 and live = Array.make groups 0 in
   let base = ref 0 in
   while !base < n do
-    let chunk = min width (n - !base) in
+    let chunk = Int.min width (n - !base) in
     for g = 0 to groups - 1 do
       let k = ref 0 and l = ref 0 in
       for i = 0 to sub_width - 1 do

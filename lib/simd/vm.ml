@@ -62,7 +62,7 @@ let vector_store t ~addr ~lanes ~lane_bytes =
 let column t ~write ~addr ~n ~width ~lane_bytes =
   let row = ref 0 in
   while !row < n do
-    let lanes = min width (n - !row) in
+    let lanes = Int.min width (n - !row) in
     let addr = addr + (!row * lane_bytes) in
     if write then vector_store t ~addr ~lanes ~lane_bytes
     else vector_load t ~addr ~lanes ~lane_bytes;

@@ -444,6 +444,54 @@ let test_engine_warm_cache () =
   check_bool "warm is faster" true (warm.Report.cycles < cold.Report.cycles);
   Alcotest.(check string) "strategy tagged" "reexp+warm" warm.Report.strategy
 
+(* Run [spec] cold in a context of its own and return its report with the
+   context, so a test can read the context's host-column store. *)
+let engine_ctx_run ?(prepare = ignore) ~spec ~machine ~strategy () =
+  let ctx = Engine.make_ctx ~spec ~machine ~strategy () in
+  prepare ctx;
+  Engine.execute_frames ctx ~roots:spec.Spec.roots ~depth:0;
+  (ctx, Engine.report_of ctx ~strategy:(Policy.name strategy) ~wall_seconds:0.0)
+
+(* Pooled blocks take host columns only for the rows they write and give
+   them back when their frames retire, so a cold run's host words follow
+   the modeled space peak.  Capacity-sized columns held 1,624,059 words
+   for graphcol (peak 4,224 frames x 31 fields) and 948,896 for nqueens. *)
+let test_engine_storage_follows_frontier () =
+  let strategy = Policy.Hybrid { max_block = 256; reexpand = true } in
+  List.iter
+    (fun name ->
+      let spec = (Vc_bench.Registry.find name).Vc_bench.Registry.spec () in
+      let ctx, r = engine_ctx_run ~spec ~machine:e5 ~strategy () in
+      let words = Block.Store.allocated (Engine.store ctx) in
+      let bound = 2 * r.Report.space_peak * Schema.num_fields spec.Spec.schema in
+      check_bool
+        (Printf.sprintf "%s: %d host words <= %d" name words bound)
+        true (words <= bound))
+    [ "graphcol"; "nqueens" ]
+
+(* Host columns come back holding other blocks' rows.  Poisoning every
+   column the store holds or takes back must not move any report: no row
+   at or above a block's size, and no released block, is ever read. *)
+let test_engine_stale_columns () =
+  let quick = Vc_exp.Sweep.create ~quick:true ~cache_dir:None () in
+  let strategy = Policy.Hybrid { max_block = 16; reexpand = true } in
+  List.iter
+    (fun entry ->
+      let spec = Vc_exp.Sweep.spec_of quick entry in
+      List.iter
+        (fun machine ->
+          let fresh = Engine.run ~spec ~machine ~strategy () in
+          let _, poisoned =
+            engine_ctx_run
+              ~prepare:(fun ctx -> Block.Store.poison (Engine.store ctx) 0x7eadbeef)
+              ~spec ~machine ~strategy ()
+          in
+          check_bool
+            (Printf.sprintf "%s on %s" spec.Spec.name machine.Vc_mem.Machine.name)
+            true (Report.equal fresh poisoned))
+        [ e5; phi ])
+    Vc_bench.Registry.all
+
 let test_engine_cutoff () =
   let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 20 } in
   let seq = Seq_exec.run ~spec ~machine:e5 () in
@@ -1427,6 +1475,10 @@ let () =
           Alcotest.test_case "seq task limit" `Quick test_seq_exec_task_limit;
           Alcotest.test_case "task cut-off" `Quick test_engine_cutoff;
           Alcotest.test_case "warm cache" `Quick test_engine_warm_cache;
+          Alcotest.test_case "engine block storage follows the live frontier" `Quick
+            test_engine_storage_follows_frontier;
+          Alcotest.test_case "stale host columns never change a modeled report" `Quick
+            test_engine_stale_columns;
           Alcotest.test_case "trace timeline" `Quick test_engine_trace;
           Alcotest.test_case "strawman" `Quick test_strawman;
           Alcotest.test_case "strawman task limit is a typed budget" `Quick
