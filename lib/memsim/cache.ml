@@ -2,12 +2,12 @@ type config = { size_bytes : int; ways : int; line_bytes : int }
 
 type t = {
   config : config;
-  sets : int;
+  ways : int;
   set_mask : int;
   line_shift : int;  (* log2 line_bytes *)
-  tags : int array;  (* sets * ways; -1 = invalid *)
-  stamps : int array;  (* LRU timestamps, parallel to [tags] *)
-  mutable clock : int;
+  tags : int array;
+      (* sets * ways; each set most recent first, its invalid ways (-1)
+         last *)
   mutable accesses : int;
   mutable misses : int;
 }
@@ -32,45 +32,45 @@ let create config =
     invalid_arg "Cache.create: line size must be a power of two";
   {
     config;
-    sets;
+    ways = config.ways;
     set_mask = sets - 1;
     line_shift = log2 config.line_bytes;
     tags = Array.make (sets * config.ways) (-1);
-    stamps = Array.make (sets * config.ways) 0;
-    clock = 0;
     accesses = 0;
     misses = 0;
   }
 
-(* Scan [line]'s set from way [i]: on a hit refresh its stamp, on a miss
-   fill the LRU victim (an invalid way first).  Returns whether it hit.
-   The full line number doubles as the tag; distinct lines mapping to the
-   same set always have distinct line numbers. *)
-let rec scan t line i stop victim oldest =
-  if i = stop then begin
-    t.misses <- t.misses + 1;
-    t.tags.(victim) <- line;
-    t.stamps.(victim) <- t.clock;
-    false
-  end
-  else
-    let tag = t.tags.(i) in
-    if tag = line then begin
-      t.stamps.(i) <- t.clock;
-      true
-    end
-    else
-      (* invalid lines are preferred victims: give them stamp -1 *)
-      let stamp = if tag = -1 then -1 else t.stamps.(i) in
-      if stamp < oldest then scan t line (i + 1) stop i stamp
-      else scan t line (i + 1) stop victim oldest
+(* One pass over ways [i..last] of a set whose front way has already
+   missed: each way takes [carry], the tag of the way before it, until
+   the way that held [line] (a hit), the first invalid way or the last
+   way (a miss) takes it and its own tag drops out.  Returns whether
+   [line] was found. *)
+let rec shift tags line i last carry =
+  let tag = tags.(i) in
+  tags.(i) <- carry;
+  if tag = line then true
+  else if tag = -1 || i >= last then false
+  else shift tags line (i + 1) last tag
 
+(* LRU is a stack algorithm, so keeping each set in recency order holds
+   exactly the lines a timestamped LRU would.  A hit moves its line to
+   the front; a miss drops the set's last way (an invalid way while one
+   is left, else the least recent line) and enters at the front.  The
+   full line number doubles as the tag; distinct lines mapping to the
+   same set always have distinct line numbers. *)
 let access t ~addr =
   let line = addr asr t.line_shift in
   t.accesses <- t.accesses + 1;
-  t.clock <- t.clock + 1;
-  let base = (line land t.set_mask) * t.config.ways in
-  scan t line base (base + t.config.ways) base max_int
+  let tags = t.tags in
+  let base = (line land t.set_mask) * t.ways in
+  let front = tags.(base) in
+  if front = line then true
+  else begin
+    tags.(base) <- line;
+    let hit = t.ways > 1 && shift tags line (base + 1) (base + t.ways - 1) front in
+    if not hit then t.misses <- t.misses + 1;
+    hit
+  end
 
 let access_range t ~addr ~bytes =
   let bytes = Int.max bytes 1 in
@@ -94,11 +94,9 @@ let reset_counters t =
 
 let clear t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0;
-  t.clock <- 0;
   reset_counters t
 
-let lines t = t.sets * t.config.ways
+let lines t = Array.length t.tags
 
 let resident_lines t =
   Array.fold_left (fun acc tag -> if tag >= 0 then acc + 1 else acc) 0 t.tags

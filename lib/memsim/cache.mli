@@ -3,7 +3,12 @@
     One level of the simulated memory hierarchy.  Fed with the executors'
     actual address streams, it reproduces the paper's cache-miss figures
     (Figs. 11 and 13): the miss-rate cliffs appear exactly when a thread
-    block's working set outgrows a level's capacity. *)
+    block's working set outgrows a level's capacity.
+
+    Each set keeps its line tags in recency order, most recent first,
+    with invalid ways last: one word per modeled line, and no timestamps.
+    LRU is a stack algorithm, so this holds exactly the lines a
+    timestamped LRU would. *)
 
 type t
 
@@ -21,8 +26,11 @@ val create : config -> t
 
 val access : t -> addr:int -> bool
 (** Access the line containing [addr] (non-negative); returns [true] on
-    hit.  Updates LRU state and counters.  Call once per line touched (see
-    {!access_range}).  Allocates nothing. *)
+    hit.  A hit on the set's most recent line costs one compare; a hit
+    further back moves the line to the front; a miss enters at the front
+    and drops the set's last way (an invalid way while one is left, else
+    the least recently used line).  Updates the counters.  Call once per
+    line touched (see {!access_range}).  Allocates nothing. *)
 
 val access_range : t -> addr:int -> bytes:int -> int
 (** Access every line overlapped by [addr, addr+bytes); returns the number

@@ -81,6 +81,9 @@ let test_cache_reference_lru () =
       { Cache.size_bytes = 256; ways = 4; line_bytes = 32 };
       { Cache.size_bytes = 128; ways = 8; line_bytes = 16 };
       { Cache.size_bytes = 512; ways = 1; line_bytes = 64 };
+      (* the e5 LLC's 20 ways, and a 16-way set *)
+      { Cache.size_bytes = 4 * 20 * 64; ways = 20; line_bytes = 64 };
+      { Cache.size_bytes = 4 * 16 * 32; ways = 16; line_bytes = 32 };
     ]
   in
   let checked = ref 0 in
@@ -137,7 +140,16 @@ let test_cache_reference_lru () =
             (Cache.resident_lines c))
         [ 1; 2; 3 ])
     configs;
-  check_bool "stream was non-trivial" true (!checked > 40_000)
+  check_bool "stream was non-trivial" true (!checked > 60_000)
+
+(* A set holds only its tags: the e5 LLC's 327,680 lines take one word
+   each, so a parallel array of LRU stamps would double the footprint. *)
+let test_cache_one_word_per_line () =
+  let c = Cache.create { Cache.size_bytes = 20 * 1024 * 1024; ways = 20; line_bytes = 64 } in
+  check_int "e5 LLC lines" 327_680 (Cache.lines c);
+  let words = Obj.reachable_words (Obj.repr c) in
+  if words > Cache.lines c + 64 then
+    Alcotest.failf "%d words reachable for %d lines" words (Cache.lines c)
 
 let test_hierarchy_routing () =
   let h =
@@ -191,6 +203,82 @@ let test_hierarchy_line_sizes () =
   | [ ("L1", 1, 1); ("L2", 1, 1) ] -> ()
   | _ -> Alcotest.fail "one line is one access per level"
 
+(* Differential of [Hierarchy.access] against a reference that splits
+   each span into lines and walks a second hierarchy's caches one line
+   at a time, adding a level's penalty on each miss.  Seeded spans of 0 to
+   200 bytes at unaligned addresses cover one-line and multi-line cases;
+   the level counters and the penalty must agree after every access. *)
+let test_hierarchy_reference () =
+  let make () =
+    Hierarchy.create
+      (List.map
+         (fun (label, size_bytes, ways, miss_penalty) ->
+           {
+             Hierarchy.label;
+             cache = Cache.create { Cache.size_bytes; ways; line_bytes = 64 };
+             miss_penalty;
+           })
+         [ ("L1", 512, 2, 10.0); ("L2", 4096, 4, 100.0); ("L3", 16384, 8, 300.0) ])
+  in
+  let multi = ref 0 and single = ref 0 in
+  List.iter
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let h = make () and r = make () in
+      let ref_levels = Hierarchy.levels r in
+      let ref_penalty = ref 0.0 in
+      let rec walk line = function
+        | [] -> ()
+        | (l : Hierarchy.level) :: rest ->
+            if not (Cache.access l.cache ~addr:(line * 64)) then begin
+              ref_penalty := !ref_penalty +. l.miss_penalty;
+              walk line rest
+            end
+      in
+      let last = ref 0 in
+      for step = 1 to 5000 do
+        let addr =
+          match Random.State.int st 4 with
+          | 0 -> !last
+          | 1 -> Int.max 0 (!last + Random.State.int st 256 - 128)
+          | 2 -> Random.State.int st 1024 * 64
+          | _ -> Random.State.int st 65536
+        in
+        last := addr;
+        let bytes = Random.State.int st 201 in
+        let first_line = addr / 64 and last_line = (addr + Int.max bytes 1 - 1) / 64 in
+        if first_line = last_line then incr single else incr multi;
+        Hierarchy.access h ~addr ~bytes;
+        for line = first_line to last_line do
+          walk line ref_levels
+        done;
+        if Hierarchy.level_stats h <> Hierarchy.level_stats r then
+          Alcotest.failf "seed %d step %d: level stats differ at addr %d bytes %d" seed step
+            addr bytes;
+        if not (Float.equal (Hierarchy.penalty_cycles h) !ref_penalty) then
+          Alcotest.failf "seed %d step %d: penalty %g, reference %g" seed step
+            (Hierarchy.penalty_cycles h) !ref_penalty
+      done)
+    [ 1; 2; 3 ];
+  check_bool "one-line spans" true (!single > 3000);
+  check_bool "multi-line spans" true (!multi > 3000)
+
+(* The hot-path contract: a modeled access allocates nothing, one-line
+   and multi-line spans alike.  The second interval measures the two
+   [Gc.minor_words] calls themselves. *)
+let test_hierarchy_no_allocation () =
+  let h = Hierarchy.xeon_e5 () in
+  let m0 = Gc.minor_words () in
+  let m1 = Gc.minor_words () in
+  for i = 0 to 999_999 do
+    Hierarchy.access h ~addr:((i * 40) land 0xF_FFFF) ~bytes:(i land 127)
+  done;
+  let m2 = Gc.minor_words () in
+  Alcotest.(check (float 0.0)) "minor words over 1M accesses" (m1 -. m0) (m2 -. m1);
+  match Hierarchy.level_stats h with
+  | ("L1d", a, _) :: _ -> check_bool "walked more lines than accesses" true (a > 1_000_000)
+  | _ -> Alcotest.fail "e5 starts at L1d"
+
 let test_hierarchy_miss_rate_lookup () =
   let h = Hierarchy.xeon_e5 () in
   Hierarchy.access h ~addr:0 ~bytes:4;
@@ -243,11 +331,14 @@ let () =
           Alcotest.test_case "access range" `Quick test_cache_access_range;
           Alcotest.test_case "reset/clear" `Quick test_cache_reset_clear;
           Alcotest.test_case "reference LRU differential" `Quick test_cache_reference_lru;
+          Alcotest.test_case "one word per line" `Quick test_cache_one_word_per_line;
         ] );
       ( "hierarchy",
         [
           Alcotest.test_case "routing" `Quick test_hierarchy_routing;
           Alcotest.test_case "line sizes must match" `Quick test_hierarchy_line_sizes;
+          Alcotest.test_case "reference line walk differential" `Quick test_hierarchy_reference;
+          Alcotest.test_case "accesses allocate nothing" `Quick test_hierarchy_no_allocation;
           Alcotest.test_case "miss-rate lookup" `Quick test_hierarchy_miss_rate_lookup;
           Alcotest.test_case "presets" `Quick test_presets;
         ] );

@@ -468,6 +468,58 @@ let test_vm_column () =
   check_int "lane slots" 18 s.Stats.lane_slots;
   check_int "active lanes" 18 s.Stats.active_lanes
 
+(* Seeded differential of [Vm.column] against its definition: one
+   [vector_load] (or [vector_store]) per width-chunk, the last partial.
+   Both machines accumulate counters over the whole stream; the counters
+   and each column's hook log must agree. *)
+let test_vm_column_reference () =
+  let widths = [| 1; 4; 8; 16; 64 |] and lane_sizes = [| 1; 2; 4; 8 |] in
+  let reference vm ~write ~addr ~n ~width ~lane_bytes =
+    let row = ref 0 in
+    while !row < n do
+      let lanes = Int.min width (n - !row) in
+      let addr = addr + (!row * lane_bytes) in
+      if write then Vm.vector_store vm ~addr ~lanes ~lane_bytes
+      else Vm.vector_load vm ~addr ~lanes ~lane_bytes;
+      row := !row + width
+    done
+  in
+  let st = Random.State.make [| 24 |] in
+  let machine hooked =
+    let log = ref [] in
+    let vm =
+      if hooked then
+        Vm.create ~on_access:(fun ~addr ~bytes ~write -> log := (addr, bytes, write) :: !log)
+          Isa.avx512
+      else Vm.create Isa.avx512
+    in
+    (vm, log)
+  in
+  List.iter
+    (fun hooked ->
+      let vm, log = machine hooked and ref_vm, ref_log = machine hooked in
+      let logged = ref 0 in
+      for step = 1 to 3000 do
+        let n = Random.State.int st 301 in
+        let width = widths.(Random.State.int st (Array.length widths)) in
+        let lane_bytes = lane_sizes.(Random.State.int st (Array.length lane_sizes)) in
+        let write = Random.State.bool st in
+        let addr = Random.State.int st 100_000 in
+        Vm.column vm ~write ~addr ~n ~width ~lane_bytes;
+        reference ref_vm ~write ~addr ~n ~width ~lane_bytes;
+        if Vm.stats vm <> Vm.stats ref_vm then
+          Alcotest.failf "hook %b step %d: stats differ (n %d width %d lane_bytes %d)" hooked
+            step n width lane_bytes;
+        if !log <> !ref_log then
+          Alcotest.failf "hook %b step %d: access logs differ" hooked step;
+        if !log <> [] then incr logged;
+        log := [];
+        ref_log := []
+      done;
+      check_bool "stream issued vector ops" true ((Vm.stats vm).Stats.vector_ops > 10_000);
+      check_bool "only a hooked machine logs" hooked (!logged > 0))
+    [ true; false ]
+
 let test_vm_gather_scatter_costs () =
   let vm = Vm.create Isa.sse42 in
   Vm.gather vm ~addrs:[| 0; 64; 128; 192 |] ~lane_bytes:4;
@@ -551,6 +603,7 @@ let () =
           Alcotest.test_case "stats add/diff" `Quick test_stats_add_diff;
           Alcotest.test_case "gather/scatter costs" `Quick test_vm_gather_scatter_costs;
           Alcotest.test_case "column = chunked loads/stores" `Quick test_vm_column;
+          Alcotest.test_case "column reference differential" `Quick test_vm_column_reference;
           Alcotest.test_case "access hook swap" `Quick test_vm_access_hook_swap;
         ] );
     ]
