@@ -59,10 +59,3 @@ let spec p =
         true);
     insns = { check_insns = 2; base_insns = 4; inductive_insns = 2; spawn_insns = 4; scalar_insns = 4 };
   }
-
-let dsl_source_note =
-  "knapsack's kernel conforms to the specification language, but its item \
-   table is ambient program state (a C global array); the language of Fig. 2 \
-   has no arrays, so the spec closes over the table directly - the same \
-   situation as the paper's C benchmarks, where only the recursive kernel is \
-   transformed."

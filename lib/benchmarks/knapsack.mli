@@ -27,9 +27,3 @@ val reference : params -> int
 (** DP optimum — the expected max-reducer value. *)
 
 val spec : params -> Vc_core.Spec.t
-
-val dsl_source_note : string
-(** Why the DSL variant carries the item tables through builtins rather
-    than globals (the language has no arrays); the native spec is the
-    evaluated form, as in the paper's knapsack whose item table is ambient
-    C state. *)

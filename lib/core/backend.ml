@@ -432,38 +432,13 @@ let finish ~reducers (s : cstate) ~wall_start =
     wall_seconds = Unix.gettimeofday () -. wall_start;
   }
 
-(* Single-context run (domains = None). *)
-let exec_single ~compiled opts source roots =
-  let tel =
-    match opts.telemetry with Some t -> t | None -> Telemetry.create ()
-  in
-  let wall_start = Unix.gettimeofday () in
-  let label = label_of source in
-  let reducers = Vc_lang.Reducer.make_set (reducer_decls source) in
-  let (Any st) = stepper_of ~compiled source ~reducers in
-  let s = new_cstate () in
-  Telemetry.emit tel (Telemetry.Span_open { frame = label });
-  Fun.protect
-    ~finally:(fun () -> Telemetry.emit tel (Telemetry.Span_close { frame = label }))
-    (fun () ->
-      run_tree st ~tel ~faults:opts.faults
-        ~strategy:opts.strategy ~max_tasks:opts.max_tasks ~wall_start
-        ~budgets:opts.budgets ~label s roots 0);
-  finish ~reducers s ~wall_start
-
-(* Chunked run across real domains (domains = Some n): serial frontier
-   expansion, then {!Domain_sched.run_chunks}' fixed chunk deal and
-   stealing workers, each chunk on its own fault slice and a stepper
-   instance and reducer set no other chunk is using at the time, merged
-   in chunk-index order — results are bit-equal across domain counts. *)
-type chunk_out = {
-  co_state : cstate;
-  co_reducers : (string * int) list;
-  co_error : Vc_error.t option;
-  co_replay : unit -> unit;
-}
-
-let exec_domains ~compiled opts source roots ~domains =
+(* One exec path.  [domains = None] runs the whole tree in this context;
+   [Some n] expands the frontier serially, then runs it through
+   {!Domain_sched.run_chunks} (fixed chunk deal, stealing workers, a hub
+   and fault slice per chunk, lowest-index exception re-raised) and merges
+   counters and reducers in chunk-index order, so results are bit-equal
+   across domain counts. *)
+let exec_backend ~compiled opts source roots =
   let tel =
     match opts.telemetry with Some t -> t | None -> Telemetry.create ()
   in
@@ -471,87 +446,68 @@ let exec_domains ~compiled opts source roots ~domains =
   let label = label_of source in
   let decls = reducer_decls source in
   let reducers = Vc_lang.Reducer.make_set decls in
-  let (Any st0) = stepper_of ~compiled source ~reducers in
-  let s0 = new_cstate () in
-  s0.live <- List.length roots;
-  Telemetry.emit tel (Telemetry.Span_open { frame = label });
-  let frontier, fdepth =
+  let (Any st) = stepper_of ~compiled source ~reducers in
+  let s = new_cstate () in
+  let run_tree st ~tel ~faults s roots depth =
+    run_tree st ~tel ~faults ~strategy:opts.strategy ~max_tasks:opts.max_tasks
+      ~wall_start ~budgets:opts.budgets ~label s roots depth
+  in
+  let in_label_span f =
+    Telemetry.emit tel (Telemetry.Span_open { frame = label });
     Fun.protect
-      ~finally:(fun () ->
-        Telemetry.emit tel (Telemetry.Span_close { frame = label }))
-      (fun () ->
-        expand_frontier st0 ~tel ~max_tasks:opts.max_tasks s0 roots
-          ~target:Domain_sched.default_chunks)
+      ~finally:(fun () -> Telemetry.emit tel (Telemetry.Span_close { frame = label }))
+      f
   in
-  (* A chunk takes a stepper (its kernels, with their reducer set, reset)
-     that an earlier chunk finished with, so at most one is built per
-     worker domain; a chunk that fails drops its stepper. *)
-  let spare = ref [] and lock = Mutex.create () in
-  let run_chunk ci frames =
-    let (Any st as any), cred =
-      match
-        Mutex.protect lock (fun () ->
-            match !spare with
-            | x :: rest ->
-                spare := rest;
-                Some x
-            | [] -> None)
-      with
-      | Some (any, cred) ->
-          Vc_lang.Reducer.reset_set cred;
-          (any, cred)
-      | None ->
-          let cred = Vc_lang.Reducer.make_set decls in
-          (stepper_of ~compiled source ~reducers:cred, cred)
-    in
-    let cs = new_cstate () in
-    let ctel, replay = Telemetry.chunk_hub tel in
-    let cfaults = Fault.split opts.faults ~salt:ci in
-    let error =
-      try
-        run_tree st ~tel:ctel ~faults:cfaults
-          ~strategy:opts.strategy ~max_tasks:opts.max_tasks ~wall_start
-          ~budgets:opts.budgets ~label cs frames fdepth;
-        None
-      with
-      | Vc_error.Error e -> Some e
-      | exn -> Some (Vc_error.of_exn ~phase:Vc_error.Execute exn)
-    in
-    let co_reducers = Vc_lang.Reducer.values cred in
-    if Option.is_none error then
-      Mutex.protect lock (fun () -> spare := (any, cred) :: !spare);
-    { co_state = cs; co_reducers; co_error = error; co_replay = replay }
-  in
-  let outs, _observed_steals =
-    Domain_sched.run_chunks ~domains ~chunks:Domain_sched.default_chunks frontier
-      run_chunk
-  in
-  (* Deterministic merge in chunk-index order; the first chunk error (by
-     index) wins, as in Domain_sched. *)
-  let first_error = ref None in
-  Array.iter
-    (fun o ->
-      (match o.co_error with
-      | Some e when !first_error = None -> first_error := Some e
-      | _ -> ());
-      s0.tasks <- s0.tasks + o.co_state.tasks;
-      s0.base_tasks <- s0.base_tasks + o.co_state.base_tasks;
-      if o.co_state.max_depth > s0.max_depth then
-        s0.max_depth <- o.co_state.max_depth;
-      s0.switches <- s0.switches + o.co_state.switches;
-      s0.reexpansions <- s0.reexpansions + o.co_state.reexpansions;
-      o.co_replay ();
-      List.iter
-        (fun (name, v) -> Vc_lang.Reducer.reduce reducers name v)
-        o.co_reducers)
-    outs;
-  (match !first_error with Some e -> raise (Vc_error.Error e) | None -> ());
-  finish ~reducers s0 ~wall_start
-
-let exec_backend ~compiled opts source roots =
-  match opts.domains with
-  | None -> exec_single ~compiled opts source roots
-  | Some domains -> exec_domains ~compiled opts source roots ~domains
+  (match opts.domains with
+  | None -> in_label_span (fun () -> run_tree st ~tel ~faults:opts.faults s roots 0)
+  | Some domains ->
+      (* The label span covers the expansion only. *)
+      let frontier, fdepth =
+        in_label_span (fun () ->
+            expand_frontier st ~tel ~max_tasks:opts.max_tasks s roots
+              ~target:Domain_sched.default_chunks)
+      in
+      (* A chunk takes a stepper (its kernels, with their reducer set,
+         reset) that an earlier chunk finished with, so at most one is
+         built per worker domain; a chunk that fails drops its stepper. *)
+      let spare = ref [] and lock = Mutex.create () in
+      let run_chunk _ ~telemetry ~faults frames =
+        let (Any st as any), cred =
+          match
+            Mutex.protect lock (fun () ->
+                match !spare with
+                | x :: rest ->
+                    spare := rest;
+                    Some x
+                | [] -> None)
+          with
+          | Some (any, cred) ->
+              Vc_lang.Reducer.reset_set cred;
+              (any, cred)
+          | None ->
+              let cred = Vc_lang.Reducer.make_set decls in
+              (stepper_of ~compiled source ~reducers:cred, cred)
+        in
+        let cs = new_cstate () in
+        run_tree st ~tel:telemetry ~faults cs frames fdepth;
+        let values = Vc_lang.Reducer.values cred in
+        Mutex.protect lock (fun () -> spare := (any, cred) :: !spare);
+        (cs, values)
+      in
+      let outs, _observed_steals =
+        Domain_sched.run_chunks ~domains ~chunks:Domain_sched.default_chunks
+          ~telemetry:tel ~faults:opts.faults frontier run_chunk
+      in
+      Array.iter
+        (fun (cs, values) ->
+          s.tasks <- s.tasks + cs.tasks;
+          s.base_tasks <- s.base_tasks + cs.base_tasks;
+          if cs.max_depth > s.max_depth then s.max_depth <- cs.max_depth;
+          s.switches <- s.switches + cs.switches;
+          s.reexpansions <- s.reexpansions + cs.reexpansions;
+          List.iter (fun (name, v) -> Vc_lang.Reducer.reduce reducers name v) values)
+        outs);
+  finish ~reducers s ~wall_start
 
 let interp =
   {
@@ -575,7 +531,3 @@ let all = [ interp; compiled ]
 let find name = List.find_opt (fun b -> b.name = name) all
 
 let run ?(opts = default_opts) backend source ~roots = backend.exec opts source roots
-
-let roots_of = function
-  | Ir _ -> invalid_arg "Backend.roots_of: IR sources carry no roots"
-  | Native spec -> spec.Spec.roots

@@ -29,9 +29,10 @@
     throughput instead and exist so compiled-vs-interpreted is a pure
     dispatch measurement.
 
-    The scheduler is shared and generic over a level-stepper: budgets,
-    per-level fault recovery, wall-clock timing and the chunked-domains
-    mode ({!Domain_sched.run_chunks}) are the same for every source and
+    The scheduler is shared and generic over a level-stepper, and one
+    exec path serves both modes: budgets, per-level fault recovery,
+    wall-clock timing and the chunked-domains mode (the cost model's own
+    driver, {!Domain_sched.run_chunks}) are the same for every source and
     backend, so a future C-stub or FPGA-style backend is a third {!t}
     value, not a rewrite. *)
 
@@ -62,11 +63,11 @@ type opts = {
   domains : int option;
       (** [None]: plain single-context run.  [Some n]: chunked run — the
           frontier is expanded serially to {!Domain_sched.default_chunks}
-          frames, dealt round-robin into at most that many chunks, and run
-          on [min n chunks] stealing domains (at most the host's
-          recommended domain count); results are independent of [n].
-          Chunk [Fault]/[Fallback] events are replayed onto [telemetry]
-          after the join. *)
+          frames and run through {!Domain_sched.run_chunks} on [n]
+          domains; results are independent of [n].  Chunk
+          [Fault]/[Fallback] events are replayed onto [telemetry] after
+          the join, and the lowest-index chunk's exception is re-raised
+          as it was raised. *)
 }
 
 val default_opts : opts
@@ -87,8 +88,7 @@ val find : string -> t option
 val run : ?opts:opts -> t -> source -> roots:int array list -> result
 (** Execute from the given root frames (each one frame per program
     parameter / spec field).  Raises {!Vc_error.Error} on budget
-    violations, [Invalid_argument] on malformed roots. *)
-
-val roots_of : source -> int array list
-(** The root frames a native spec carries.  Raises [Invalid_argument] for
-    IR sources (DSL programs take arguments, not baked-in roots). *)
+    violations, [Invalid_argument] on malformed roots.  A chunked run
+    raises a chunk's exception unchanged, as a single-context run does;
+    {!Supervisor.run} types both alike ([Vc_error.of_exn ~phase:Execute]
+    for anything but a {!Vc_error.Error}). *)

@@ -160,8 +160,6 @@ let ensure_room t addr ~extra =
     fresh
   end
 
-let footprint_bytes t = t.capacity * Schema.num_fields t.schema * t.elem_bytes
-
 let copy_row ~src ~src_row ~dst =
   let row = reserve dst in
   Array.iteri (fun f col -> dst.data.(f).(row) <- col.(src_row)) src.data

@@ -6,13 +6,12 @@
     per-thread scalar loads/stores with packed vector accesses and allocate
     or free all frames with a constant number of instructions.
 
-    A block's modeled allocation ([capacity], {!field_addr},
-    {!footprint_bytes}: what the cache model sees) is separate from the
-    host columns that hold its rows.  A block created with a [store]
-    takes power-of-two host columns from it at its first push after a
-    {!release} (sized by the fill before that release) and doubles them
-    when a fill outgrows them, so it holds host memory only for the rows
-    it has actually written. *)
+    A block's modeled allocation ([capacity] and {!field_addr}: what the
+    cache model sees) is separate from the host columns that hold its
+    rows.  A block created with a [store] takes power-of-two host columns
+    from it at its first push after a {!release} (sized by the fill
+    before that release) and doubles them when a fill outgrows them, so
+    it holds host memory only for the rows it has actually written. *)
 
 module Store : sig
   type t
@@ -86,10 +85,6 @@ val ensure_room : t -> Addr.t -> extra:int -> t
     new address range that takes over [t]'s rows and host columns ([t] is
     left empty).  The old range is abandoned — reallocations are visible
     to the cache model, as on real hardware. *)
-
-val footprint_bytes : t -> int
-(** Modeled bytes of the whole allocation ([capacity] frames), not the
-    host memory the block holds. *)
 
 val copy_row : src:t -> src_row:int -> dst:t -> unit
 (** Append row [src_row] of [src] to [dst] (same schema). *)

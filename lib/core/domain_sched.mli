@@ -26,12 +26,15 @@
     Fault plans are {!Fault.split} per chunk index, so injected fault
     patterns are schedule-independent too.  Errors are propagated
     deterministically: every chunk runs to completion and the
-    lowest-index chunk's error (if any) is re-raised after the join. *)
+    lowest-index chunk's exception (if any) is re-raised after the join
+    ({!run_chunks}). *)
 
 type result = {
   report : Report.t;  (** merged cross-context report (see above) *)
   domains : int;
-  chunks : int;  (** chunks actually executed (0 if the tree fit in expansion) *)
+  chunks : int;
+      (** chunks actually executed (0 if the tree fit in expansion: then
+          the frontier is empty and the makespan 0) *)
   frontier : int;  (** frontier frames split across chunks *)
   frontier_depth : int;
   expansion_cycles : float;  (** serial expansion-phase modeled cycles *)
@@ -49,19 +52,28 @@ val default_chunks : int
 val run_chunks :
   domains:int ->
   chunks:int ->
+  telemetry:Telemetry.t ->
+  faults:Fault.plan ->
   'f list ->
-  (int -> 'f list -> 'r) ->
+  (int -> telemetry:Telemetry.t -> faults:Fault.plan -> 'f list -> 'r) ->
   'r array * int
-(** [run_chunks ~domains ~chunks frames run] deals [frames] round-robin
-    into [min chunks (List.length frames)] chunks (frontier order kept
-    inside each chunk) and calls [run idx chunk] once per chunk on
+(** The one chunked-domains driver: both this scheduler and {!Backend}'s
+    domains mode run their chunks through it.
+    [run_chunks ~domains ~chunks ~telemetry ~faults frames run] deals
+    [frames] round-robin into [min chunks (List.length frames)] chunks
+    (frontier order kept inside each chunk) and calls
+    [run idx ~telemetry:hub ~faults:slice chunk] once per chunk, where
+    [hub] is the chunk's private {!Telemetry.chunk_hub} of [telemetry] and
+    [slice] is [Fault.split faults ~salt:idx].  The chunks run on
     [min domains nchunks] workers, capped at
-    [Domain.recommended_domain_count ()]: the calling domain plus spawned ones,
-    each popping its own deque and stealing from the others when empty.
-    Returns the results in chunk-index order — independent of the domain
-    count — and the number of real steals.  No frames, no chunks.  [run]
-    must not raise: capture errors in its result.  Both this scheduler and
-    {!Backend}'s domains mode drive their chunks through it. *)
+    [Domain.recommended_domain_count ()]: the calling domain plus spawned
+    ones, each popping its own deque and stealing from the others when
+    empty.  After the join every chunk's recovery events are replayed
+    onto [telemetry] in chunk-index order; then, if any chunk raised, the
+    lowest-index chunk's exception is re-raised (every chunk has run to
+    completion), whichever domain hit it.  Otherwise returns the results
+    in chunk-index order — independent of the domain count — and the
+    number of real steals.  No frames, no chunks. *)
 
 val run :
   ?compact:Vc_simd.Compact.engine ->

@@ -12,9 +12,11 @@
 
     Recovery accounting rides the telemetry bus (a counting sink observes
     [Fault] and [Fallback] events) rather than widening {!Report.t},
-    which would invalidate persisted run caches.  The chunked schedulers
-    replay their chunks' recovery events onto the caller's hub after the
-    join ({!Telemetry.chunk_hub}), so one sink sees them all. *)
+    which would invalidate persisted run caches.  The one chunked driver,
+    {!Domain_sched.run_chunks}, replays its chunks' recovery events onto
+    the caller's hub after the join ({!Telemetry.chunk_hub}), so one sink
+    sees them all, and re-raises the lowest-index chunk's exception as
+    it was raised, which {!run} types like any other. *)
 
 type budgets = {
   deadline : float option;  (** modeled-cycle ceiling (engine only) *)

@@ -140,9 +140,10 @@ val chunk_hub : t -> t * (unit -> unit)
 (** [chunk_hub caller] is a private hub for one chunk of a chunked run
     (chunk workers run on other domains, so they must not share
     [caller]) and a replay function that re-emits the chunk's [Fault]
-    and [Fallback] events onto [caller], in order.  Call replay after
-    the join, in chunk-index order.  When [caller] is disabled the chunk
-    hub is too and replay does nothing. *)
+    and [Fallback] events onto [caller], in order.
+    {!Domain_sched.run_chunks} calls replay after the join, in
+    chunk-index order.  When [caller] is disabled the chunk hub is too
+    and replay does nothing. *)
 
 val clear : t -> unit
 (** Reset the sequence counter and all sinks (ring emptied, buffered

@@ -2,8 +2,8 @@
 
     Simulates the runtime the paper's §2 describes (a Cilk-style
     work-stealing pool) at job granularity: jobs are dealt round-robin
-    across the workers' deques in index order (the hybrid domain
-    scheduler's initial chunk assignment, {!Domain_sched.run_chunks});
+    across the workers' deques in index order (the chunked driver's
+    initial chunk assignment, {!Domain_sched.run_chunks});
     every worker executes jobs from its deque's bottom, and when empty
     picks a random victim, steals one job from the top, and executes it
     immediately, paying [steal_cost] cycles per attempt (successful or

@@ -178,8 +178,6 @@ let submit wp job =
         `Queued
       end)
 
-let pool_pending wp = Mutex.protect wp.wp_lock (fun () -> wp.wp_pending)
-let pool_active wp = Mutex.protect wp.wp_lock (fun () -> wp.wp_active)
 
 let pool_quiesce wp =
   Mutex.lock wp.wp_lock;

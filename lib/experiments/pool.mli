@@ -47,8 +47,8 @@ val run_collect : jobs:int -> (unit -> unit) list -> failure list
     draining an unbounded FIFO of submitted jobs, so state that is
     expensive to warm (shuffle/prefix tables, the sweep memo, the run
     cache) stays hot across requests.  Admission control (bounding the
-    queue) is the {e caller's} job — check {!pool_pending} before
-    {!submit} and reject with a typed [Queue_depth] error when over
+    queue) is the {e caller's} job — count the jobs it has admitted and
+    reject with a typed [Queue_depth] error before {!submit} when over
     budget; the pool itself never blocks a submitter. *)
 
 type worker_pool
@@ -60,12 +60,6 @@ val submit : worker_pool -> (unit -> unit) -> [ `Queued | `Draining ]
 (** Enqueue one job ([`Draining] after {!drain_pool} started: the job was
     NOT queued).  A job that raises is contained — logged, worker domain
     survives — so jobs that need their error must catch it themselves. *)
-
-val pool_pending : worker_pool -> int
-(** Jobs submitted but not yet started. *)
-
-val pool_active : worker_pool -> int
-(** Jobs currently executing. *)
 
 val pool_quiesce : worker_pool -> unit
 (** Block until the pool is momentarily idle (no pending, no active).

@@ -97,5 +97,4 @@ let pp_program fmt { reducers; mth } =
     (pp_stmt_in ~method_name:mth.name)
     mth.inductive
 
-let expr_to_string e = Format.asprintf "%a" pp_expr e
 let program_to_string p = Format.asprintf "%a" pp_program p

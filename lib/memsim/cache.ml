@@ -72,16 +72,6 @@ let access t ~addr =
     hit
   end
 
-let access_range t ~addr ~bytes =
-  let bytes = Int.max bytes 1 in
-  let first = addr asr t.line_shift in
-  let last = (addr + bytes - 1) asr t.line_shift in
-  let misses = ref 0 in
-  for line = first to last do
-    if not (access t ~addr:(line lsl t.line_shift)) then incr misses
-  done;
-  !misses
-
 let accesses t = t.accesses
 let misses t = t.misses
 

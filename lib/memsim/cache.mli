@@ -30,11 +30,8 @@ val access : t -> addr:int -> bool
     further back moves the line to the front; a miss enters at the front
     and drops the set's last way (an invalid way while one is left, else
     the least recently used line).  Updates the counters.  Call once per
-    line touched (see {!access_range}).  Allocates nothing. *)
-
-val access_range : t -> addr:int -> bytes:int -> int
-(** Access every line overlapped by [addr, addr+bytes); returns the number
-    of misses. *)
+    line touched ({!Hierarchy.access} splits a byte span into lines).
+    Allocates nothing. *)
 
 val accesses : t -> int
 val misses : t -> int

@@ -621,6 +621,62 @@ let test_multicore_oom_report () =
       Alcotest.(check (float 0.0)) "speedup 0" 0.0 (Domain_sched.speedup ~baseline:seq d))
     [ 64; 256 ]
 
+(* The chunked-domains driver's contract: every chunk gets its own hub
+   and runs to completion, the chunks' recovery events reach the caller
+   in chunk-index order, and the lowest-index chunk's exception wins,
+   whatever the domain count. *)
+exception Chunk_failed of int
+
+let test_run_chunks_first_error () =
+  List.iter
+    (fun domains ->
+      let seen = ref [] in
+      let telemetry =
+        Telemetry.with_sinks
+          [ Telemetry.callback_sink (fun st -> seen := st.Telemetry.ev :: !seen) ]
+      in
+      let run idx ~telemetry ~faults:_ frames =
+        check_bool "one frame per chunk" true (frames = [ idx ]);
+        Telemetry.emit telemetry
+          (Telemetry.Fault { site = "chunk"; detail = string_of_int idx });
+        if idx = 3 || idx = 7 then raise (Chunk_failed idx)
+      in
+      let label = Printf.sprintf "domains %d" domains in
+      (match
+         Domain_sched.run_chunks ~domains ~chunks:10 ~telemetry ~faults:Fault.none
+           (List.init 10 Fun.id) run
+       with
+      | _ -> Alcotest.failf "%s: chunk errors were dropped" label
+      | exception Chunk_failed idx -> check_int (label ^ ": lowest-index error") 3 idx);
+      let faults =
+        List.filter_map
+          (function
+            | Telemetry.Fault { detail; _ } -> Some (int_of_string detail) | _ -> None)
+          (List.rev !seen)
+      in
+      Alcotest.(check (list int)) (label ^ ": faults in chunk order") (List.init 10 Fun.id)
+        faults)
+    [ 1; 2; 4 ]
+
+(* A tree that dies out during the expansion leaves no frontier: no
+   chunks, a zero makespan, and the expansion's numbers are the run's. *)
+let test_multicore_empty_frontier () =
+  let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 5 } in
+  let engine = Engine.run ~spec ~machine:e5 ~strategy:hybrid () in
+  List.iter
+    (fun domains ->
+      let d = Domain_sched.run ~spec ~machine:e5 ~strategy:hybrid ~domains () in
+      let label what = Printf.sprintf "%s @ %d domains" what domains in
+      check_int (label "chunks") 0 d.Domain_sched.chunks;
+      check_int (label "frontier") 0 d.Domain_sched.frontier;
+      Alcotest.(check (float 0.0)) (label "makespan") 0.0 d.Domain_sched.makespan_cycles;
+      Alcotest.(check (float 0.0)) (label "cycles") d.Domain_sched.expansion_cycles
+        d.Domain_sched.report.Report.cycles;
+      Alcotest.(check (list (pair string int))) (label "reducers")
+        engine.Report.reducers d.Domain_sched.report.Report.reducers;
+      check_int (label "tasks") engine.Report.tasks d.Domain_sched.report.Report.tasks)
+    [ 1; 2; 4 ]
+
 let test_strawman_task_budget () =
   (* exceeding the task limit is a typed [Task_budget] error carrying the
      limit and the count reached, not a [Failure] *)
@@ -1491,6 +1547,10 @@ let () =
           Alcotest.test_case "errors" `Quick test_multicore_errors;
           Alcotest.test_case "job OOM yields an oom report" `Quick
             test_multicore_oom_report;
+          Alcotest.test_case "chunk driver: lowest-index error, events in order" `Quick
+            test_run_chunks_first_error;
+          Alcotest.test_case "empty frontier runs no chunks" `Quick
+            test_multicore_empty_frontier;
           Alcotest.test_case "ws-sim single worker" `Quick test_ws_sim_single_worker;
           Alcotest.test_case "ws-sim balances" `Quick test_ws_sim_balances;
           Alcotest.test_case "ws-sim deterministic" `Quick test_ws_sim_deterministic;

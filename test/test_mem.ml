@@ -54,11 +54,24 @@ let test_cache_working_set_cliff () =
   Alcotest.(check (float 1e-9)) "fits: second pass all hits" 0.5 (run 4);
   check_bool "thrash: high miss rate" true (run 16 > 0.9)
 
+(* A span is split into lines by [Hierarchy.access] alone: checked on a
+   one-level hierarchy through the L1 counter deltas of each access. *)
 let test_cache_access_range () =
-  let c = small_cache () in
-  check_int "spans two lines" 2 (Cache.access_range c ~addr:60 ~bytes:8);
-  check_int "now hits" 0 (Cache.access_range c ~addr:60 ~bytes:8);
-  check_int "zero bytes still touches" 0 (Cache.access_range c ~addr:60 ~bytes:0)
+  let h =
+    Hierarchy.create
+      [ { Hierarchy.label = "L1"; cache = small_cache (); miss_penalty = 1.0 } ]
+  in
+  let access ~bytes =
+    let since = Hierarchy.level_stats h in
+    Hierarchy.access h ~addr:60 ~bytes;
+    match Hierarchy.delta ~since (Hierarchy.level_stats h) with
+    | [ ("L1", accesses, misses) ] -> (accesses, misses)
+    | _ -> Alcotest.fail "one level expected"
+  in
+  let check msg expected got = Alcotest.(check (pair int int)) msg expected got in
+  check "spans two lines" (2, 2) (access ~bytes:8);
+  check "now hits" (2, 0) (access ~bytes:8);
+  check "zero bytes still touches" (1, 0) (access ~bytes:0)
 
 let test_cache_reset_clear () =
   let c = small_cache () in
