@@ -195,7 +195,7 @@ let rec eval env thread (e : Ast.expr) =
       match Builtins.find name with
       | None -> raise (Codegen.Runtime_error (Printf.sprintf "unknown builtin %s" name))
       | Some fn ->
-          fn.Builtins.apply (Array.of_list (List.map (eval env thread) args)))
+          Builtins.apply fn (Array.of_list (List.map (eval env thread) args)))
 
 and eval_binop env thread op a b =
   let int op = op (eval env thread a) (eval env thread b) in

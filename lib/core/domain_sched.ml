@@ -180,6 +180,7 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks) ?telemetry
       ~target:(frontier_target ~chunks)
   with
   | exception Engine.Oom _ ->
+      Telemetry.flush tel;
       result
         (Report.oom_placeholder ~benchmark:spec.Spec.name
            ~machine:machine.Vc_mem.Machine.name ~strategy:sname)

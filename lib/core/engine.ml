@@ -687,7 +687,6 @@ let make_ctx ?compact ?(max_tasks = 200_000_000) ?(cutoff = 0) ?telemetry
   }
 
 let report_of ctx ~strategy ~wall_seconds =
-  Telemetry.flush ctx.tel;
   Measure.report ctx.m ~benchmark:ctx.spec.Spec.name ~strategy
     ~reducers:(Vc_lang.Reducer.values ctx.reducers) ~wall_seconds
 

@@ -60,8 +60,11 @@ val modeled_cycles : ctx -> float
 (** VM issue cycles plus memory-hierarchy penalty cycles so far. *)
 
 val report_of : ctx -> strategy:string -> wall_seconds:float -> Report.t
-(** Flush the context's telemetry and package its measurements as a
-    report (the [strategy] string is recorded verbatim). *)
+(** Package the context's measurements as a report (the [strategy]
+    string is recorded verbatim).  It does not flush the context's
+    telemetry: flushing finalizes a sink such as
+    {!Telemetry.chrome_sink}, so the caller flushes once, after its last
+    event ({!run} and {!Domain_sched.run} do). *)
 
 val run :
   ?compact:Vc_simd.Compact.engine ->

@@ -1,4 +1,4 @@
-type fn = { arity : int; apply : int array -> int }
+type fn = Unary of (int -> int) | Binary of (int -> int -> int)
 
 let mask32 = 0xFFFFFFFF
 
@@ -29,23 +29,27 @@ let shr a b =
   let s = b land 63 in
   if s > 62 then a asr 62 else a asr s
 
+let popcount b =
+  let rec go acc b = if b = 0 then acc else go (acc + (b land 1)) (b lsr 1) in
+  go 0 b
+
 let table =
   [
-    ("abs", { arity = 1; apply = (fun a -> abs a.(0)) });
-    ("min2", { arity = 2; apply = (fun a -> min a.(0) a.(1)) });
-    ("max2", { arity = 2; apply = (fun a -> max a.(0) a.(1)) });
-    ("popcount",
-     {
-       arity = 1;
-       apply =
-         (fun a ->
-           let rec go acc b = if b = 0 then acc else go (acc + (b land 1)) (b lsr 1) in
-           go 0 a.(0));
-     });
-    ("bit", { arity = 2; apply = (fun a -> (a.(0) lsr a.(1)) land 1) });
-    ("sq", { arity = 1; apply = (fun a -> a.(0) * a.(0)) });
-    ("mix32", { arity = 2; apply = (fun a -> mix32 a.(0) a.(1)) });
+    ("abs", Unary abs);
+    ("min2", Binary (fun (a : int) b -> if a <= b then a else b));
+    ("max2", Binary (fun (a : int) b -> if a >= b then a else b));
+    ("popcount", Unary popcount);
+    ("bit", Binary (fun a b -> (a lsr b) land 1));
+    ("sq", Unary (fun a -> a * a));
+    ("mix32", Binary mix32);
   ]
+
+let arity = function Unary _ -> 1 | Binary _ -> 2
+
+let apply fn args =
+  match fn with
+  | Unary f -> f args.(0)
+  | Binary f -> f args.(0) args.(1)
 
 let find name = List.assoc_opt name table
 

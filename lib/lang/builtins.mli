@@ -4,7 +4,16 @@
     functions" ([f_p]).  This registry provides a fixed library of such
     functions over integers. *)
 
-type fn = { arity : int; apply : int array -> int }
+type fn = Unary of (int -> int) | Binary of (int -> int -> int)
+(** Every builtin takes one or two integers.  The compilers match on the
+    arity and call the function directly, with no argument array. *)
+
+val arity : fn -> int
+
+val apply : fn -> int array -> int
+(** [apply fn args] for the tree walkers, which evaluate arguments into an
+    array.  [args] must hold exactly [arity fn] values; callers check this
+    (or rely on {!Validate}) first. *)
 
 val mix32 : int -> int -> int
 (** [mix32 state site]: well-mixed 32-bit hash of a node state and a

@@ -77,9 +77,9 @@ let rec eval env e =
       | None -> raise (Runtime_error (Printf.sprintf "unknown builtin %s" name))
       | Some fn ->
           let vs = Array.of_list (List.map (fun a -> as_int (eval env a)) args) in
-          if Array.length vs <> fn.Builtins.arity then
+          if Array.length vs <> Builtins.arity fn then
             raise (Runtime_error (Printf.sprintf "bad arity for %s" name));
-          VInt (fn.Builtins.apply vs))
+          VInt (Builtins.apply fn vs))
 
 exception Returned
 

@@ -74,7 +74,7 @@ and fold_call name args =
   match (Builtins.find name, args) with
   | Some fn, _ when List.for_all (function Int _ -> true | _ -> false) args ->
       let vs = Array.of_list (List.map (function Int n -> n | _ -> 0) args) in
-      if Array.length vs = fn.Builtins.arity then Int (fn.Builtins.apply vs)
+      if Array.length vs = Builtins.arity fn then Int (Builtins.apply fn vs)
       else Call (name, args)
   | _ -> Call (name, args)
 

@@ -61,8 +61,8 @@ let rec type_of ctx assigned e : ty =
           err ctx "unknown builtin function %s" name;
           TInt
       | Some fn ->
-          if List.length args <> fn.Builtins.arity then
-            err ctx "builtin %s expects %d arguments, got %d" name fn.Builtins.arity
+          if List.length args <> Builtins.arity fn then
+            err ctx "builtin %s expects %d arguments, got %d" name (Builtins.arity fn)
               (List.length args);
           List.iter (fun a -> expect ctx assigned a TInt "builtin argument") args;
           TInt)

@@ -635,8 +635,11 @@ let test_run_chunks_first_error () =
         Telemetry.with_sinks
           [ Telemetry.callback_sink (fun st -> seen := st.Telemetry.ev :: !seen) ]
       in
+      (* chunks run on other domains, and Alcotest's checks print through
+         a Format queue that is not domain-safe: record, check after *)
+      let frames_seen = Array.make 10 [] in
       let run idx ~telemetry ~faults:_ frames =
-        check_bool "one frame per chunk" true (frames = [ idx ]);
+        frames_seen.(idx) <- frames;
         Telemetry.emit telemetry
           (Telemetry.Fault { site = "chunk"; detail = string_of_int idx });
         if idx = 3 || idx = 7 then raise (Chunk_failed idx)
@@ -648,6 +651,9 @@ let test_run_chunks_first_error () =
        with
       | _ -> Alcotest.failf "%s: chunk errors were dropped" label
       | exception Chunk_failed idx -> check_int (label ^ ": lowest-index error") 3 idx);
+      Array.iteri
+        (fun idx frames -> check_bool "one frame per chunk" true (frames = [ idx ]))
+        frames_seen;
       let faults =
         List.filter_map
           (function
@@ -676,6 +682,46 @@ let test_multicore_empty_frontier () =
         engine.Report.reducers d.Domain_sched.report.Report.reducers;
       check_int (label "tasks") engine.Report.tasks d.Domain_sched.report.Report.tasks)
     [ 1; 2; 4 ]
+
+(* A Chrome trace of a domains run holds every event the hub saw: the
+   expansion report must not flush (and so finalize) the caller's sink
+   before the replayed chunk events and the modeled steals arrive. *)
+let test_multicore_chrome_trace_complete () =
+  let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 16 } in
+  let path = Filename.temp_file "vc-domains-trace" ".json" in
+  let oc = open_out path in
+  let seen = ref 0 and steals = ref 0 in
+  let telemetry =
+    Telemetry.with_sinks
+      [
+        Telemetry.chrome_sink oc;
+        Telemetry.callback_sink (fun st ->
+            incr seen;
+            match st.Telemetry.ev with Telemetry.Steal _ -> incr steals | _ -> ());
+      ]
+  in
+  let d =
+    Domain_sched.run ~telemetry ~spec ~machine:e5
+      ~strategy:(Policy.Hybrid { max_block = 64; reexpand = true })
+      ~domains:4 ()
+  in
+  close_out oc;
+  let ic = open_in_bin path in
+  let contents = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  check_int "steals reach the hub" d.Domain_sched.modeled_steals !steals;
+  check_bool "the run steals" true (!steals > 0);
+  match Vc_exp.Jsonx.parse contents with
+  | Ok (Vc_exp.Jsonx.List evs) ->
+      check_int "every event in the trace" !seen (List.length evs);
+      let named n = function
+        | Vc_exp.Jsonx.Obj fields -> List.assoc_opt "name" fields = Some (Vc_exp.Jsonx.String n)
+        | _ -> false
+      in
+      check_int "steals in the trace" !steals (List.length (List.filter (named "steal") evs))
+  | Ok _ -> Alcotest.fail "chrome trace is not a JSON array"
+  | Error m -> Alcotest.failf "chrome trace unparseable: %s" m
 
 let test_strawman_task_budget () =
   (* exceeding the task limit is a typed [Task_budget] error carrying the
@@ -1551,6 +1597,8 @@ let () =
             test_run_chunks_first_error;
           Alcotest.test_case "empty frontier runs no chunks" `Quick
             test_multicore_empty_frontier;
+          Alcotest.test_case "chrome trace of a domains run is complete" `Quick
+            test_multicore_chrome_trace_complete;
           Alcotest.test_case "ws-sim single worker" `Quick test_ws_sim_single_worker;
           Alcotest.test_case "ws-sim balances" `Quick test_ws_sim_balances;
           Alcotest.test_case "ws-sim deterministic" `Quick test_ws_sim_deterministic;

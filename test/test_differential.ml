@@ -426,6 +426,172 @@ let check_domains_fault_recovery () =
     (List.filteri (fun i _ -> i < 10) cases);
   if !faults_seen = 0 then Alcotest.fail "domains fault matrix injected nothing"
 
+(* Kernel shapes: the compiled kernels specialize builtin calls on their
+   operands' shapes (column, local or constant, in either order) and
+   guards on the condition's form ([e != 0] tests [e]; an [if] without
+   [else] calls nothing for it; constant guards pick a branch at compile
+   time).  Each program below puts every shape on a path the run takes,
+   with negative operands and operands >= 2^31 for [mix32], [bit] and
+   [popcount] ([bit]'s count stays in [0, 62], where [lsr] is defined).
+   The compiled and blocked backends must agree on all six result fields,
+   and both, and the engine through [Compile.spec_of_program], must
+   reproduce the interpreter's reducers and task counts. *)
+let shape_programs =
+  [
+    ( "builtins",
+      {|reducer sum acc;
+reducer sum leaves;
+
+def f(n, a, b) =
+  if n <= 0 then {
+    reduce(leaves, 1);
+    reduce(acc, mix32(a, 7) + 3 * mix32(7, a) + 5 * mix32(a, b) + 7 * mix32(b, a));
+    reduce(acc, bit(a, 3) + 2 * bit(a, 40) + 4 * bit(1234567, n + 5) + 8 * bit(a, n + 31));
+    reduce(acc, popcount(a) + 3 * popcount(b) + abs(a) + sq(b));
+    reduce(acc, min2(a, 5) + max2(5, a) + min2(b, a) + max2(a, b) + min2(a, b));
+    k := a - b;
+    reduce(acc, mix32(k, 3) + mix32(3, k) + bit(k, 50) + popcount(k) + abs(k));
+  } else {
+    k := n + 1;
+    x := mix32(a, 11);
+    y := mix32(11, x) + bit(x, 5) + 2 * bit(99, k) + 4 * bit(a, k) + popcount(a);
+    x := x + mix32(x, n) - mix32(k, x) + abs(x - a) + sq(k) + min2(x, b) + max2(b, x);
+    spawn f(n - 1, x - 3000000000, b * 3 + bit(b, 62) + popcount(b));
+    spawn f(n - 1, a ^ y, mix32(b, 3) + mix32(a + b, 9) + mix32(9, b - a));
+    if bit(a, 1) != 0 then {
+      spawn f(n - 1, abs(a) + min2(a, b), max2(a, 1) - sq(b));
+    }
+  }
+|}
+    );
+    ( "guards",
+      {|reducer sum hits;
+reducer sum leaves;
+reducer max top;
+
+def g(n, a, b) =
+  if n <= 0 then {
+    reduce(leaves, 1);
+    if (a & 1) != 0 then {
+      reduce(hits, 1);
+    }
+    if 0 != (b & 2) then {
+      reduce(hits, 10);
+    } else {
+      reduce(hits, 100);
+    }
+    if (a & 4) == 0 then {
+      reduce(hits, 1000);
+    }
+    if a != 0 then {
+      reduce(hits, 3);
+    }
+    if 2 != 0 then {
+      reduce(hits, 20);
+    }
+    if 0 != 0 then {
+      reduce(hits, 99999);
+    }
+    if false then {
+      reduce(hits, 88888);
+    } else {
+      reduce(hits, 40);
+    }
+    t := popcount(b & 7);
+    while (t != 0) {
+      reduce(top, t + 10 * a);
+      t := t - 1;
+    }
+    t := t + (a & 12);
+    reduce(hits, 100000 * t);
+    if b == 0 then {
+      return;
+    }
+    reduce(hits, 5);
+  } else {
+    t := a & 3;
+    if t != 0 then {
+      spawn g(n - 1, a + b, b + 1);
+    }
+    if 0 != (b & 1) then {
+      spawn g(n - 1, a * 3 + 1, b);
+    } else {
+      spawn g(n - 2, b, a + 2);
+    }
+    if (t & 1) == 0 then {
+      spawn g(n - 2, a + 1, b + 3);
+    }
+    if true then {
+      t := 0;
+    }
+    if 0 != 0 then {
+      spawn g(n - 1, 99, 99);
+    }
+    c := popcount(b & 7);
+    while c != 0 {
+      t := t + c;
+      c := c - 1;
+    }
+    if (a & 8) != 0 then {
+      return;
+    }
+    spawn g(n - 1, b + t, a);
+  }
+|}
+    );
+  ]
+
+let shape_args =
+  [ [ 5; 6; 3 ]; [ 4; -5; 2 ]; [ 4; 3000000000; 0 ]; [ 5; -2147483649; 9 ]; [ 3; 0; 0 ] ]
+
+let check_kernel_shapes () =
+  let pp_reducers rs =
+    String.concat "," (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) rs)
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (name, src) ->
+      let p = Vc_lang.Parser.parse_string src in
+      (match Vc_lang.Validate.check p with
+      | Ok _ -> ()
+      | Error es -> Alcotest.failf "%s is invalid: %s" name (String.concat "; " es));
+      let t = Transform.transform p in
+      List.iter
+        (fun args ->
+          let label = Printf.sprintf "%s(%s)" name (String.concat ", " (List.map string_of_int args)) in
+          let out = Vc_lang.Interp.run p args in
+          let expected = out.Vc_lang.Interp.reducers in
+          let expected_tasks = Vc_lang.Profile.tasks out.Vc_lang.Interp.profile in
+          let agree what reducers tasks =
+            if reducers <> expected || tasks <> expected_tasks then
+              Alcotest.failf "%s on %s: got %s / %d tasks, interpreter %s / %d tasks" what
+                label (pp_reducers reducers) tasks (pp_reducers expected) expected_tasks;
+            incr checked
+          in
+          let spec = Compile.spec_of_program p ~args in
+          List.iter
+            (fun (strategy, sname) ->
+              let r = Engine.run ~spec ~machine:e5 ~strategy () in
+              agree ("engine " ^ sname) r.Report.reducers r.Report.tasks;
+              let opts = { Backend.default_opts with strategy } in
+              let run b = Backend.run ~opts b (Backend.Ir t) ~roots:[ Array.of_list args ] in
+              let c = run Backend.compiled and i = run Backend.interp in
+              agree ("compiled " ^ sname) c.Backend.reducers c.Backend.tasks;
+              agree ("blocked " ^ sname) i.Backend.reducers i.Backend.tasks;
+              if scrub_backend c <> scrub_backend i then
+                Alcotest.failf
+                  "%s on %s: compiled %d/%d tasks depth %d sw %d re %d, blocked %d/%d \
+                   tasks depth %d sw %d re %d"
+                  sname label c.Backend.tasks c.Backend.base_tasks c.Backend.max_depth
+                  c.Backend.switches c.Backend.reexpansions i.Backend.tasks
+                  i.Backend.base_tasks i.Backend.max_depth i.Backend.switches
+                  i.Backend.reexpansions)
+            strategies)
+        shape_args)
+    shape_programs;
+  let want = List.length shape_programs * List.length shape_args * List.length strategies * 3 in
+  if !checked <> want then Alcotest.failf "%d kernel-shape checks ran, %d expected" !checked want
+
 let () =
   Alcotest.run "vc_differential"
     [
@@ -441,6 +607,8 @@ let () =
             check_fault_recovery;
           Alcotest.test_case "compiled backend = interpreter and blocked interp"
             `Quick check_compiled_backend;
+          Alcotest.test_case "builtin and guard kernels = blocked, interpreter, engine"
+            `Quick check_kernel_shapes;
           Alcotest.test_case "fault-armed compiled backend recovers" `Quick
             check_compiled_fault_recovery;
           Alcotest.test_case "domains matrix bit-equal to engine" `Quick

@@ -216,7 +216,7 @@ let test_builtins () =
       | None -> Alcotest.failf "missing builtin %s" name)
     Builtins.names;
   (match Builtins.find "popcount" with
-  | Some fn -> check_int "popcount" 3 (fn.Builtins.apply [| 0b10110 |])
+  | Some fn -> check_int "popcount" 3 (Builtins.apply fn [| 0b10110 |])
   | None -> Alcotest.fail "popcount");
   check_bool "unknown" true (Builtins.find "nope" = None)
 
