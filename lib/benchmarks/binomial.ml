@@ -25,9 +25,9 @@ let spec { n; k } =
       (fun blk row ~site ~dst ->
         let n = Vc_core.Block.get blk ~field:0 ~row in
         let k = Vc_core.Block.get blk ~field:1 ~row in
-        (match site with
-        | 0 -> Vc_core.Block.push dst [| n - 1; k - 1 |]
-        | _ -> Vc_core.Block.push dst [| n - 1; k |]);
+        let child = Vc_core.Block.reserve dst in
+        Vc_core.Block.set dst ~field:0 ~row:child (n - 1);
+        Vc_core.Block.set dst ~field:1 ~row:child (if site = 0 then k - 1 else k);
         true);
     insns = { check_insns = 4; base_insns = 2; inductive_insns = 1; spawn_insns = 3; scalar_insns = 3 };
   }

@@ -23,8 +23,8 @@ let spec { n } =
     spawn =
       (fun blk row ~site ~dst ->
         let n = Vc_core.Block.get blk ~field:0 ~row in
-        let child = n - 1 - site in
-        Vc_core.Block.push dst [| child |];
+        let child = Vc_core.Block.reserve dst in
+        Vc_core.Block.set dst ~field:0 ~row:child (n - 1 - site);
         true);
     insns = { check_insns = 2; base_insns = 2; inductive_insns = 1; spawn_insns = 2; scalar_insns = 3 };
   }

@@ -52,6 +52,13 @@ let count_colorings ~colors ~vertices edge_list =
 
 let reference p = count_colorings ~colors:p.colors ~vertices:p.vertices (graph p)
 
+(* Does a neighbor in [nbrs.(i..)] of frame [brow] already have [color]?
+   A top-level loop, so a spawn allocates no closure. *)
+let rec clashes blk brow nbrs ~color i =
+  i < Array.length nbrs
+  && (Vc_core.Block.get blk ~field:(nbrs.(i) + 1) ~row:brow = color
+     || clashes blk brow nbrs ~color (i + 1))
+
 let spec_of_edges ~colors ~vertices edge_list =
   let nbrs = lower_neighbors ~vertices edge_list in
   (* fields: next vertex to color, then one color per vertex (-1 = none) *)
@@ -77,12 +84,7 @@ let spec_of_edges ~colors ~vertices edge_list =
     spawn =
       (fun blk brow ~site ~dst ->
         let v = Vc_core.Block.get blk ~field:0 ~row:brow in
-        let ok =
-          Array.for_all
-            (fun u -> Vc_core.Block.get blk ~field:(u + 1) ~row:brow <> site)
-            nbrs.(v)
-        in
-        if not ok then false
+        if clashes blk brow nbrs.(v) ~color:site 0 then false
         else begin
           let child = Vc_core.Block.reserve dst in
           Vc_core.Block.set dst ~field:0 ~row:child (v + 1);

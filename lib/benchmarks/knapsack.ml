@@ -53,9 +53,12 @@ let spec p =
         let idx = Vc_core.Block.get blk ~field:0 ~row in
         let c = Vc_core.Block.get blk ~field:1 ~row in
         let v = Vc_core.Block.get blk ~field:2 ~row in
-        (match site with
-        | 0 -> Vc_core.Block.push dst [| idx + 1; c - weights.(idx); v + values.(idx) |]
-        | _ -> Vc_core.Block.push dst [| idx + 1; c; v |]);
+        (* site 0 takes item [idx], every other site skips it *)
+        let take = site = 0 in
+        let child = Vc_core.Block.reserve dst in
+        Vc_core.Block.set dst ~field:0 ~row:child (idx + 1);
+        Vc_core.Block.set dst ~field:1 ~row:child (if take then c - weights.(idx) else c);
+        Vc_core.Block.set dst ~field:2 ~row:child (if take then v + values.(idx) else v);
         true);
     insns = { check_insns = 2; base_insns = 4; inductive_insns = 2; spawn_insns = 4; scalar_insns = 4 };
   }

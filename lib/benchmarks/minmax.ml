@@ -72,18 +72,33 @@ let minimax_value { size } =
   in
   go 1
 
+(* [winner] and [full] on the board of frame [row] (cell [i] in field
+   [i + 1]), read in place: top-level loops that build no board array
+   and allocate no closure, so a task allocates nothing. *)
+let rec owns blk row line player i =
+  i >= Array.length line
+  || (Vc_core.Block.get blk ~field:(line.(i) + 1) ~row = player
+     && owns blk row line player (i + 1))
+
+let rec wins blk row lines player k =
+  k < Array.length lines
+  && (owns blk row lines.(k) player 0 || wins blk row lines player (k + 1))
+
+let frame_winner ~lines blk row =
+  if wins blk row lines 1 0 then 1 else if wins blk row lines 2 0 then 2 else 0
+
+let rec frame_full blk row ~cells i =
+  i > cells
+  || (Vc_core.Block.get blk ~field:i ~row <> 0 && frame_full blk row ~cells (i + 1))
+
 let spec { size } =
-  let lines = lines size in
+  let lines = Array.of_list (lines size) in
   let cells = size * size in
   (* fields: player to move, then one field per cell *)
   let fields = "player" :: List.init cells (fun i -> Printf.sprintf "b%d" i) in
   let schema = Vc_core.Schema.create ~lane_kind:Vc_simd.Lane.I8 fields in
   let root = Array.make (cells + 1) 0 in
   root.(0) <- 1;
-  let board_of blk row =
-    Array.init cells (fun i -> Vc_core.Block.get blk ~field:(i + 1) ~row)
-  in
-  let terminal board = winner ~lines board <> 0 || full board in
   {
     Vc_core.Spec.name = "minmax";
     description = Printf.sprintf "tic-tac-toe %dx%d outcome tally" size size;
@@ -96,11 +111,11 @@ let spec { size } =
         ("o_wins", Vc_lang.Reducer.Sum);
         ("draws", Vc_lang.Reducer.Sum);
       ];
-    is_base = (fun blk row -> terminal (board_of blk row));
+    is_base =
+      (fun blk row -> frame_winner ~lines blk row <> 0 || frame_full blk row ~cells 1);
     exec_base =
       (fun reducers blk row ->
-        let board = board_of blk row in
-        match winner ~lines board with
+        match frame_winner ~lines blk row with
         | 1 -> Vc_lang.Reducer.reduce reducers "x_wins" 1
         | 2 -> Vc_lang.Reducer.reduce reducers "o_wins" 1
         | _ -> Vc_lang.Reducer.reduce reducers "draws" 1);

@@ -6,6 +6,15 @@ let paper = { n = 13 }
 let known_solutions =
   [| 1; 1; 0; 0; 2; 10; 4; 40; 92; 352; 724; 2680; 14200; 73712 |]
 
+(* Does any queen in board rows [r..row-1] of frame [brow] attack
+   (row, col)?  A top-level loop, so a spawn allocates no closure. *)
+let rec attacks blk brow ~row ~col r =
+  if r >= row then false
+  else
+    let qc = Vc_core.Block.get blk ~field:(r + 1) ~row:brow in
+    if qc = col || abs (qc - col) = row - r then true
+    else attacks blk brow ~row ~col (r + 1)
+
 let reference { n } =
   let count = ref 0 in
   let full = (1 lsl n) - 1 in
@@ -33,16 +42,6 @@ let spec { n } =
   let schema = Vc_core.Schema.create ~lane_kind:Vc_simd.Lane.I8 fields in
   let root = Array.make (n + 1) (-1) in
   root.(0) <- 0;
-  let attacks blk brow row col =
-    (* does any queen in rows 0..row-1 attack (row, col)? *)
-    let rec go r =
-      if r >= row then false
-      else
-        let qc = Vc_core.Block.get blk ~field:(r + 1) ~row:brow in
-        if qc = col || abs (qc - col) = row - r then true else go (r + 1)
-    in
-    go 0
-  in
   {
     Vc_core.Spec.name = "nqueens";
     description = Printf.sprintf "%d-queens solution count" n;
@@ -56,7 +55,7 @@ let spec { n } =
     spawn =
       (fun blk brow ~site ~dst ->
         let row = Vc_core.Block.get blk ~field:0 ~row:brow in
-        if attacks blk brow row site then false
+        if attacks blk brow ~row ~col:site 0 then false
         else begin
           let child = Vc_core.Block.reserve dst in
           Vc_core.Block.set dst ~field:0 ~row:child (row + 1);

@@ -35,19 +35,15 @@ let spec { pairs } =
       (fun blk row ~site ~dst ->
         let o = Vc_core.Block.get blk ~field:0 ~row in
         let c = Vc_core.Block.get blk ~field:1 ~row in
-        match site with
-        | 0 ->
-            if o < n then begin
-              Vc_core.Block.push dst [| o + 1; c |];
-              true
-            end
-            else false
-        | _ ->
-            if c < o then begin
-              Vc_core.Block.push dst [| o; c + 1 |];
-              true
-            end
-            else false);
+        (* site 0 opens a parenthesis, every other site closes one *)
+        let opens = site = 0 in
+        if (if opens then o < n else c < o) then begin
+          let child = Vc_core.Block.reserve dst in
+          Vc_core.Block.set dst ~field:0 ~row:child (if opens then o + 1 else o);
+          Vc_core.Block.set dst ~field:1 ~row:child (if opens then c else c + 1);
+          true
+        end
+        else false);
     insns = { check_insns = 3; base_insns = 2; inductive_insns = 1; spawn_insns = 3; scalar_insns = 3 };
   }
 

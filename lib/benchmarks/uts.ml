@@ -53,7 +53,8 @@ let spec { b0; m; q; seed } =
     spawn =
       (fun blk row ~site ~dst ->
         let state = Vc_core.Block.get blk ~field:0 ~row in
-        Vc_core.Block.push dst [| child_state state site |];
+        let child = Vc_core.Block.reserve dst in
+        Vc_core.Block.set dst ~field:0 ~row:child (child_state state site);
         true);
     insns = { check_insns = 6; base_insns = 2; inductive_insns = 2; spawn_insns = 8; scalar_insns = 8 };
   }

@@ -5,12 +5,23 @@ type t = {
   ways : int;
   set_mask : int;
   line_shift : int;  (* log2 line_bytes *)
-  tags : int array;
-      (* sets * ways; each set most recent first, its invalid ways (-1)
-         last *)
+  tags : Bytes.t;
+      (* sets * ways 32-bit tags; each set most recent first, its invalid
+         ways (-1) last *)
   mutable accesses : int;
   mutable misses : int;
 }
+
+(* Native-endian 32-bit cells, compiled inline: reading one back
+   sign-extends, so the invalid marker -1 and every line number below
+   2^31 round-trip exactly, and neither direction boxes an [int32].
+   Unchecked: every index [access] makes is a way of the set
+   [line land set_mask], below [sets * ways] cells. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let get tags i = Int32.to_int (get32 tags (i lsl 2))
+let set tags i v = set32 tags (i lsl 2) (Int32.of_int v)
 
 let config t = t.config
 
@@ -35,7 +46,8 @@ let create config =
     ways = config.ways;
     set_mask = sets - 1;
     line_shift = log2 config.line_bytes;
-    tags = Array.make (sets * config.ways) (-1);
+    (* every byte 0xff: every tag -1 *)
+    tags = Bytes.make (4 * sets * config.ways) '\255';
     accesses = 0;
     misses = 0;
   }
@@ -46,8 +58,8 @@ let create config =
    way (a miss) takes it and its own tag drops out.  Returns whether
    [line] was found. *)
 let rec shift tags line i last carry =
-  let tag = tags.(i) in
-  tags.(i) <- carry;
+  let tag = get tags i in
+  set tags i carry;
   if tag = line then true
   else if tag = -1 || i >= last then false
   else shift tags line (i + 1) last tag
@@ -57,16 +69,19 @@ let rec shift tags line i last carry =
    the front; a miss drops the set's last way (an invalid way while one
    is left, else the least recent line) and enters at the front.  The
    full line number doubles as the tag; distinct lines mapping to the
-   same set always have distinct line numbers. *)
+   same set always have distinct line numbers.  A tag is 32 bits, so a
+   line number outside [0, 2^31) is rejected rather than stored as an
+   alias of another line or of the invalid marker. *)
 let access t ~addr =
   let line = addr asr t.line_shift in
+  if line lsr 31 <> 0 then invalid_arg "Cache.access: line number outside [0, 2^31)";
   t.accesses <- t.accesses + 1;
   let tags = t.tags in
   let base = (line land t.set_mask) * t.ways in
-  let front = tags.(base) in
+  let front = get tags base in
   if front = line then true
   else begin
-    tags.(base) <- line;
+    set tags base line;
     let hit = t.ways > 1 && shift tags line (base + 1) (base + t.ways - 1) front in
     if not hit then t.misses <- t.misses + 1;
     hit
@@ -83,10 +98,14 @@ let reset_counters t =
   t.misses <- 0
 
 let clear t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Bytes.fill t.tags 0 (Bytes.length t.tags) '\255';
   reset_counters t
 
-let lines t = Array.length t.tags
+let lines t = Bytes.length t.tags / 4
 
 let resident_lines t =
-  Array.fold_left (fun acc tag -> if tag >= 0 then acc + 1 else acc) 0 t.tags
+  let n = ref 0 in
+  for i = 0 to lines t - 1 do
+    if get t.tags i >= 0 then incr n
+  done;
+  !n

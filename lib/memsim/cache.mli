@@ -6,9 +6,11 @@
     block's working set outgrows a level's capacity.
 
     Each set keeps its line tags in recency order, most recent first,
-    with invalid ways last: one word per modeled line, and no timestamps.
-    LRU is a stack algorithm, so this holds exactly the lines a
-    timestamped LRU would. *)
+    with invalid ways last, and no timestamps.  LRU is a stack algorithm,
+    so this holds exactly the lines a timestamped LRU would.  A tag is
+    the full line number stored in 32 bits: four bytes per modeled line
+    (the e5 LLC's 327,680 lines take 1.25 MiB).  Line numbers must lie
+    in [\[0, 2^31)]: modeled addresses below 128 GiB at 64-byte lines. *)
 
 type t
 
@@ -25,8 +27,10 @@ val create : config -> t
     counts divide evenly, and the set count is a power of two. *)
 
 val access : t -> addr:int -> bool
-(** Access the line containing [addr] (non-negative); returns [true] on
-    hit.  A hit on the set's most recent line costs one compare; a hit
+(** Access the line containing [addr]; returns [true] on hit.  Raises
+    [Invalid_argument] when that line's number is outside [\[0, 2^31)]
+    (a negative [addr], or one at or above 2^31 lines), rather than let
+    it alias another line.  A hit on the set's most recent line costs one compare; a hit
     further back moves the line to the front; a miss enters at the front
     and drops the set's last way (an invalid way while one is left, else
     the least recently used line).  Updates the counters.  Call once per

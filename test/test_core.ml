@@ -492,6 +492,58 @@ let test_engine_stale_columns () =
         [ e5; phi ])
     Vc_bench.Registry.all
 
+(* The native callbacks of every built-in allocate nothing per task: no
+   child frame array, board copy or per-call closure.  Called directly
+   over the first levels of each quick tree (unpooled blocks sized up
+   front, so a push never grows one), they allocate no word at all, once
+   the cost of one [Gc.minor_words] call is subtracted.
+   Through the engine, what is left per task is the engine's own
+   bookkeeping: at most 22 words at this scale (graphcol's 1,174 tasks
+   carry the most per-run overhead), where a board array and line
+   closures per check cost minmax 236.  Every built-in is checked before
+   the failures are reported together. *)
+let test_engine_callbacks_allocate_nothing () =
+  let quick = Vc_exp.Sweep.create ~quick:true ~cache_dir:None () in
+  let isa = e5.Vc_mem.Machine.isa in
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun msg -> failures := msg :: !failures) fmt in
+  List.iter
+    (fun entry ->
+      let spec = Vc_exp.Sweep.spec_of quick entry in
+      let name = spec.Spec.name in
+      let addr = Addr.create () in
+      let reducers = Spec.make_reducers spec in
+      let block capacity = Block.create addr ~schema:spec.Spec.schema ~isa ~capacity in
+      let src = ref (block (List.length spec.Spec.roots)) in
+      List.iter (Block.push !src) spec.Spec.roots;
+      let calls = ref 0 and words = ref 0.0 in
+      while Block.size !src > 0 && !calls < 20_000 do
+        let cur = !src in
+        let dst = block (Block.size cur * spec.Spec.num_spawns) in
+        let m0 = Gc.minor_words () in
+        let m1 = Gc.minor_words () in
+        for row = 0 to Block.size cur - 1 do
+          if spec.Spec.is_base cur row then spec.Spec.exec_base reducers cur row
+          else
+            for site = 0 to spec.Spec.num_spawns - 1 do
+              ignore (spec.Spec.spawn cur row ~site ~dst)
+            done
+        done;
+        let m2 = Gc.minor_words () in
+        calls := !calls + Block.size cur;
+        words := !words +. (m2 -. m1 -. (m1 -. m0));
+        src := dst
+      done;
+      if !words <> 0.0 then
+        fail "%s: callbacks allocated %.0f words over %d frames" name !words !calls;
+      let strategy = Policy.Hybrid { max_block = 256; reexpand = true } in
+      let m0 = Gc.minor_words () in
+      let r = Engine.run ~spec ~machine:e5 ~strategy () in
+      let per_task = (Gc.minor_words () -. m0) /. float_of_int r.Report.tasks in
+      if per_task > 32.0 then fail "%s: engine run took %.2f minor words per task > 32" name per_task)
+    Vc_bench.Registry.all;
+  if !failures <> [] then Alcotest.fail (String.concat "; " (List.rev !failures))
+
 let test_engine_cutoff () =
   let spec = Vc_bench.Fib.spec { Vc_bench.Fib.n = 20 } in
   let seq = Seq_exec.run ~spec ~machine:e5 () in
@@ -1576,6 +1628,8 @@ let () =
             test_engine_reexpansion_raises_utilization;
           Alcotest.test_case "seq task limit" `Quick test_seq_exec_task_limit;
           Alcotest.test_case "task cut-off" `Quick test_engine_cutoff;
+          Alcotest.test_case "native callbacks allocate nothing per task" `Quick
+            test_engine_callbacks_allocate_nothing;
           Alcotest.test_case "warm cache" `Quick test_engine_warm_cache;
           Alcotest.test_case "engine block storage follows the live frontier" `Quick
             test_engine_storage_follows_frontier;

@@ -86,7 +86,9 @@ let test_cache_reset_clear () =
 (* Differential against a naive LRU: per set, a most-recent-first list of
    at most [ways] line numbers.  Seeded streams mix same-line runs, set
    conflicts (lines one set-stride apart), random lines, and interleaved [clear]/[reset_counters]; every
-   access's hit/miss and the running totals must agree. *)
+   access's hit/miss and the running totals must agree.  Each stream
+   runs twice: counting up from line 0, and mirrored to count down from
+   line 2^31 - 1, the largest a 32-bit tag holds. *)
 let test_cache_reference_lru () =
   let configs =
     [
@@ -104,7 +106,7 @@ let test_cache_reference_lru () =
     (fun (config : Cache.config) ->
       let sets = config.size_bytes / (config.ways * config.line_bytes) in
       List.iter
-        (fun seed ->
+        (fun (seed, high) ->
           let st = Random.State.make [| seed |] in
           let c = Cache.create config in
           let ref_sets = Array.make sets [] in
@@ -138,11 +140,14 @@ let test_cache_reference_lru () =
                   else Random.State.int st (4 * sets * config.ways)
                 in
                 last := line;
+                let line = if high then (1 lsl 31) - 1 - line else line in
                 let addr = (line * config.line_bytes) + Random.State.int st config.line_bytes in
                 let expected = ref_access line in
                 if Cache.access c ~addr <> expected then
-                  Alcotest.failf "%dB/%d-way seed %d step %d: line %d %s" config.size_bytes
-                    config.ways seed step line
+                  Alcotest.failf "%dB/%d-way seed %d%s step %d: line %d %s" config.size_bytes
+                    config.ways seed
+                    (if high then " (high lines)" else "")
+                    step line
                     (if expected then "should hit" else "should miss");
                 check_int "accesses" !ref_accesses (Cache.accesses c);
                 check_int "misses" !ref_misses (Cache.misses c);
@@ -151,17 +156,43 @@ let test_cache_reference_lru () =
           check_int "resident lines"
             (Array.fold_left (fun acc l -> acc + List.length l) 0 ref_sets)
             (Cache.resident_lines c))
-        [ 1; 2; 3 ])
+        (List.concat_map (fun seed -> [ (seed, false); (seed, true) ]) [ 1; 2; 3 ]))
     configs;
-  check_bool "stream was non-trivial" true (!checked > 60_000)
+  check_bool "stream was non-trivial" true (!checked > 120_000)
 
-(* A set holds only its tags: the e5 LLC's 327,680 lines take one word
-   each, so a parallel array of LRU stamps would double the footprint. *)
-let test_cache_one_word_per_line () =
+(* A tag is 32 bits: a line number outside [0, 2^31) must be rejected,
+   not stored as an alias of another line or of the invalid marker -1,
+   and a rejected access leaves the cache and its counters as they were. *)
+let test_cache_line_range () =
+  let c = small_cache () in
+  let top = ((1 lsl 31) - 1) * 64 in
+  check_bool "line 2^31 - 1 misses" false (Cache.access c ~addr:top);
+  check_bool "line 2^31 - 1 hits" true (Cache.access c ~addr:(top + 63));
+  let rejected = Invalid_argument "Cache.access: line number outside [0, 2^31)" in
+  Alcotest.check_raises "negative line" rejected (fun () ->
+      ignore (Cache.access c ~addr:(-64)));
+  Alcotest.check_raises "line -1 (the invalid marker)" rejected (fun () ->
+      ignore (Cache.access c ~addr:(-1)));
+  Alcotest.check_raises "line 2^31" rejected (fun () ->
+      ignore (Cache.access c ~addr:(1 lsl 31 * 64)));
+  (* 2^32 - 1 and 2^32 would alias -1 and 0 in 32 bits *)
+  Alcotest.check_raises "line 2^32 - 1" rejected (fun () ->
+      ignore (Cache.access c ~addr:(((1 lsl 32) - 1) * 64)));
+  Alcotest.check_raises "line 2^32" rejected (fun () ->
+      ignore (Cache.access c ~addr:(1 lsl 32 * 64)));
+  check_int "accesses" 2 (Cache.accesses c);
+  check_int "misses" 1 (Cache.misses c);
+  check_int "resident" 1 (Cache.resident_lines c);
+  check_bool "line 0 still cold" false (Cache.access c ~addr:0)
+
+(* A set holds only its 32-bit tags: the e5 LLC's 327,680 lines take
+   four bytes each (half a word), where an [int array] of tags took a
+   word and a parallel array of LRU stamps would take another. *)
+let test_cache_four_bytes_per_line () =
   let c = Cache.create { Cache.size_bytes = 20 * 1024 * 1024; ways = 20; line_bytes = 64 } in
   check_int "e5 LLC lines" 327_680 (Cache.lines c);
   let words = Obj.reachable_words (Obj.repr c) in
-  if words > Cache.lines c + 64 then
+  if words > (Cache.lines c / 2) + 64 then
     Alcotest.failf "%d words reachable for %d lines" words (Cache.lines c)
 
 let test_hierarchy_routing () =
@@ -344,7 +375,8 @@ let () =
           Alcotest.test_case "access range" `Quick test_cache_access_range;
           Alcotest.test_case "reset/clear" `Quick test_cache_reset_clear;
           Alcotest.test_case "reference LRU differential" `Quick test_cache_reference_lru;
-          Alcotest.test_case "one word per line" `Quick test_cache_one_word_per_line;
+          Alcotest.test_case "line numbers outside 31 bits raise" `Quick test_cache_line_range;
+          Alcotest.test_case "four bytes per line" `Quick test_cache_four_bytes_per_line;
         ] );
       ( "hierarchy",
         [
