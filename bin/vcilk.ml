@@ -122,14 +122,18 @@ let wall_deadline_flag =
        & info [ "wall-deadline" ] ~docv:"SECONDS"
            ~doc:
              "Wall-clock budget, checked cooperatively at level boundaries. \
-              Exceeding it terminates with exit code 2.")
+              Exceeding it terminates with exit code 2. Under $(b,--domains) \
+              it is checked per context: the frontier expansion and each \
+              chunk.")
 
 let max_live_frames_flag =
   Arg.(value & opt (some int) None
        & info [ "max-live-frames" ] ~docv:"N"
            ~doc:
              "Live-frame budget (a user-level cap below the machine's space \
-              limit). Exceeding it terminates with exit code 2.")
+              limit). Exceeding it terminates with exit code 2. Under \
+              $(b,--domains) it is checked per context: the frontier \
+              expansion and each chunk.")
 
 let domains_flag =
   Arg.(value & opt int 1
@@ -146,7 +150,9 @@ let max_tasks_flag =
        & info [ "max-tasks" ] ~docv:"N"
            ~doc:
              "Task budget per engine context (default 200M). Exceeding it \
-              terminates with a typed error and exit code 2.")
+              terminates with a typed error and exit code 2. Under \
+              $(b,--domains) it is checked per context: the frontier \
+              expansion and each chunk.")
 
 (* --engine selects the execution-engine family.  "engine" is the
    cost-model simulator (modeled cycles); "blocked" and "compiled" are the

@@ -23,6 +23,8 @@
 
     Budgets ([budgets], [max_tasks]) apply per
     context: the expansion phase and each chunk check them independently.
+    So do the wall-clock backends: their expansion is the first phase of
+    [Backend]'s pending-level loop and checks every budget per level.
     Fault plans are {!Fault.split} per chunk index, so injected fault
     patterns are schedule-independent too.  Errors are propagated
     deterministically: every chunk runs to completion and the

@@ -110,16 +110,6 @@ let calls plan = List.filter (fun (_, n) -> n > 0) (counts plan.calls)
 let total_fired plan =
   Array.fold_left (fun acc c -> acc + Atomic.get c) 0 plan.fired
 
-let reset plan =
-  Array.iter (fun c -> Atomic.set c 0) plan.calls;
-  Array.iter (fun c -> Atomic.set c 0) plan.fired
-
-let describe plan =
-  if not (armed plan) then "no faults"
-  else
-    Printf.sprintf "seed %d, ~1/%d calls at {%s}" plan.seed plan.period
-      (String.concat "," (List.map site_name (sites plan)))
-
 let parse_sites spec =
   if String.trim spec = "" || String.lowercase_ascii (String.trim spec) = "all" then
     Ok all_sites

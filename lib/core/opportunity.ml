@@ -23,7 +23,3 @@ let analyze ~(seq : Report.t) ~(vec : Report.t) ~width =
     vec_nonvect;
     max_speedup = (if denom <= 0.0 then 0.0 else 1.0 /. denom);
   }
-
-let pp_row fmt r =
-  Format.fprintf fmt "%-12s %6.2f %6.2f %8.2f %6.2f %8.2f" r.benchmark r.seq_vect
-    r.seq_nonvect r.vec_vect r.vec_nonvect r.max_speedup

@@ -20,5 +20,3 @@ type row = {
 val analyze : seq:Report.t -> vec:Report.t -> width:int -> row
 (** [seq] must be a {!Seq_exec} report (its [kernel_ops]/[scalar_ops]
     carry the split); [vec] a vectorized {!Engine} report. *)
-
-val pp_row : Format.formatter -> row -> unit

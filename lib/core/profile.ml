@@ -149,8 +149,6 @@ let frames t =
 let total_cycles t =
   Hashtbl.fold (fun _ (n : node) acc -> acc +. n.cycles) t.tbl 0.0
 
-let events_seen t = t.events
-
 let unbalanced t = t.unbalanced
 
 let path_string stack = String.concat ";" stack

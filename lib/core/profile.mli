@@ -51,7 +51,6 @@ val total_cycles : t -> float
 (** Sum of all charged cycles; exactly the clock span between the first
     and last span boundary observed. *)
 
-val events_seen : t -> int
 val unbalanced : t -> int
 (** Span opens/closes that did not pair up (0 for engine runs). *)
 
