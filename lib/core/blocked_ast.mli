@@ -40,13 +40,9 @@ type t = {
 
 val pp_bstmt : Format.formatter -> bstmt -> unit
 
-val pp_bmethod : Format.formatter -> bmethod -> unit
-(** Renders the method as the paper's pseudo-code (compare Figs. 3 and
-    4(b)), including the ThreadBlock plumbing and the Fig. 6 threshold
-    dispatch. *)
-
 val pp : Format.formatter -> t -> unit
-(** The full transformed program: Thread struct, both methods, and the
-    entry function. *)
+(** The full transformed program as the paper's pseudo-code (compare
+    Figs. 3 and 4(b)): Thread struct, both methods with their ThreadBlock
+    plumbing and the Fig. 6 threshold dispatch, and the entry function. *)
 
 val to_string : t -> string

@@ -74,18 +74,10 @@ val occupancy_hist : t -> int array
 module Histogram : sig
   type t
 
-  val default_buckets : int
-  (** 64 finite buckets. *)
-
-  val default_lo : float
-  (** 0.05 ms — upper bound of the first bucket. *)
-
-  val default_hi : float
-  (** 60000 ms — upper bound of the last finite bucket. *)
-
   val create :
     ?shards:int -> ?buckets:int -> ?lo:float -> ?hi:float -> unit -> t
-  (** [create ()] uses 8 shards and the default layout.  Bucket [i]'s
+  (** [create ()] uses 8 shards, 64 buckets, [lo] = 0.05 ms and [hi] =
+      60000 ms (one minute).  Bucket [i]'s
       upper bound is [lo * (hi/lo)^(i/(buckets-1))]; values above [hi]
       land in the overflow bucket.  Raises [Invalid_argument] unless
       [shards >= 1], [buckets >= 2] and [0 < lo < hi]. *)

@@ -170,9 +170,6 @@ val jsonl_of_event : ?trace:string -> stamped -> string
 val chrome_of_event : stamped -> string
 (** One Chrome trace-event object (as buffered by {!chrome_sink}). *)
 
-val event_name : event -> string
-(** Short label, e.g. ["level:bfs"], ["compact:shuffle"]. *)
-
 val occupancy : width:int -> size:int -> float
 (** Lane occupancy of a level of [size] tasks run at vector [width]:
     [size / (ceil(size/width) * width)]; 0 when either is non-positive. *)
