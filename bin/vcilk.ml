@@ -961,7 +961,7 @@ let chaos_cmd =
        every result field but wall time. *)
     let project ~faults point telemetry =
       match Sweep.exec ctx ~telemetry ~faults point with
-      | Sweep.Wall r -> Either.Right { r with Vc_core.Backend.wall_seconds = 0.0 }
+      | Sweep.Wall r -> Either.Right r
       | res ->
           let c = Sweep.counts res in
           Either.Left (c.reducers, c.tasks, c.base_tasks)
@@ -984,7 +984,8 @@ let chaos_cmd =
           let detail =
             Printf.sprintf "%d faults, %d fallbacks" o.faults_seen o.fallbacks
           in
-          (name, o.value = reference, detail, o.faults_seen)
+          let same = Either.equal ~left:( = ) ~right:Vc_core.Backend.equal in
+          (name, same o.value reference, detail, o.faults_seen)
     in
     Vc_exp.Pool.run ~jobs:(Sweep.jobs ctx)
       (Array.to_list

@@ -52,6 +52,8 @@ type result = {
   wall_seconds : float;
 }
 
+let equal a b = { a with wall_seconds = 0.0 } = { b with wall_seconds = 0.0 }
+
 type source = Ir of Blocked_ast.t | Native of Spec.t
 
 type opts = {
@@ -117,12 +119,10 @@ let native_stepper (spec : Spec.t) ~(reducers : Vc_lang.Reducer.set) :
   let addr = Addr.create () in
   let isa = Vc_simd.Isa.sse42 in
   let schema = spec.Spec.schema in
-  let nfields = Schema.num_fields schema in
   let e = spec.Spec.num_spawns in
   let create cap =
     { blk = Block.create ~label:"backend" addr ~schema ~isa ~capacity:(max 1 cap) }
   in
-  let frame_of blk row = Array.init nfields (fun f -> Block.get blk ~field:f ~row) in
   let step ~src ~blocked ~next ~sites =
     let blk = src.blk in
     let n = Block.size blk in
@@ -165,8 +165,7 @@ let native_stepper (spec : Spec.t) ~(reducers : Vc_lang.Reducer.set) :
         l.blk <- Block.ensure_room l.blk addr ~extra:(List.length fs);
         List.iter (Block.push l.blk) fs;
         l);
-    frames =
-      (fun l -> List.init (Block.size l.blk) (fun r -> frame_of l.blk r));
+    frames = (fun l -> List.init (Block.size l.blk) (Block.frame l.blk));
     step;
     num_spawns = max 1 e;
   }
@@ -222,26 +221,6 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~strategy
     | Policy.Hybrid { max_block; reexpand } -> (max_block, reexpand)
   in
   let e = st.num_spawns in
-  let budget_check () =
-    (match budgets.max_live_frames with
-    | Some limit when s.live > limit ->
-        let limit_f = float_of_int limit and actual = float_of_int s.live in
-        Telemetry.emit tel
-          (Telemetry.Deadline { resource = "live-frames"; limit = limit_f; actual });
-        Vc_error.budget ~phase:Vc_error.Execute Vc_error.Live_frames ~limit:limit_f
-          ~actual ()
-    | _ -> ());
-    match budgets.wall_deadline with
-    | Some limit ->
-        let actual = Unix.gettimeofday () -. wall_start in
-        if actual > limit then begin
-          Telemetry.emit tel
-            (Telemetry.Deadline { resource = "deadline-wall"; limit; actual });
-          Vc_error.budget ~phase:Vc_error.Execute Vc_error.Deadline_wall ~limit
-            ~actual ()
-        end
-    | None -> ()
-  in
   let check_tasks n =
     if s.tasks + n > max_tasks then
       Vc_error.budget ~phase:Vc_error.Execute Vc_error.Task_budget
@@ -249,15 +228,6 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~strategy
         ~limit:(float_of_int max_tasks)
         ~actual:(float_of_int (s.tasks + n))
         ()
-  in
-  let with_span frame f =
-    if Telemetry.enabled tel then begin
-      Telemetry.emit tel (Telemetry.Span_open { frame });
-      Fun.protect
-        ~finally:(fun () -> Telemetry.emit tel (Telemetry.Span_close { frame }))
-        f
-    end
-    else f ()
   in
   (* Levels are released as soon as they have been stepped (or come back
      empty): [clear] hands an IR level's columns back to the level store
@@ -317,12 +287,7 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~strategy
     with
     | () -> false
     | exception Vc_error.Error err ->
-        let site =
-          match Vc_error.site_of err with
-          | Some site -> Vc_error.site_name site
-          | None -> "scheduler"
-        in
-        Telemetry.emit tel (Telemetry.Fault { site; detail = err.Vc_error.detail });
+        Telemetry.fault tel err;
         Telemetry.emit tel (Telemetry.Fallback { depth; size });
         true
   in
@@ -359,7 +324,7 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~strategy
         | Of_bfs -> false
         | Of_blocked -> true
       in
-      budget_check ();
+      Supervisor.check_budgets budgets ~tel ~wall_start ~live:s.live ~cycles:None ();
       if depth > s.max_depth then s.max_depth <- depth;
       let armed =
         if armed && tripped ~depth ~size:n then begin
@@ -378,7 +343,7 @@ let run_tree (type l) (st : l stepper) ~tel ~faults ~strategy
         outs.(i) <- acquire ()
       done;
       let nbase =
-        with_span (if blocked then "blocked" else "expand") @@ fun () ->
+        Telemetry.with_span tel (if blocked then "blocked" else "expand") @@ fun () ->
         st.step ~src ~blocked
           ~next:(if blocked then dummy else next.(0))
           ~sites:(if blocked then sites else [||])
@@ -479,15 +444,9 @@ let exec_backend ~compiled opts source roots =
     run_tree st ~tel ~faults ~strategy ~max_tasks:opts.max_tasks ~wall_start
       ~budgets:opts.budgets ~label ~target s roots depth
   in
-  let in_label_span f =
-    Telemetry.emit tel (Telemetry.Span_open { frame = label });
-    Fun.protect
-      ~finally:(fun () -> Telemetry.emit tel (Telemetry.Span_close { frame = label }))
-      f
-  in
   (match opts.domains with
   | None ->
-      in_label_span (fun () ->
+      Telemetry.with_span tel label (fun () ->
           ignore
             (run_tree ~strategy:opts.strategy ~target:max_int st ~tel
                ~faults:opts.faults s roots 0
@@ -496,7 +455,7 @@ let exec_backend ~compiled opts source roots =
       (* Expansion is the scheduler's first phase: bfs levels until one
          holds a chunk's worth of frames.  The label span covers it only. *)
       let frontier, fdepth =
-        in_label_span (fun () ->
+        Telemetry.with_span tel label (fun () ->
             run_tree ~strategy:Policy.Bfs_only ~target:Domain_sched.default_chunks
               st ~tel ~faults:opts.faults s roots 0)
       in
@@ -564,6 +523,5 @@ let compiled =
   }
 
 let all = [ interp; compiled ]
-let find name = List.find_opt (fun b -> b.name = name) all
 
 let run ?(opts = default_opts) backend source ~roots = backend.exec opts source roots

@@ -47,6 +47,10 @@ type result = {
   wall_seconds : float;  (** wall-clock of the execution proper *)
 }
 
+val equal : result -> result -> bool
+(** Structural equality of two results, excluding the host
+    [wall_seconds] (as {!Report.equal}). *)
+
 type source = Ir of Blocked_ast.t | Native of Spec.t
 
 type opts = {
@@ -87,7 +91,6 @@ type t = {
 val interp : t
 val compiled : t
 val all : t list
-val find : string -> t option
 
 val run : ?opts:opts -> t -> source -> roots:int array list -> result
 (** Execute from the given root frames (each one frame per program

@@ -80,12 +80,12 @@ let create ?(label = "block") ?store addr ~schema ~isa ~capacity =
 let schema t = t.schema
 let size t = t.size
 let capacity t = t.capacity
-let label t = t.label
 let clear t = t.size <- 0
 let elem_bytes t = t.elem_bytes
 
 let get t ~field ~row = t.data.(field).(row)
 let set t ~field ~row v = t.data.(field).(row) <- v
+let frame t row = Array.init (Schema.num_fields t.schema) (fun f -> t.data.(f).(row))
 
 (* Move the rows to columns of at least [size + 1] rows: the first take
    after a release is sized by the previous fill, later ones double. *)

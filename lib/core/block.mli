@@ -48,8 +48,6 @@ val size : t -> int
 val capacity : t -> int
 (** Modeled frames the block's address range holds. *)
 
-val label : t -> string
-
 val clear : t -> unit
 (** Reset to empty; keeps storage and addresses (the paper's block-reuse
     optimization). *)
@@ -63,6 +61,10 @@ val release : t -> unit
 
 val get : t -> field:int -> row:int -> int
 val set : t -> field:int -> row:int -> int -> unit
+
+val frame : t -> int -> int array
+(** [frame t row] copies row [row] out as one frame (one value per
+    field). *)
 
 val push : t -> int array -> unit
 (** Append a frame (length = #fields).  Raises [Invalid_argument] when

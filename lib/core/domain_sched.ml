@@ -145,7 +145,7 @@ let run_chunks ~domains ~chunks ~telemetry ~faults frames run =
   ( Array.map (function Ok r, _ -> r | Error exn, _ -> raise exn) outs,
     Atomic.get observed_steals )
 
-let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks) ?telemetry
+let run ?compact ?max_tasks ?(chunks = default_chunks) ?telemetry
     ?(faults = Fault.none) ?budgets ~(spec : Spec.t)
     ~(machine : Vc_mem.Machine.t) ~(strategy : Policy.strategy) ~domains () =
   if domains < 1 then invalid_arg "Domain_sched.run: domains must be positive";
@@ -153,9 +153,9 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks) ?telemetry
   let wall_start = Unix.gettimeofday () in
   let sname = strategy_name ~strategy ~domains in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
-  let make_engine_ctx ~telemetry ~faults () =
-    Engine.make_ctx ?compact ?max_tasks ?cutoff ~telemetry ~faults
-      ?budgets ~spec ~machine ~strategy ()
+  let make_engine_ctx ~strategy ~telemetry ~faults =
+    Engine.make_ctx ?compact ?max_tasks ~telemetry ~faults ?budgets ~spec ~machine
+      ~strategy ()
   in
   let result report ~nchunks ~frontier ~frontier_depth ~expansion_cycles
       (stats : Ws_sim.stats) ~observed_steals =
@@ -173,10 +173,12 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks) ?telemetry
       observed_steals;
     }
   in
-  (* ---- Phase 1: serial measured frontier expansion ---- *)
-  let ectx = make_engine_ctx ~telemetry:tel ~faults () in
+  (* ---- Phase 1: serial measured frontier expansion: the engine's own
+     schedule, breadth-first only, stopped at the first level of
+     [frontier_target] frames ---- *)
+  let ectx = make_engine_ctx ~strategy:Policy.Bfs_only ~telemetry:tel ~faults in
   match
-    Engine.expand_frontier ectx ~roots:spec.Spec.roots
+    Engine.execute_frames ectx ~roots:spec.Spec.roots ~depth:0
       ~target:(frontier_target ~chunks)
   with
   | exception Engine.Oom _ ->
@@ -194,9 +196,9 @@ let run ?compact ?max_tasks ?cutoff ?(chunks = default_chunks) ?telemetry
       (* ---- Phase 2: chunk execution on real domains (none when the
          whole tree fit in the expansion phase) ---- *)
       let run_chunk _ ~telemetry ~faults roots =
-        let cctx = make_engine_ctx ~telemetry ~faults () in
-        match Engine.execute_frames cctx ~roots ~depth:frontier_depth with
-        | () -> Engine.report_of cctx ~strategy:"chunk" ~wall_seconds:0.0
+        let cctx = make_engine_ctx ~strategy ~telemetry ~faults in
+        match Engine.execute_frames cctx ~roots ~depth:frontier_depth ~target:max_int with
+        | _ -> Engine.report_of cctx ~strategy:"chunk" ~wall_seconds:0.0
         | exception Engine.Oom _ ->
             Report.oom_placeholder ~benchmark:spec.Spec.name
               ~machine:machine.Vc_mem.Machine.name ~strategy:"chunk"

@@ -80,7 +80,6 @@ val run_chunks :
 val run :
   ?compact:Vc_simd.Compact.engine ->
   ?max_tasks:int ->
-  ?cutoff:int ->
   ?chunks:int ->
   ?telemetry:Telemetry.t ->
   ?faults:Fault.plan ->

@@ -48,39 +48,13 @@ let modeled_cycles ctx =
   Vc_simd.Vm.issue_cycles ctx.m.Measure.vm
   +. Vc_mem.Hierarchy.penalty_cycles ctx.m.Measure.hier
 
-(* Cooperative cancellation: budgets are checked at every level boundary,
-   so an exceeded deadline surfaces within one block level rather than
-   tearing down the run mid-operation.  Budget violations are typed (exit
-   code 2) and deliberately never handled by fault recovery. *)
+(* Budgets are checked at every level boundary ({!Supervisor.check_budgets});
+   the cycles reader is built once, so a check allocates nothing. *)
+let cycles_reader = Some modeled_cycles
+
 let budget_check ctx =
-  (match ctx.budgets.max_live_frames with
-  | Some limit when ctx.live > limit ->
-      let limit_f = float_of_int limit and actual = float_of_int ctx.live in
-      Telemetry.emit ctx.tel
-        (Telemetry.Deadline { resource = "live-frames"; limit = limit_f; actual });
-      Vc_error.budget ~phase:Vc_error.Execute Vc_error.Live_frames ~limit:limit_f
-        ~actual ()
-  | _ -> ());
-  (match ctx.budgets.deadline with
-  | Some limit ->
-      let actual = modeled_cycles ctx in
-      if actual > limit then begin
-        Telemetry.emit ctx.tel
-          (Telemetry.Deadline { resource = "deadline-cycles"; limit; actual });
-        Vc_error.budget ~phase:Vc_error.Execute Vc_error.Deadline_cycles ~limit
-          ~actual ()
-      end
-  | None -> ());
-  match ctx.budgets.wall_deadline with
-  | Some limit ->
-      let actual = Unix.gettimeofday () -. ctx.wall_start in
-      if actual > limit then begin
-        Telemetry.emit ctx.tel
-          (Telemetry.Deadline { resource = "deadline-wall"; limit; actual });
-        Vc_error.budget ~phase:Vc_error.Execute Vc_error.Deadline_wall ~limit ~actual
-          ()
-      end
-  | None -> ()
+  Supervisor.check_budgets ctx.budgets ~tel:ctx.tel ~wall_start:ctx.wall_start
+    ~live:ctx.live ~cycles:cycles_reader ctx
 
 (* Attribution frames (consumed by Profile): execution phases nested
    under the benchmark's root span.  Spans always close before the
@@ -93,27 +67,9 @@ let frame_compact = "compact"
 let frame_cutoff = "cutoff"
 let frame_fallback = "fallback"
 
-let with_span ctx frame f =
-  (* disabled hub: no closure setup on the hot path *)
-  if Telemetry.enabled ctx.tel then begin
-    Telemetry.emit ctx.tel (Telemetry.Span_open { frame });
-    Fun.protect
-      ~finally:(fun () -> Telemetry.emit ctx.tel (Telemetry.Span_close { frame }))
-      f
-  end
-  else f ()
-
 let note_fault ctx (e : Vc_error.t) =
   Log.info (fun m -> m "fault: %s" (Vc_error.to_string e));
-  Telemetry.emit ctx.tel
-    (Telemetry.Fault
-       {
-         site =
-           (match Vc_error.site_of e with
-           | Some s -> Vc_error.site_name s
-           | None -> "unknown");
-         detail = e.Vc_error.detail;
-       })
+  Telemetry.fault ctx.tel e
 
 let pool_block ctx ~depth ~slot ~room =
   Fault.trip ctx.faults Fault.Alloc ~phase:Vc_error.Expand
@@ -159,8 +115,6 @@ let count_tasks ctx n =
       ~detail:"engine task limit" ~limit:(float_of_int ctx.max_tasks)
       ~actual:(float_of_int ctx.executed) ()
 
-let frame_of ctx b row = Array.init ctx.nfields (fun f -> Block.get b ~field:f ~row)
-
 (* Build the recursive scalar executor over a pair of scratch blocks:
    [go ~count frame d] runs [frame]'s whole subtree sequentially with
    scalar instructions, as a conventional runtime does below the task
@@ -203,10 +157,7 @@ let scalar_executor ctx =
         Vc_simd.Vm.scalar_ops vm insns.Spec.spawn_insns;
         ignore (ctx.spec.Spec.spawn scratch_parent 0 ~site ~dst:scratch_child : bool)
       done;
-      let children =
-        List.init (Block.size scratch_child) (fun row ->
-            frame_of ctx scratch_child row)
-      in
+      let children = List.init (Block.size scratch_child) (Block.frame scratch_child) in
       List.iter (fun child -> go ~count:true child (d + 1)) children
     end
   in
@@ -221,12 +172,12 @@ let retire ctx blk =
 (* Task cut-off path: every thread of [blk] executes its whole subtree
    sequentially. *)
 let sequential_subtree ctx blk ~depth =
-  with_span ctx frame_cutoff @@ fun () ->
+  Telemetry.with_span ctx.tel frame_cutoff @@ fun () ->
   Telemetry.emit ctx.tel
     (Telemetry.Level { phase = Telemetry.Cutoff; depth; size = Block.size blk; base = 0 });
   let go = scalar_executor ctx in
   for row = 0 to Block.size blk - 1 do
-    go ~count:true (frame_of ctx blk row) depth
+    go ~count:true (Block.frame blk row) depth
   done;
   retire ctx blk
 
@@ -240,7 +191,7 @@ let scalar_subtrees ctx frames ~depth ~count_roots =
   match frames with
   | [] -> ()
   | _ :: _ ->
-      with_span ctx frame_fallback @@ fun () ->
+      Telemetry.with_span ctx.tel frame_fallback @@ fun () ->
       Telemetry.emit ctx.tel
         (Telemetry.Fallback { depth; size = List.length frames });
       let go = scalar_executor ctx in
@@ -301,15 +252,13 @@ let process_level ctx blk ~depth ~phase =
     note_fault ctx err;
     base_rows.len <- 0;
     rec_rows.len <- 0;
-    scalar_subtrees ctx
-      (List.init n (fun row -> frame_of ctx blk row))
-      ~depth ~count_roots:false
+    scalar_subtrees ctx (List.init n (Block.frame blk)) ~depth ~count_roots:false
   in
   (* the compact span closes (via Fun.protect) before any quarantine
      runs, so fallback work attributes under the phase frame, not under
      "compact" *)
   let partition () =
-    with_span ctx frame_compact @@ fun () ->
+    Telemetry.with_span ctx.tel frame_compact @@ fun () ->
     Fault.trip ctx.faults Fault.Compact ~phase:Vc_error.Execute
       ~hint:Vc_error.Fallback_scalar
       ~detail:(fun () -> Printf.sprintf "partition of %d frames at depth %d" n depth);
@@ -401,7 +350,7 @@ let spawn_site ctx blk ~site ~dst =
 
 (* The frames of the level's recursive rows, for quarantine. *)
 let rec_frames ctx blk =
-  List.init ctx.rec_rows.len (fun i -> frame_of ctx blk ctx.rec_rows.idx.(i))
+  List.init ctx.rec_rows.len (fun i -> Block.frame blk ctx.rec_rows.idx.(i))
 
 let check_live ctx =
   if ctx.live > ctx.max_live then raise (Oom { live = ctx.live; limit = ctx.max_live })
@@ -425,7 +374,7 @@ let bfs_step ctx blk ~depth ~reexp_from =
   (* The whole level — compaction, base execution, spawning — runs
      under an "expand" span; whatever happens to the next level happens
      after it closes, so the span covers exactly one level's work. *)
-  with_span ctx frame_expand @@ fun () ->
+  Telemetry.with_span ctx.tel frame_expand @@ fun () ->
   let nr = process_level ctx blk ~depth ~phase:Telemetry.Bfs in
   if nr = 0 then begin
     retire ctx blk;
@@ -438,7 +387,7 @@ let bfs_step ctx blk ~depth ~reexp_from =
       (* Site-major enqueueing: all site-i children before any site-(i+1)
          children, preserving spawn-id grouping (§5). *)
       for site = 0 to e - 1 do
-        with_span ctx ctx.site_frames.(site) (fun () ->
+        Telemetry.with_span ctx.tel ctx.site_frames.(site) (fun () ->
             ignore (spawn_site ctx blk ~site ~dst:next : int))
       done;
       next
@@ -468,22 +417,37 @@ let bfs_step ctx blk ~depth ~reexp_from =
         Some next
   end
 
+(* A breadth-first level of [target] frames or more is not stepped: it
+   leaves the context as a frontier (its frames and depth), which
+   {!execute_frames} returns.  Raised, not returned, so a re-expansion's
+   [bfs] returns a bare depth and allocates nothing. *)
+exception Frontier of int array list * int
+
 (* Breadth-first execution (Fig. 3 / Fig. 6 bfs_foo).  [blk] is consumed.
    When the next level reaches [max_block], switch to blocked
-   depth-first. *)
-let rec bfs ctx blk ~depth ~reexp_from =
+   depth-first.  Returns the depth of the last level reached. *)
+let rec bfs ctx blk ~depth ~reexp_from ~target =
   budget_check ctx;
-  if Block.size blk = 0 then ()
+  let n = Block.size blk in
+  if n = 0 then depth
+  else if n >= target then begin
+    let frames = List.init n (Block.frame blk) in
+    (* the frontier's frames become other contexts' roots, which account
+       them from here on *)
+    retire ctx blk;
+    raise_notrace (Frontier (frames, depth))
+  end
   else
     match bfs_step ctx blk ~depth ~reexp_from with
-    | None -> ()
+    | None -> depth
     | Some next ->
         if Block.size next >= ctx.max_block then begin
           Telemetry.emit ctx.tel
             (Telemetry.Switch { depth = depth + 1; size = Block.size next });
-          blocked ctx next ~depth:(depth + 1)
+          blocked ctx next ~depth:(depth + 1);
+          depth + 1
         end
-        else bfs ctx next ~depth:(depth + 1) ~reexp_from:None
+        else bfs ctx next ~depth:(depth + 1) ~reexp_from:None ~target
 
 (* Blocked depth-first execution (Fig. 4(b) / Fig. 6 blocked_foo).  One
    child block per spawn site; each is executed to completion before the
@@ -496,7 +460,7 @@ and blocked ctx blk ~depth =
     (* Like bfs: the level's own work runs under a "blocked" span that
        closes before any child block is descended into. *)
     let children =
-      with_span ctx frame_blocked @@ fun () ->
+      Telemetry.with_span ctx.tel frame_blocked @@ fun () ->
       let nr = process_level ctx blk ~depth ~phase:Telemetry.Blocked in
       if nr = 0 then begin
         retire ctx blk;
@@ -507,7 +471,7 @@ and blocked ctx blk ~depth =
         let spawned = ref [] in
         match
           for site = 0 to e - 1 do
-            with_span ctx ctx.site_frames.(site) (fun () ->
+            Telemetry.with_span ctx.tel ctx.site_frames.(site) (fun () ->
                 let dst = pool_block ctx ~depth:(depth + 1) ~slot:site ~room:nr in
                 ignore (spawn_site ctx blk ~site ~dst : int);
                 ctx.live <- ctx.live + Block.size dst;
@@ -557,18 +521,22 @@ and blocked ctx blk ~depth =
                        float_of_int (Block.size child)
                        /. float_of_int (Int.max 1 ctx.reexp_threshold);
                    });
-              bfs ctx child ~depth:(depth + 1) ~reexp_from:(Some (depth + 1))
+              ignore
+                (bfs ctx child ~depth:(depth + 1) ~reexp_from:(Some (depth + 1))
+                   ~target:max_int
+                  : int)
             end
             else blocked ctx child ~depth:(depth + 1))
       children
 
-(* Execute [roots] as sibling frames at tree depth [depth], to completion,
-   under the context's configured strategy: pool a root block, then
-   dispatch to breadth-first or blocked execution.  This is {!run}'s body
-   (minus the root attribution span) and the per-chunk entry point of the
-   hybrid domain scheduler, which hands each worker a frontier slice at
-   the frontier depth. *)
-let execute_frames ctx ~roots ~depth =
+(* Execute [roots] as sibling frames at tree depth [depth] under the
+   context's configured strategy: pool a root block, then dispatch to
+   breadth-first or blocked execution.  This is {!run}'s body (minus the
+   root attribution span), the domain scheduler's frontier expansion (a
+   [Bfs_only] context with a [target]) and its per-chunk entry point (a
+   frontier slice at the frontier depth).  Returns the depth of the last
+   level reached, or raises [Frontier]. *)
+let run_frames ctx ~roots ~depth ~target =
   match
     pool_block ctx ~depth ~slot:ctx.spec.Spec.num_spawns
       ~room:(List.length roots)
@@ -577,7 +545,8 @@ let execute_frames ctx ~roots ~depth =
       (* root block allocation faulted before anything was accounted:
          the entire subtree degrades to the scalar path *)
       note_fault ctx err;
-      scalar_subtrees ctx roots ~depth ~count_roots:true
+      scalar_subtrees ctx roots ~depth ~count_roots:true;
+      depth
   | root ->
       List.iter (fun frame -> Block.push root frame) roots;
       charge_rows ctx root ~write:true ~from:0 ~count:(Block.size root);
@@ -585,49 +554,15 @@ let execute_frames ctx ~roots ~depth =
       if Block.size root >= ctx.max_block then begin
         Telemetry.emit ctx.tel
           (Telemetry.Switch { depth; size = Block.size root });
-        blocked ctx root ~depth
+        blocked ctx root ~depth;
+        depth
       end
-      else bfs ctx root ~depth ~reexp_from:None
+      else bfs ctx root ~depth ~reexp_from:None ~target
 
-(* Breadth-first frontier expansion for the domain scheduler: expand
-   [roots] level by level (measured, exactly like bfs) until one level
-   holds at least [target] frames, and hand that level back as frames
-   plus its depth.  Base cases met on the way are executed here, so the
-   expansion context's reducers hold their contributions.  Returns
-   [([], depth)] when the tree completed (or degraded to the scalar
-   path) before reaching [target]. *)
-let expand_frontier ctx ~roots ~target =
-  let target = Int.max 1 target in
-  match
-    pool_block ctx ~depth:0 ~slot:ctx.spec.Spec.num_spawns
-      ~room:(List.length roots)
-  with
-  | exception (Vc_error.Error err as exn) when recoverable exn ->
-      note_fault ctx err;
-      scalar_subtrees ctx roots ~depth:0 ~count_roots:true;
-      ([], 0)
-  | root ->
-      List.iter (fun frame -> Block.push root frame) roots;
-      charge_rows ctx root ~write:true ~from:0 ~count:(Block.size root);
-      ctx.live <- ctx.live + Block.size root;
-      let rec go blk ~depth =
-        budget_check ctx;
-        if Block.size blk = 0 then ([], depth)
-        else if Block.size blk >= target then begin
-          let frames =
-            List.init (Block.size blk) (fun row -> frame_of ctx blk row)
-          in
-          (* the frontier leaves this context: its frames become other
-             workers' roots, which account them from here on *)
-          retire ctx blk;
-          (frames, depth)
-        end
-        else
-          match bfs_step ctx blk ~depth ~reexp_from:None with
-          | None -> ([], depth)
-          | Some next -> go next ~depth:(depth + 1)
-      in
-      go root ~depth:0
+let execute_frames ctx ~roots ~depth ~target =
+  match run_frames ctx ~roots ~depth ~target with
+  | last -> ([], last)
+  | exception Frontier (frames, at) -> (frames, at)
 
 let make_ctx ?compact ?(max_tasks = 200_000_000) ?(cutoff = 0) ?telemetry
     ?(faults = Fault.none) ?(budgets = Supervisor.no_budgets)
@@ -710,7 +645,7 @@ let run ?compact ?max_tasks ?cutoff ?(warm = false) ?telemetry
   let root_frame = spec.Spec.name in
   let execute () =
     Telemetry.emit ctx.tel (Telemetry.Span_open { frame = root_frame });
-    execute_frames ctx ~roots:spec.Spec.roots ~depth:0
+    ignore (run_frames ctx ~roots:spec.Spec.roots ~depth:0 ~target:max_int : int)
   in
   match
     if warm then begin

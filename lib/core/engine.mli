@@ -36,21 +36,20 @@ val make_ctx :
 (** Build a fresh context with the same knobs (and defaults) as {!run}.
     The telemetry hub's clock is set to the context's modeled cycles. *)
 
-val execute_frames : ctx -> roots:int array list -> depth:int -> unit
-(** Execute [roots] as sibling frames at tree depth [depth] to
-    completion under the context's strategy (breadth-first expansion,
-    blocked switch, re-expansion, task cut-off — exactly {!run}'s
-    scheduling).  Raises {!Oom} or a typed budget {!Vc_error.Error}
-    like {!run}'s internals; vectorized-path faults degrade to the scalar
-    path as usual. *)
-
-val expand_frontier : ctx -> roots:int array list -> target:int -> int array list * int
-(** Breadth-first frontier expansion for a parallel scheduler: expand
-    [roots] level by measured level until a level holds at least
-    [target] frames, returning those frames and their depth.  Base cases
-    met on the way execute in this context (their reducer contributions
-    are in the context's report).  Returns [([], depth)] when the whole
-    tree completed before reaching [target]. *)
+val execute_frames :
+  ctx -> roots:int array list -> depth:int -> target:int -> int array list * int
+(** Execute [roots] as sibling frames at tree depth [depth] under the
+    context's strategy (breadth-first expansion, blocked switch,
+    re-expansion, task cut-off — exactly {!run}'s scheduling).  A
+    breadth-first level of at least [target] frames is not stepped: it
+    leaves the context, and its frames and depth are returned ({!run}
+    passes [max_int]).  {!Domain_sched.run} expands its frontier this way
+    on a [Bfs_only] context, whose levels never switch to blocked; base
+    cases met on the way count in this context's report.  Returns
+    [([], d)], [d] the depth of the last level, once the tree has
+    completed.  Raises {!Oom} or a typed budget {!Vc_error.Error} like
+    {!run}'s internals; vectorized-path faults degrade to the scalar path
+    as usual. *)
 
 val store : ctx -> Block.Store.t
 (** The context's host-column store: every pooled block's rows live in

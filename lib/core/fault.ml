@@ -60,10 +60,6 @@ let armed plan = plan.period > 0
 
 let armed_at plan site = plan.period > 0 && plan.sites.(index site)
 
-let sites plan = List.filter (armed_at plan) all_sites
-
-let seed plan = plan.seed
-
 (* splitmix-style avalanche over (seed, site, call#): the fault pattern is
    a deterministic function of the plan and the call sequence, so a chaos
    run replays exactly and a retried task (whose calls resume at a later
@@ -100,12 +96,6 @@ let split plan ~salt =
       calls = Array.init num_sites (fun _ -> Atomic.make 0);
       fired = Array.init num_sites (fun _ -> Atomic.make 0);
     }
-
-let counts a = List.map (fun s -> (s, Atomic.get a.(index s))) all_sites
-
-let fired plan = List.filter (fun (_, n) -> n > 0) (counts plan.fired)
-
-let calls plan = List.filter (fun (_, n) -> n > 0) (counts plan.calls)
 
 let total_fired plan =
   Array.fold_left (fun acc c -> acc + Atomic.get c) 0 plan.fired

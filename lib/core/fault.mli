@@ -43,8 +43,6 @@ val split : plan -> salt:int -> plan
     Splitting a disarmed plan yields {!none}. *)
 
 val armed : plan -> bool
-val sites : plan -> site list
-val seed : plan -> int
 
 val trip :
   plan ->
@@ -57,11 +55,5 @@ val trip :
     selects.  No-op when the plan is disarmed (for [site]).  [detail] is
     forced only when a fault fires, so call sites pay nothing to describe
     the calls that do not. *)
-
-val fired : plan -> (site * int) list
-(** Faults actually injected so far, per armed site that fired. *)
-
-val calls : plan -> (site * int) list
-(** Instrumented calls observed so far, per site with any. *)
 
 val total_fired : plan -> int

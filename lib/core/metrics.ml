@@ -9,7 +9,6 @@ type t = {
   mutable total_base : int;
   mutable space_peak : int;
   mutable kernel : int;
-  mutable overhead : int;
   occupancy : int array;  (* 10 buckets: [0,0.1) .. [0.9,1.0] *)
 }
 
@@ -25,7 +24,6 @@ let create () =
     total_base = 0;
     space_peak = 0;
     kernel = 0;
-    overhead = 0;
     occupancy = Array.make 10 0;
   }
 
@@ -40,7 +38,6 @@ let reset t =
   t.total_base <- 0;
   t.space_peak <- 0;
   t.kernel <- 0;
-  t.overhead <- 0;
   Array.fill t.occupancy 0 (Array.length t.occupancy) 0
 
 let ensure t depth =
@@ -87,7 +84,6 @@ let reexpansion_growth t ~depth ~factor =
 let live_threads t n = if n > t.space_peak then t.space_peak <- n
 
 let kernel_ops t n = t.kernel <- t.kernel + n
-let overhead_ops t n = t.overhead <- t.overhead + n
 
 let total_tasks t = t.total_tasks
 let total_base t = t.total_base
@@ -110,7 +106,6 @@ let reexpansions t =
 
 let space_peak t = t.space_peak
 let kernel_op_count t = t.kernel
-let overhead_op_count t = t.overhead
 
 let reexpansion_total t = Array.fold_left ( + ) 0 t.reexp_count
 

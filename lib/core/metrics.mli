@@ -3,7 +3,7 @@
     Gathers everything the evaluation section plots that is not already in
     [Vc_simd.Stats] or the cache counters: the per-level task distribution
     (Fig. 9), re-expansion events and their block-growth factors (Fig. 15),
-    live-thread space high-water, and the kernel/overhead instruction split
+    live-thread space high-water, and the kernel instruction count
     behind Table 3. *)
 
 type t
@@ -31,7 +31,6 @@ val live_threads : t -> int -> unit
 (** Report the current live-thread count; the high-water mark is kept. *)
 
 val kernel_ops : t -> int -> unit
-val overhead_ops : t -> int -> unit
 
 val occupancy_sample : t -> n:int -> width:int -> unit
 (** Record the lane occupancy of one vectorized level of [n] tasks run at
@@ -52,7 +51,6 @@ val reexpansions : t -> (int * int * float) array
 
 val space_peak : t -> int
 val kernel_op_count : t -> int
-val overhead_op_count : t -> int
 
 val reexpansion_total : t -> int
 (** Total re-expansion events across all depths. *)

@@ -83,10 +83,7 @@ let run ?(max_tasks = 200_000_000) ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t
         ignore (spec.Spec.spawn scratch 0 ~site ~dst:child_scratch : bool)
       done;
       for child = Block.size child_scratch - 1 downto 0 do
-        let frame =
-          Array.init nfields (fun f -> Block.get child_scratch ~field:f ~row:child)
-        in
-        push_frame frame (depth + 1)
+        push_frame (Block.frame child_scratch child) (depth + 1)
       done
     end
   done;

@@ -1,39 +1,22 @@
 let width_of vm schema =
   Vc_simd.Isa.lanes (Vc_simd.Vm.isa vm) (Schema.lane_kind schema)
 
-let emit_opt telemetry ev =
-  match telemetry with Some tel -> Telemetry.emit tel ev | None -> ()
-
 (* Conversion cost attributes to a "convert" span (profiled alongside the
-   engine's expand/blocked/compact frames). *)
-let with_span_opt telemetry f =
-  match telemetry with
-  | Some tel when Telemetry.enabled tel ->
-      Telemetry.emit tel (Telemetry.Span_open { frame = "convert" });
-      Fun.protect
-        ~finally:(fun () ->
-          Telemetry.emit tel (Telemetry.Span_close { frame = "convert" }))
-        f
-  | Some _ | None -> f ()
+   engine's expand/blocked/compact frames); without a hub, a disabled one
+   takes the events. *)
+let hub = function Some tel -> tel | None -> Telemetry.create ()
 
-let note_fault telemetry (err : Vc_error.t) =
-  emit_opt telemetry
-    (Telemetry.Fault
-       {
-         site =
-           (match Vc_error.site_of err with
-           | Some s -> Vc_error.site_name s
-           | None -> "unknown");
-         detail = err.Vc_error.detail;
-       });
-  emit_opt telemetry (Telemetry.Fallback { depth = 0; size = 0 })
+let note_fault tel err =
+  Telemetry.fault tel err;
+  Telemetry.emit tel (Telemetry.Fallback { depth = 0; size = 0 })
 
 let aos_to_soa ?telemetry ?(faults = Fault.none) ?(recover = true) ~vm ~addr
     ~schema ~isa ~aos_base ~frames () =
   let n = Array.length frames in
   let nfields = Schema.num_fields schema in
-  with_span_opt telemetry @@ fun () ->
-  emit_opt telemetry (Telemetry.Convert { to_soa = true; n; fields = nfields });
+  let tel = hub telemetry in
+  Telemetry.with_span tel "convert" @@ fun () ->
+  Telemetry.emit tel (Telemetry.Convert { to_soa = true; n; fields = nfields });
   let elem = Schema.elem_bytes schema ~isa in
   let blk = Block.create ~label:"soa" addr ~schema ~isa ~capacity:(max n 1) in
   Array.iter (fun frame -> Block.push blk frame) frames;
@@ -66,7 +49,7 @@ let aos_to_soa ?telemetry ?(faults = Fault.none) ?(recover = true) ~vm ~addr
         done
       done
   | exception Vc_error.Error err when recover ->
-      note_fault telemetry err;
+      note_fault tel err;
       Vc_simd.Vm.scalar_ops vm (2 * n * nfields));
   blk
 
@@ -74,15 +57,13 @@ let soa_to_aos ?telemetry ?(faults = Fault.none) ?(recover = true) ~vm ~aos_base
     blk =
   let n = Block.size blk in
   let nfields = Schema.num_fields (Block.schema blk) in
-  with_span_opt telemetry @@ fun () ->
-  emit_opt telemetry (Telemetry.Convert { to_soa = false; n; fields = nfields });
+  let tel = hub telemetry in
+  Telemetry.with_span tel "convert" @@ fun () ->
+  Telemetry.emit tel (Telemetry.Convert { to_soa = false; n; fields = nfields });
   let elem = Block.elem_bytes blk in
   let width = width_of vm (Block.schema blk) in
   let frame_bytes = nfields * elem in
-  let out =
-    Array.init n (fun row ->
-        Array.init nfields (fun f -> Block.get blk ~field:f ~row))
-  in
+  let out = Array.init n (Block.frame blk) in
   (match
      Fault.trip faults Fault.Convert ~phase:Vc_error.Execute
        ~hint:Vc_error.Fallback_scalar
@@ -105,6 +86,6 @@ let soa_to_aos ?telemetry ?(faults = Fault.none) ?(recover = true) ~vm ~aos_base
         done
       done
   | exception Vc_error.Error err when recover ->
-      note_fault telemetry err;
+      note_fault tel err;
       Vc_simd.Vm.scalar_ops vm (2 * n * nfields));
   out

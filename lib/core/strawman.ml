@@ -25,7 +25,6 @@ let run ?(max_tasks = 200_000_000) ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t
     Block.create ~label:"straw-child" m.Measure.addr ~schema:spec.Spec.schema ~isa
       ~capacity:(max 1 spec.Spec.num_spawns)
   in
-  let frame_of blk row = Array.init nfields (fun f -> Block.get blk ~field:f ~row) in
   let expand (frame, depth) =
     incr executed;
     if !executed > max_tasks then
@@ -45,7 +44,7 @@ let run ?(max_tasks = 200_000_000) ~(spec : Spec.t) ~(machine : Vc_mem.Machine.t
       for site = 0 to spec.Spec.num_spawns - 1 do
         ignore (spec.Spec.spawn parent_blk 0 ~site ~dst:child_blk : bool)
       done;
-      List.init (Block.size child_blk) (fun row -> (frame_of child_blk row, depth + 1))
+      List.init (Block.size child_blk) (fun row -> (Block.frame child_blk row, depth + 1))
     end
   in
   (* Seed: expand tasks breadth-first (semantically only) until there is

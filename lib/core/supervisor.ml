@@ -24,6 +24,33 @@ let clamp_budgets ~ceiling b =
     max_live_frames = min_opt ceiling.max_live_frames b.max_live_frames;
   }
 
+(* Cooperative cancellation, one rule for both Fig. 6 schedulers: the
+   budgets are checked at every level boundary, so an exceeded one
+   surfaces within one level rather than tearing the run down
+   mid-operation.  Budget violations are typed (exit code 2) and never
+   handled by fault recovery. *)
+let exceeded tel resource kind ~limit ~actual =
+  Telemetry.emit tel (Telemetry.Deadline { resource; limit; actual });
+  Vc_error.budget ~phase:Vc_error.Execute kind ~limit ~actual ()
+
+let check_budgets b ~tel ~wall_start ~live ~cycles x =
+  (match b.max_live_frames with
+  | Some limit when live > limit ->
+      exceeded tel "live-frames" Vc_error.Live_frames ~limit:(float_of_int limit)
+        ~actual:(float_of_int live)
+  | _ -> ());
+  (match (b.deadline, cycles) with
+  | Some limit, Some cycles ->
+      let actual = cycles x in
+      if actual > limit then
+        exceeded tel "deadline-cycles" Vc_error.Deadline_cycles ~limit ~actual
+  | _ -> ());
+  match b.wall_deadline with
+  | Some limit ->
+      let actual = Unix.gettimeofday () -. wall_start in
+      if actual > limit then exceeded tel "deadline-wall" Vc_error.Deadline_wall ~limit ~actual
+  | None -> ()
+
 type 'a outcome = { value : 'a; fallbacks : int; faults_seen : int }
 
 (* Recovery accounting rides the telemetry bus: executors emit one [Fault]

@@ -36,6 +36,24 @@ val clamp_budgets : ceiling:budgets -> budgets -> budgets
     etc. ceilings this way, so a request can tighten but never relax
     them. *)
 
+val check_budgets :
+  budgets ->
+  tel:Telemetry.t ->
+  wall_start:float ->
+  live:int ->
+  cycles:('a -> float) option ->
+  'a ->
+  unit
+(** The per-level budget check of every Fig. 6 scheduler: [live] frames
+    against [max_live_frames], [cycles x] against [deadline], then the
+    wall clock since [wall_start] against [wall_deadline].  The first
+    exceeded budget emits one [Deadline] event on [tel] (resource
+    ["live-frames"], ["deadline-cycles"] or ["deadline-wall"]) and raises
+    a [Budget_exceeded] {!Vc_error.Error}.  Only the cost-model engine
+    has modeled cycles: the backends pass [~cycles:None], and the reader
+    runs only when a deadline is set.  Task limits are checked by each
+    executor. *)
+
 type 'a outcome = {
   value : 'a;
   fallbacks : int;

@@ -293,6 +293,23 @@ let emit ?ts ?(dur = 0.0) t ev =
     List.iter (push_sink st) t.sinks
   end
 
+(* Instrumented code calls this unconditionally: a disabled hub runs [f]
+   without building the protect handler. *)
+let with_span t frame f =
+  if t.enabled then begin
+    emit t (Span_open { frame });
+    Fun.protect ~finally:(fun () -> emit t (Span_close { frame })) f
+  end
+  else f ()
+
+(* Every surfaced fault comes from [Fault.trip] or a typed organic fault,
+   so it always names a site. *)
+let fault t (err : Vc_error.t) =
+  let site =
+    match Vc_error.site_of err with Some s -> Vc_error.site_name s | None -> "unknown"
+  in
+  emit t (Fault { site; detail = err.Vc_error.detail })
+
 (* Chunk workers run on other domains and must not share the caller's
    single-domain hub: each gets a private hub that records its recovery
    events, replayed onto the caller's hub after the join so a caller-side

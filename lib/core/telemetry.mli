@@ -136,6 +136,15 @@ val emit : ?ts:float -> ?dur:float -> t -> event -> unit
     [ts] overrides the clock (used for events spanning an interval:
     pass the interval start as [ts] and its length as [dur]). *)
 
+val with_span : t -> string -> (unit -> 'a) -> 'a
+(** [with_span t frame f] runs [f] inside a [frame] attribution span: a
+    [Span_open] before it and a [Span_close] after it, also when [f]
+    raises.  On a disabled hub it is just [f ()]. *)
+
+val fault : t -> Vc_error.t -> unit
+(** Emit the [Fault] event that records a surfaced {!Vc_error.t}: its site
+    name and detail. *)
+
 val chunk_hub : t -> t * (unit -> unit)
 (** [chunk_hub caller] is a private hub for one chunk of a chunked run
     (chunk workers run on other domains, so they must not share

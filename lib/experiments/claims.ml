@@ -240,8 +240,7 @@ let compiled_matches_interpreter ctx =
             let i =
               Sweep.backend_run ctx entry ~engine:"blocked" ~block:backend_block
             in
-            let timeless (r : Vc_core.Backend.result) = { r with wall_seconds = 0.0 } in
-            if timeless c = timeless i then None
+            if Vc_core.Backend.equal c i then None
             else
               Some
                 (Printf.sprintf "%s (compiled %d tasks sw %d re %d vs %d/%d/%d)"

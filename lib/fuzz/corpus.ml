@@ -164,10 +164,7 @@ let replay ~quick (l : Vc_bench.Registry.loaded) =
                               fail "compiled backend: %s"
                                 (Vc_error.to_string e)
                           | c ->
-                              let scrub (r : Backend.result) =
-                                { r with Backend.wall_seconds = 0.0 }
-                              in
-                              if scrub c <> scrub b then
+                              if not (Backend.equal c b) then
                                 fail
                                   "compiled six-field report differs from \
                                    blocked (%d vs %d tasks)"

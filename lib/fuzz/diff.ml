@@ -147,8 +147,6 @@ let check ?plant ?(domains = [ 1; 4 ]) ?(fault_seeds = [ 1 ])
         in
         let roots = [ Array.of_list args ] in
         let compiled_ref = ref None in
-        (* the six deterministic result fields *)
-        let scrub (r : Backend.result) = { r with Backend.wall_seconds = 0.0 } in
         let show (r : Backend.result) =
           Printf.sprintf "%d/%d tasks depth %d sw %d re %d" r.Backend.tasks
             r.Backend.base_tasks r.Backend.max_depth r.Backend.switches
@@ -177,7 +175,7 @@ let check ?plant ?(domains = [ 1; 4 ]) ?(fault_seeds = [ 1 ])
                     agree
                       (Printf.sprintf "compiled[%s]" sname)
                       c.Backend.reducers c.Backend.tasks;
-                    if scrub c <> scrub b then
+                    if not (Backend.equal c b) then
                       fail
                         (Printf.sprintf "compiled[%s]" sname)
                         "six-field report differs from blocked: compiled %s, \
@@ -273,7 +271,7 @@ let check ?plant ?(domains = [ 1; 4 ]) ?(fault_seeds = [ 1 ])
                       "did not recover: %s" (Vc_error.to_string e)
                 | Ok o ->
                     let r = o.Supervisor.value in
-                    if scrub r <> scrub reference then
+                    if not (Backend.equal r reference) then
                       fail
                         (Printf.sprintf "fault-compiled[seed %d]" seed)
                         "recovered run diverges from the fault-free run: got \

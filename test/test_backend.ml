@@ -90,8 +90,6 @@ let strategies =
       ])
     policies
 
-let scrub (r : Backend.result) = { r with Backend.wall_seconds = 0.0 }
-
 let check_compiled_vs_interp () =
   List.iter
     (fun name ->
@@ -100,7 +98,7 @@ let check_compiled_vs_interp () =
         (fun (opts, sname) ->
           let bi = Backend.run ~opts Backend.interp source ~roots in
           let bc = Backend.run ~opts Backend.compiled source ~roots in
-          if scrub bi <> scrub bc then
+          if not (Backend.equal bi bc) then
             Alcotest.failf
               "compiled differs from blocked on %s [%s]: %s / %d tasks (%d \
                base) depth %d sw %d re %d vs %s / %d tasks (%d base) depth \
@@ -164,7 +162,7 @@ let check_fault_recovery () =
                         !interp_ir_fallbacks + o.Supervisor.fallbacks
                   | _ -> ());
                   let r = o.Supervisor.value in
-                  if scrub r <> scrub reference then
+                  if not (Backend.equal r reference) then
                     Alcotest.failf
                       "%s on %s seed %d recovers to a different result: %s / \
                        %d tasks (%d base) depth %d sw %d re %d, want %s / %d \
@@ -231,7 +229,7 @@ let check_domains () =
           | (_, first) :: rest ->
               List.iter
                 (fun (domains, r) ->
-                  if scrub r <> scrub first then
+                  if not (Backend.equal r first) then
                     Alcotest.failf
                       "%s on %s: domains=%d report differs from domains=1"
                       backend.Backend.name name domains)
@@ -328,6 +326,113 @@ let check_expansion_budgets () =
         (Soa.allocated () - a0) (Soa.stored ()))
     Backend.all
 
+(* One budget check serves every Fig. 6 scheduler.  Each row runs under
+   one budget and must stop with that budget's typed resource and exactly
+   one [Deadline] event, named after it, on the caller's hub.  The
+   settings trip deterministically: a binary tree of depth 30 holds 16 > 8
+   live frames at depth 4, before any frontier target or block switch; a
+   3,000,000-level chain needs far longer than 0.05 s and far more than
+   100,000 modeled cycles.  A chain's frontier never reaches a chunk's
+   worth of frames, so the domains rows trip during expansion. *)
+let check_budgets_every_scheduler () =
+  let parse src = Vc_lang.Parser.parse_string ("reducer sum n;\n" ^ src) in
+  let tree =
+    parse
+      "def t(a) = if a < 1 then { reduce(n, 1); } else { spawn t(a - 1); \
+       spawn t(a - 1); }\n"
+  and chain =
+    parse "def c(a) = if a < 1 then { reduce(n, 1); } else { spawn c(a - 1); }\n"
+  in
+  let strategy = Policy.Hybrid { max_block = 256; reexpand = true } in
+  let machine = Vc_mem.Machine.xeon_e5 in
+  let engine_row name run =
+    ( name,
+      true,
+      fun prog arg budgets telemetry ->
+        let spec = Compile.spec_of_program prog ~args:[ arg ] in
+        run ~spec ~budgets ~telemetry )
+  in
+  let backend_row (backend : Backend.t) domains =
+    ( Printf.sprintf "%s/domains=%s" backend.Backend.name
+        (match domains with None -> "none" | Some d -> string_of_int d),
+      false,
+      fun prog arg budgets telemetry ->
+        let opts =
+          { Backend.default_opts with budgets; domains; telemetry = Some telemetry }
+        in
+        ignore
+          (Backend.run ~opts backend (Backend.Ir (Transform.transform prog))
+             ~roots:[ [| arg |] ]
+            : Backend.result) )
+  in
+  let rows =
+    [
+      engine_row "engine" (fun ~spec ~budgets ~telemetry ->
+          ignore (Engine.run ~spec ~machine ~strategy ~budgets ~telemetry () : Report.t));
+      engine_row "engine/domains=2" (fun ~spec ~budgets ~telemetry ->
+          ignore
+            (Domain_sched.run ~spec ~machine ~strategy ~budgets ~telemetry ~domains:2 ()
+              : Domain_sched.result));
+    ]
+    @ List.concat_map
+        (fun b -> [ backend_row b None; backend_row b (Some 2) ])
+        [ Backend.compiled; Backend.interp ]
+  in
+  (* (event name, resource, budgets, program, input, engine rows only) *)
+  let cases =
+    [
+      ( "live-frames",
+        Vc_error.Live_frames,
+        Supervisor.budgets ~max_live_frames:8 (),
+        tree,
+        30,
+        false );
+      ( "deadline-wall",
+        Vc_error.Deadline_wall,
+        Supervisor.budgets ~wall_deadline:0.05 (),
+        chain,
+        3_000_000,
+        false );
+      ( "deadline-cycles",
+        Vc_error.Deadline_cycles,
+        Supervisor.budgets ~deadline:100_000.0 (),
+        chain,
+        3_000_000,
+        true );
+    ]
+  in
+  List.iter
+    (fun (name, is_engine, run) ->
+      List.iter
+        (fun (want, resource, budgets, prog, arg, engine_only) ->
+          if is_engine || not engine_only then begin
+            let deadlines = ref [] in
+            let telemetry =
+              Telemetry.with_sinks
+                [
+                  Telemetry.callback_sink (fun st ->
+                      match st.Telemetry.ev with
+                      | Telemetry.Deadline { resource; _ } ->
+                          deadlines := resource :: !deadlines
+                      | _ -> ());
+                ]
+            in
+            (match run prog arg budgets telemetry with
+            | () -> Alcotest.failf "%s ignored the %s budget" name want
+            | exception
+                Vc_error.Error
+                  { Vc_error.kind = Vc_error.Budget_exceeded { resource = got; _ }; _ }
+              when got = resource ->
+                ()
+            | exception Vc_error.Error e ->
+                Alcotest.failf "%s under %s raised %s" name want (Vc_error.to_string e));
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s: one %s event" name want)
+              [ want ] !deadlines
+          end)
+        cases)
+    rows
+
 let check_expansion_faults () =
   let roots = [ [| 20_000 |] ] in
   List.iter
@@ -342,7 +447,7 @@ let check_expansion_faults () =
       | Ok o ->
           if o.Supervisor.faults_seen < 1 then
             Alcotest.failf "%s expansion contained no fault" backend.Backend.name;
-          if scrub o.Supervisor.value <> scrub reference then
+          if not (Backend.equal o.Supervisor.value reference) then
             Alcotest.failf "%s expansion recovers to a different result"
               backend.Backend.name)
     Backend.all
@@ -583,7 +688,7 @@ let check_multi_segment_levels () =
                   (Policy.name strategy)
                   (match domains with None -> "none" | Some n -> string_of_int n)
               in
-              if scrub bc <> scrub bi then
+              if not (Backend.equal bc bi) then
                 Alcotest.failf "compiled differs from blocked on %s" where;
               if
                 (not reference.Report.oom)
@@ -648,7 +753,7 @@ let check_steady_state () =
   let before = (Gc.quick_stat ()).Gc.major_words in
   let second = Backend.run ~opts Backend.compiled source ~roots in
   let words = (Gc.quick_stat ()).Gc.major_words -. before in
-  if scrub second <> scrub first then Alcotest.fail "the second run differs";
+  if not (Backend.equal second first) then Alcotest.fail "the second run differs";
   if words > 10_000.0 then
     Alcotest.failf "the second nqueens run allocated %.0f major words (bound 10000)"
       words
@@ -674,12 +779,12 @@ let check_stale_columns () =
     (fun backend ->
       let run name =
         let source, roots = source_of name in
-        scrub (Backend.run ~opts backend source ~roots)
+        Backend.run ~opts backend source ~roots
       in
       let first = List.map (fun name -> (name, run name)) programs in
       List.iter
         (fun name ->
-          if run name <> List.assoc name first then
+          if not (Backend.equal (run name) (List.assoc name first)) then
             Alcotest.failf "%s on %s differs after interleaving"
               name backend.Backend.name)
         [ "binomial"; "fib"; "nqueens"; "fib"; "binomial"; "nqueens"; "fib" ])
@@ -689,14 +794,13 @@ let check_stale_columns () =
    equal the serial one, and the store stays within its cap. *)
 let check_store_concurrency () =
   let source, roots = source_of "nqueens" in
-  let serial = scrub (Backend.run Backend.compiled source ~roots) in
-  let job () =
-    List.init 4 (fun _ -> scrub (Backend.run Backend.compiled source ~roots))
-  in
+  let serial = Backend.run Backend.compiled source ~roots in
+  let job () = List.init 4 (fun _ -> Backend.run Backend.compiled source ~roots) in
   let a = Domain.spawn job and b = Domain.spawn job in
   let results = Domain.join a @ Domain.join b in
   List.iteri
-    (fun i r -> if r <> serial then Alcotest.failf "concurrent run %d differs" i)
+    (fun i r ->
+      if not (Backend.equal r serial) then Alcotest.failf "concurrent run %d differs" i)
     results;
   if Soa.stored () > Soa.store_cap then
     Alcotest.failf "the store holds %d columns (cap %d)" (Soa.stored ())
@@ -752,6 +856,8 @@ let () =
             check_budgets;
           Alcotest.test_case "frontier expansion honours the wall deadline"
             `Quick check_expansion_budgets;
+          Alcotest.test_case "every scheduler trips each budget once" `Quick
+            check_budgets_every_scheduler;
           Alcotest.test_case "frontier expansion trips and contains faults"
             `Quick check_expansion_faults;
           Alcotest.test_case "multi-root frontier sums per-root results"

@@ -449,7 +449,7 @@ let test_engine_warm_cache () =
 let engine_ctx_run ?(prepare = ignore) ~spec ~machine ~strategy () =
   let ctx = Engine.make_ctx ~spec ~machine ~strategy () in
   prepare ctx;
-  Engine.execute_frames ctx ~roots:spec.Spec.roots ~depth:0;
+  ignore (Engine.execute_frames ctx ~roots:spec.Spec.roots ~depth:0 ~target:max_int : _ * int);
   (ctx, Engine.report_of ctx ~strategy:(Policy.name strategy) ~wall_seconds:0.0)
 
 (* Pooled blocks take host columns only for the rows they write and give

@@ -283,8 +283,6 @@ let check_domains_matrix () =
    the blocked-interpreter backend on every result field (scheduler
    counters included), since both claim to run the identical Fig. 6
    schedule. *)
-let scrub_backend (r : Backend.result) = { r with Backend.wall_seconds = 0.0 }
-
 let check_compiled_backend () =
   let checked = ref 0 in
   List.iter
@@ -323,7 +321,7 @@ let check_compiled_backend () =
               (match Backend.run ~opts Backend.interp source ~roots with
               | exception Vc_error.Error _ -> ()
               | b ->
-                  if scrub_backend r <> scrub_backend b then
+                  if not (Backend.equal r b) then
                     Alcotest.failf
                       "compiled backend [%s] diverges from the blocked \
                        interpreter beyond wall clock on %s:\n\
@@ -376,7 +374,7 @@ let check_compiled_fault_recovery () =
                   fallbacks := !fallbacks + o.Supervisor.fallbacks;
                   faults_seen := !faults_seen + o.Supervisor.faults_seen;
                   let r = o.Supervisor.value in
-                  if scrub_backend r <> scrub_backend reference then
+                  if not (Backend.equal r reference) then
                     Alcotest.failf
                       "compiled fault recovery diverges under seed %d on %s"
                       fault_seed (describe i p args))
@@ -578,7 +576,7 @@ let check_kernel_shapes () =
               let c = run Backend.compiled and i = run Backend.interp in
               agree ("compiled " ^ sname) c.Backend.reducers c.Backend.tasks;
               agree ("blocked " ^ sname) i.Backend.reducers i.Backend.tasks;
-              if scrub_backend c <> scrub_backend i then
+              if not (Backend.equal c i) then
                 Alcotest.failf
                   "%s on %s: compiled %d/%d tasks depth %d sw %d re %d, blocked %d/%d \
                    tasks depth %d sw %d re %d"
