@@ -83,8 +83,10 @@ let capacity t = t.capacity
 let clear t = t.size <- 0
 let elem_bytes t = t.elem_bytes
 
-let get t ~field ~row = t.data.(field).(row)
-let set t ~field ~row v = t.data.(field).(row) <- v
+(* Inlined into the specs, which read and write every row through them
+   across a module boundary. *)
+let[@inline] get t ~field ~row = t.data.(field).(row)
+let[@inline] set t ~field ~row v = t.data.(field).(row) <- v
 let frame t row = Array.init (Schema.num_fields t.schema) (fun f -> t.data.(f).(row))
 
 (* Move the rows to columns of at least [size + 1] rows: the first take

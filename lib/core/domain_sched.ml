@@ -139,9 +139,14 @@ let run_chunks ~domains ~chunks ~telemetry ~faults frames run =
     List.iter Domain.join spawned
   end;
   (* Recovery events reach the caller's hub in chunk-index order; then the
-     lowest-index chunk's exception wins, whichever domain hit it. *)
+     lowest-index chunk's exception wins, whichever domain hit it, and only
+     that chunk's budget event is replayed. *)
   let outs = Array.map Option.get outs in
-  Array.iter (fun (_, replay) -> replay ()) outs;
+  let winner =
+    Option.value ~default:nchunks
+      (Array.find_index (function Error _, _ -> true | Ok _, _ -> false) outs)
+  in
+  Array.iteri (fun idx (_, replay) -> replay ~raised:(idx = winner)) outs;
   ( Array.map (function Ok r, _ -> r | Error exn, _ -> raise exn) outs,
     Atomic.get observed_steals )
 

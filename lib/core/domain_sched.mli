@@ -71,8 +71,9 @@ val run_chunks :
     [Domain.recommended_domain_count ()]: the calling domain plus spawned
     ones, each popping its own deque and stealing from the others when
     empty.  After the join every chunk's recovery events are replayed
-    onto [telemetry] in chunk-index order; then, if any chunk raised, the
-    lowest-index chunk's exception is re-raised (every chunk has run to
+    onto [telemetry] in chunk-index order, with the [Deadline] events of
+    the lowest-index chunk that raised; then, if any chunk raised, that
+    chunk's exception is re-raised (every chunk has run to
     completion), whichever domain hit it.  Otherwise returns the results
     in chunk-index order — independent of the domain count — and the
     number of real steals.  No frames, no chunks. *)
@@ -96,7 +97,8 @@ val run :
     [chunks] (default {!default_chunks}) fixes the chunk count.
     [telemetry] receives the expansion phase's events, then after the
     join every chunk's [Fault] and [Fallback] events (chunk-index order,
-    {!Telemetry.chunk_hub}) and one [Telemetry.Steal] per modeled steal,
+    {!Telemetry.chunk_hub}), the [Deadline] of a budget error raised in a
+    chunk, and one [Telemetry.Steal] per modeled steal,
     so {!Supervisor.run} counts recovery across all contexts.  Raises
     [Invalid_argument] if [domains] or [chunks] is not positive; budget
     {!Vc_error.Error}s (task limits included) propagate (OOM yields an

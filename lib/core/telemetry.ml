@@ -312,17 +312,25 @@ let fault t (err : Vc_error.t) =
 
 (* Chunk workers run on other domains and must not share the caller's
    single-domain hub: each gets a private hub that records its recovery
-   events, replayed onto the caller's hub after the join so a caller-side
-   counting sink sees every chunk's faults and fallbacks. *)
+   and budget events, replayed onto the caller's hub after the join so a
+   caller-side counting sink sees every chunk's faults and fallbacks, and
+   the [Deadline] of the budget error the run re-raises.  Every chunk
+   checks the budgets, so several may trip; only the raising chunk's
+   [Deadline] is replayed, which keeps it one per run. *)
 let chunk_hub caller =
-  if not caller.enabled then (create (), nop)
+  if not caller.enabled then (create (), fun ~raised:_ -> ())
   else begin
     let log = ref [] in
     let record st =
-      match st.ev with Fault _ | Fallback _ -> log := st.ev :: !log | _ -> ()
+      match st.ev with
+      | Fault _ | Fallback _ | Deadline _ -> log := st.ev :: !log
+      | _ -> ()
     in
     ( with_sinks [ callback_sink record ],
-      fun () -> List.iter (emit caller) (List.rev !log) )
+      fun ~raised ->
+        List.iter
+          (function Deadline _ when not raised -> () | ev -> emit caller ev)
+          (List.rev !log) )
   end
 
 let clear t =

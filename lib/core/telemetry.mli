@@ -145,14 +145,15 @@ val fault : t -> Vc_error.t -> unit
 (** Emit the [Fault] event that records a surfaced {!Vc_error.t}: its site
     name and detail. *)
 
-val chunk_hub : t -> t * (unit -> unit)
+val chunk_hub : t -> t * (raised:bool -> unit)
 (** [chunk_hub caller] is a private hub for one chunk of a chunked run
     (chunk workers run on other domains, so they must not share
     [caller]) and a replay function that re-emits the chunk's [Fault]
-    and [Fallback] events onto [caller], in order.
-    {!Domain_sched.run_chunks} calls replay after the join, in
-    chunk-index order.  When [caller] is disabled the chunk hub is too
-    and replay does nothing. *)
+    and [Fallback] events onto [caller], in order, together with its
+    [Deadline] events when [raised] (the chunk's exception is the one the
+    run re-raises).  {!Domain_sched.run_chunks} calls replay after the
+    join, in chunk-index order.  When [caller] is disabled the chunk hub
+    is too and replay does nothing. *)
 
 val clear : t -> unit
 (** Reset the sequence counter and all sinks (ring emptied, buffered

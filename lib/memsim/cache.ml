@@ -64,6 +64,11 @@ let rec shift tags line i last carry =
   else if tag = -1 || i >= last then false
   else shift tags line (i + 1) last tag
 
+(* [access] is inlined into [Hierarchy]'s level walk; its failure branch
+   stays out of line so each inlined copy is one compare and a call. *)
+let[@inline never] out_of_range () =
+  invalid_arg "Cache.access: line number outside [0, 2^31)"
+
 (* LRU is a stack algorithm, so keeping each set in recency order holds
    exactly the lines a timestamped LRU would.  A hit moves its line to
    the front; a miss drops the set's last way (an invalid way while one
@@ -72,9 +77,9 @@ let rec shift tags line i last carry =
    same set always have distinct line numbers.  A tag is 32 bits, so a
    line number outside [0, 2^31) is rejected rather than stored as an
    alias of another line or of the invalid marker. *)
-let access t ~addr =
+let[@inline] access t ~addr =
   let line = addr asr t.line_shift in
-  if line lsr 31 <> 0 then invalid_arg "Cache.access: line number outside [0, 2^31)";
+  if line lsr 31 <> 0 then out_of_range ();
   t.accesses <- t.accesses + 1;
   let tags = t.tags in
   let base = (line land t.set_mask) * t.ways in

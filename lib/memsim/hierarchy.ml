@@ -38,7 +38,8 @@ let rec walk t line_addr i =
     end
   end
 
-let access t ~addr ~bytes =
+(* Inlined into the access hook that [Vc_core.Measure] installs. *)
+let[@inline] access t ~addr ~bytes =
   let bytes = Int.max bytes 1 in
   (* line sizes are powers of two: masking finds each line's start *)
   let line_mask = lnot (t.line_bytes - 1) in

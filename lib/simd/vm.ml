@@ -20,7 +20,9 @@ let report t addr bytes write =
 
 let scalar_ops t n = t.stats.scalar_ops <- t.stats.scalar_ops + n
 
-let vector_op t ~width ~active =
+(* [vector_op], [vector_load], [vector_store] and [column] are inlined
+   into the engine, which charges every column chunk through them. *)
+let[@inline] vector_op t ~width ~active =
   t.stats.vector_ops <- t.stats.vector_ops + 1;
   t.stats.lane_slots <- t.stats.lane_slots + width;
   t.stats.active_lanes <- t.stats.active_lanes + active
@@ -49,17 +51,17 @@ let scalar_store t ~addr ~bytes =
   t.stats.scalar_stores <- t.stats.scalar_stores + 1;
   report t addr bytes true
 
-let vector_load t ~addr ~lanes ~lane_bytes =
+let[@inline] vector_load t ~addr ~lanes ~lane_bytes =
   vector_op t ~width:lanes ~active:lanes;
   t.stats.vector_loads <- t.stats.vector_loads + 1;
   report t addr (lanes * lane_bytes) false
 
-let vector_store t ~addr ~lanes ~lane_bytes =
+let[@inline] vector_store t ~addr ~lanes ~lane_bytes =
   vector_op t ~width:lanes ~active:lanes;
   t.stats.vector_stores <- t.stats.vector_stores + 1;
   report t addr (lanes * lane_bytes) true
 
-let column t ~write ~addr ~n ~width ~lane_bytes =
+let[@inline] column t ~write ~addr ~n ~width ~lane_bytes =
   let row = ref 0 in
   while !row < n do
     let lanes = Int.min width (n - !row) in

@@ -333,7 +333,10 @@ let check_expansion_budgets () =
    live frames at depth 4, before any frontier target or block switch; a
    3,000,000-level chain needs far longer than 0.05 s and far more than
    100,000 modeled cycles.  A chain's frontier never reaches a chunk's
-   worth of frames, so the domains rows trip during expansion. *)
+   worth of frames, so the domains rows trip during expansion.  Under a
+   200-frame ceiling the tree's expansion stops at its 128-frame frontier
+   (depth 7), so the domains rows trip inside their chunks: every chunk
+   trips, and only the raising chunk's event may reach the caller. *)
 let check_budgets_every_scheduler () =
   let parse src = Vc_lang.Parser.parse_string ("reducer sum n;\n" ^ src) in
   let tree =
@@ -384,6 +387,12 @@ let check_budgets_every_scheduler () =
       ( "live-frames",
         Vc_error.Live_frames,
         Supervisor.budgets ~max_live_frames:8 (),
+        tree,
+        30,
+        false );
+      ( "live-frames",
+        Vc_error.Live_frames,
+        Supervisor.budgets ~max_live_frames:200 (),
         tree,
         30,
         false );

@@ -79,6 +79,23 @@ let test_block_growth () =
   check_bool "capacity grew" true (Block.capacity b2 >= 5);
   check_bool "same block when it fits" true (Block.ensure_room b2 addr ~extra:1 == b2)
 
+(* [reserve] on a full block raises a message that names the block, and
+   leaves the block as it was. *)
+let test_block_reserve_full () =
+  let addr = Addr.create () in
+  let s = Schema.create ~lane_kind:Vc_simd.Lane.I32 [ "x" ] in
+  let store = Block.Store.create () in
+  let b =
+    Block.create ~label:"frontier" ~store addr ~schema:s ~isa:Vc_simd.Isa.sse42
+      ~capacity:2
+  in
+  check_int "first row" 0 (Block.reserve b);
+  check_int "second row" 1 (Block.reserve b);
+  Alcotest.check_raises "reserve full"
+    (Invalid_argument "Block.reserve: frontier full (capacity 2)") (fun () ->
+      ignore (Block.reserve b : int));
+  check_int "size unchanged" 2 (Block.size b)
+
 let test_block_copy_row () =
   let addr = Addr.create () in
   let s = Schema.create ~lane_kind:Vc_simd.Lane.I32 [ "x"; "y" ] in
@@ -1595,6 +1612,7 @@ let () =
           Alcotest.test_case "addr" `Quick test_addr;
           Alcotest.test_case "block" `Quick test_block;
           Alcotest.test_case "block growth" `Quick test_block_growth;
+          Alcotest.test_case "reserve on a full block" `Quick test_block_reserve_full;
           Alcotest.test_case "copy row" `Quick test_block_copy_row;
           Alcotest.test_case "soa roundtrip" `Quick test_soa_roundtrip;
         ] );
